@@ -91,6 +91,10 @@ class JacobianElement:
     produced the element (orthant activity set, second-order cone region,
     eigenvalue sign pattern).  Two elements with equal keys came from the
     same branch, which is what the repeat-pattern stopping rule compares.
+
+    The element holds either its dense matrix, or an apply function together
+    with ``build_fn``, which forms the dense matrix in closed form on the
+    first :meth:`materialize` call.
     """
 
     def __init__(
@@ -99,13 +103,15 @@ class JacobianElement:
         pattern_key,
         matrix: np.ndarray | None = None,
         apply_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        build_fn: Callable[[], np.ndarray] | None = None,
     ):
-        if matrix is None and apply_fn is None:
-            raise ValueError("need a matrix or an apply function")
+        if matrix is None and (apply_fn is None or build_fn is None):
+            raise ValueError("need a matrix, or an apply function and a builder")
         self.cone = cone
         self.pattern_key = pattern_key
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self._apply_fn = apply_fn
+        self._build_fn = build_fn
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vector = self.cone._checked(vector)
@@ -116,14 +122,7 @@ class JacobianElement:
     def materialize(self) -> np.ndarray:
         """Dense ambient_dim x ambient_dim matrix of the element (cached)."""
         if self._matrix is None:
-            d = self.cone.ambient_dim
-            out = np.empty((d, d))
-            basis = np.zeros(d)
-            for k in range(d):
-                basis[k] = 1.0
-                out[:, k] = self._apply_fn(basis)
-                basis[k] = 0.0
-            self._matrix = out
+            self._matrix = self._build_fn()
         return self._matrix
 
 
@@ -283,7 +282,32 @@ class PsdCone(Cone):
             out = u @ (omega * inner) @ u.T
             return svec(0.5 * (out + out.T))
 
-        return JacobianElement(self, ("psd", signs), apply_fn=apply_fn)
+        return JacobianElement(
+            self, ("psd", signs), apply_fn=apply_fn,
+            build_fn=lambda: _psd_jacobian_matrix(u, omega),
+        )
+
+
+def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Dense derivative element H -> U (omega o U^T H U) U^T in svec coordinates.
+
+    The svec images of u_i u_i^T and (u_i u_j^T + u_j u_i^T)/sqrt(2), i < j,
+    are the orthonormal columns of a d x d matrix Q, and each is an
+    eigenvector of the map with eigenvalue omega_ij in [0, 1].  So the
+    element is B B^T with B = Q diag(sqrt(omega[triu])).  Entry
+    ((p, q), (i, j)) of Q is s_pq s_ij (u_pi u_qj + u_pj u_qi) / 2, with
+    s = sqrt(2) off the diagonal and 1 on it.
+    """
+    n = u.shape[0]
+    rows, cols = np.triu_indices(n)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    # products[(p, q), i * n + j] = s_pq u_pi u_qj
+    products = ((scale[:, None] * u[rows])[:, :, None] * u[cols][:, None, :]).reshape(
+        rows.size, n * n
+    )
+    basis = products[:, rows * n + cols] + products[:, cols * n + rows]
+    basis *= 0.5 * scale * np.sqrt(omega[rows, cols])
+    return basis @ basis.T
 
 
 def _psd_omega(lam: np.ndarray) -> np.ndarray:
@@ -371,8 +395,14 @@ class Product(Cone):
                 ]
             )
 
+        def build_fn():
+            out = np.zeros((off[-1], off[-1]))
+            for i, el in enumerate(elements):
+                out[off[i]:off[i + 1], off[i]:off[i + 1]] = el.materialize()
+            return out
+
         key = ("product", tuple(el.pattern_key for el in elements))
-        return JacobianElement(self, key, apply_fn=apply_fn)
+        return JacobianElement(self, key, apply_fn=apply_fn, build_fn=build_fn)
 
 
 def project(cone: Cone, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
 _MAX_CONDITION = 1e14
+# The LU answer is taken without an SVD only when the probe estimate sits
+# this far below _MAX_CONDITION.
+_PROBE_MARGIN = 1e4
+_PROBE_COLUMNS = 4
+_PROBE_SEED = 0
 _DIVERGENCE_FACTOR = 1e12
 _LSTSQ_FAIL_LIMIT = 3
 
@@ -87,14 +92,44 @@ def _newton_matrix(T_dense, element, form):
     return T_dense @ v_dense + np.eye(T_dense.shape[0])
 
 
+def _newton_step(matrix, rhs, probe_norms):
+    """Solve ``matrix x = rhs[:, 0]``; return x and whether lstsq produced it.
+
+    ``rhs`` is ``[b | G]`` with fixed Gaussian probe columns G.  One LU
+    solve gives the step and the condition estimate
+    ``|M|_F max_j |M^-1 g_j| / |g_j|``, which is at most sqrt(d) times the
+    2-norm condition number and falls short of it only when every probe
+    misses the smallest singular direction.  When the estimate is within
+    ``_PROBE_MARGIN`` of ``_MAX_CONDITION``, or the factorization fails, the
+    exact rule decides: a values-only SVD, then least squares above
+    ``_MAX_CONDITION``.
+    """
+    try:
+        solved = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        solved = None
+    else:
+        growth = np.max(np.linalg.norm(solved[:, 1:], axis=0) / probe_norms)
+        if np.linalg.norm(matrix) * growth < _MAX_CONDITION / _PROBE_MARGIN:
+            return solved[:, 0], False
+    b = rhs[:, 0]
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    if sigma[-1] <= 0.0 or sigma[0] > _MAX_CONDITION * sigma[-1]:
+        return np.linalg.lstsq(matrix, b, rcond=None)[0], True
+    if solved is None:
+        return np.linalg.solve(matrix, b), False
+    return solved[:, 0], False
+
+
 def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None) -> SolveReport:
     """Run the semi-smooth Newton iteration.
 
     The linear systems use LU with partial pivoting.  A step whose matrix
-    has condition estimate above 1e14 falls back to a least-squares
+    has condition number above 1e14 falls back to a least-squares
     solution; three consecutive least-squares steps without residual
-    reduction terminate with SINGULAR_SYSTEM.  Non-finite iterates or
-    iterate norms above 1e12*(1+|b|) raise NumericalFailureError.
+    reduction terminate with SINGULAR_SYSTEM.  Non-finite iterates,
+    iterate norms above 1e12*(1+|b|), or a failed factorization raise
+    NumericalFailureError.
     """
     if config is None:
         config = NewtonConfig()
@@ -119,9 +154,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     norm_b = float(np.linalg.norm(b))
     confirm_tol = max(config.tol, 1e-9 * (1.0 + norm_b))
     divergence_bound = _DIVERGENCE_FACTOR * (1.0 + norm_b)
+    probes = np.random.default_rng(_PROBE_SEED).standard_normal(
+        (cone.ambient_dim, _PROBE_COLUMNS)
+    )
+    rhs = np.column_stack([b, probes])
+    probe_norms = np.linalg.norm(probes, axis=0)
 
     residuals = [residual(problem, x)]
-    iterates = [x.copy()]
+    iterates = [x.copy()] if config.record_history else None
     iterations = 0
     termination = None
 
@@ -133,13 +173,12 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         lstsq_fail_streak = 0
         for k in range(1, config.max_iter + 1):
             matrix = _newton_matrix(T_dense, element, problem.form)
-            sigma = np.linalg.svd(matrix, compute_uv=False)
-            ill_conditioned = sigma[-1] <= 0.0 or sigma[0] > _MAX_CONDITION * sigma[-1]
-            if ill_conditioned:
-                x_next = np.linalg.lstsq(matrix, b, rcond=None)[0]
-            else:
-                x_next = np.linalg.solve(matrix, b)
-            used_lstsq = ill_conditioned
+            try:
+                x_next, used_lstsq = _newton_step(matrix, rhs, probe_norms)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(
+                    f"linear solve failed at iteration {k}: {exc}", iteration=k
+                ) from exc
             if not np.all(np.isfinite(x_next)):
                 raise NumericalFailureError(
                     f"non-finite iterate at iteration {k}", iteration=k
@@ -154,7 +193,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             element = cone.jacobian_element(x)
             res = residual(problem, x)
             residuals.append(res)
-            iterates.append(x.copy())
+            if config.record_history:
+                iterates.append(x.copy())
 
             if used_lstsq:
                 if res >= residuals[-2]:
@@ -193,7 +233,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         termination=termination,
         wall_time_seconds=elapsed,
         ratio_estimates=ratios,
-        iterates=iterates if config.record_history else None,
+        iterates=iterates,
     )
 
 
@@ -222,12 +262,5 @@ def measure_ratios(
         raise ValueError(
             f"reference point is not a root (residual {ref_res:.3e} > 1e-10)"
         )
-    cfg = NewtonConfig(
-        tol=config.tol,
-        max_iter=config.max_iter,
-        x0=config.x0,
-        use_pattern_stop=config.use_pattern_stop,
-        record_history=True,
-    )
-    report = solve(problem, cfg)
+    report = solve(problem, replace(config, record_history=True))
     return _error_ratios(report.iterates, reference)

@@ -77,6 +77,10 @@ class ScaledIdentity(LinearOperator):
     scale: float
     dim: int
 
+    def __post_init__(self):
+        if not np.isfinite(self.scale):
+            raise ValueError(f"identity scale must be finite, got {self.scale}")
+
     def apply(self, x):
         return self.scale * self._checked(x)
 
@@ -212,6 +216,8 @@ class ProjectionEquationProblem:
                 f"operator dimension {self.T.dim} does not match cone ambient "
                 f"dimension {self.cone.ambient_dim}"
             )
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side contains non-finite entries")
         object.__setattr__(self, "b", b)
 
 

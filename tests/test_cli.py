@@ -64,6 +64,17 @@ class TestSolvePe:
         ])
         assert code == 1
 
+    def test_nan_rhs_is_input_error(self, tmp_path, pe_files, capsys):
+        t_path, _ = pe_files
+        b_path = tmp_path / "b_nan.mtx"
+        write_vector(b_path, np.array([np.nan, 1.0]))
+        code = main([
+            "solve-pe", "--cone", "orthant:2", "--T", str(t_path),
+            "--b", str(b_path), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_psd_cone_with_x0(self, tmp_path):
         # psd:2 works on scaled-vectorized coordinates of length 3
         t_path = tmp_path / "T.mtx"

@@ -21,6 +21,32 @@ from conic_newton import (
 from conftest import CONE_CASES, random_point, random_symmetric
 
 
+def column_reference(element):
+    """Dense matrix of an element built one basis vector at a time by apply."""
+    d = element.cone.ambient_dim
+    return np.column_stack([element.apply(e) for e in np.eye(d)])
+
+
+def psd_kink_points(n, rng):
+    """Points of PsdCone(n) with zero and repeated eigenvalues, and the origin."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.choice([-1.5, 0.0, 2.0], size=n)
+    return [svec((q * lam) @ q.T), np.zeros(n * (n + 1) // 2)]
+
+
+def mixed_product_kink_points(rng):
+    """Kinks of every factor of MIXED_PRODUCT: zero orthant coordinates,
+    repeated and zero eigenvalues, the second-order cone boundary and origin."""
+    psd = psd_kink_points(3, rng)
+    return [
+        np.concatenate([[0.0, 1.0, -1.0], psd[0], [5.0, 3.0, 4.0, 0.0], [1.0, -2.0]]),
+        np.concatenate([[0.0, 0.0, 0.0], psd[1], np.zeros(4), [0.0, 3.0]]),
+    ]
+
+
+MIXED_PRODUCT = Product((Orthant(3), PsdCone(3), SecondOrder(4), FreeSpace(2)))
+
+
 class TestVectorization:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -241,6 +267,23 @@ class TestJacobianElement:
             el = cone.jacobian_element(x)
             lhs = np.linalg.norm(cone.project(y) - cone.project(x) - el.apply(y - x))
             assert lhs <= (1 + 1e-8) * np.linalg.norm(y - x)
+
+    @pytest.mark.parametrize("cone, kinks", [
+        *[pytest.param(PsdCone(n), lambda rng, n=n: psd_kink_points(n, rng),
+                       id=f"psd{n}") for n in (1, 2, 3, 7, 20)],
+        pytest.param(MIXED_PRODUCT, mixed_product_kink_points, id="product"),
+    ])
+    def test_closed_form_matches_column_reference(self, cone, kinks):
+        rng = np.random.default_rng(10)
+        points = [random_point(cone, rng) for _ in range(5)] + kinks(rng)
+        for x in points:
+            reference = column_reference(cone.jacobian_element(x))
+            mat = cone.jacobian_element(x).materialize()
+            np.testing.assert_allclose(mat, reference, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                mat @ x, cone.project(x), rtol=0, atol=1e-12 * (1 + np.linalg.norm(x))
+            )
+            assert np.linalg.norm(mat, 2) <= 1 + 1e-12
 
     def test_product_blocks(self):
         cone = Product((Orthant(2), FreeSpace(2)))

@@ -5,10 +5,12 @@ import pytest
 
 from conic_newton import (
     DenseOperator,
+    LinearOperator,
     NewtonConfig,
     NumericalFailureError,
     Orthant,
     ProjectionEquationProblem,
+    PsdCone,
     ScaledIdentity,
     SecondOrder,
     Termination,
@@ -135,11 +137,77 @@ class TestSolve:
         if steps and steps[-1] < 1e-12:
             assert report.residuals[-1] <= 1e-8 * (1 + np.linalg.norm(b))
 
+    def test_history_off_keeps_no_iterates(self):
+        report = solve(orthant_problem(), NewtonConfig())
+        assert report.iterates is None
+        assert report.ratio_estimates is None
+
+    def test_failed_factorization_raises_numerical_failure(self):
+        class NanOperator(LinearOperator):
+            dim = 2
+
+            def apply(self, x):
+                return np.full(2, np.nan)
+
+            def materialize(self):
+                return np.full((2, 2), np.nan)
+
+        problem = ProjectionEquationProblem(Orthant(2), NanOperator(), np.ones(2))
+        with pytest.raises(NumericalFailureError) as exc_info:
+            solve(problem, NewtonConfig())
+        assert exc_info.value.iteration == 1
+        assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
+
     def test_record_history_exposes_ratio_estimates(self):
         report = solve(orthant_problem(), NewtonConfig(record_history=True))
         assert report.iterates is not None
         assert len(report.iterates) == report.iterations + 1
         assert report.ratio_estimates is not None
+
+
+class TestConditioningGate:
+    @pytest.fixture()
+    def linalg_calls(self, monkeypatch):
+        counts = {"svd": 0, "lstsq": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "cone", [Orthant(40), SecondOrder(40), PsdCone(6)], ids=["orthant", "soc", "psd"]
+    )
+    def test_well_conditioned_solve_runs_no_svd(self, cone, linalg_calls):
+        rng = np.random.default_rng(19)
+        d = cone.ambient_dim
+        a = rng.standard_normal((d, d))
+        T = DenseOperator(a @ a.T / d + np.eye(d))
+        b = 3.0 * rng.standard_normal(d)
+        report = solve(ProjectionEquationProblem(cone, T, b), NewtonConfig(tol=1e-10))
+        assert report.termination in (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT)
+        assert report.iterations >= 2
+        assert linalg_calls == {"svd": 0, "lstsq": 0}
+
+    def test_grey_band_takes_exact_rule_then_lu(self, linalg_calls):
+        # condition 1e12: above the probe gate, below the 1e14 lstsq threshold
+        t = np.diag([1.0, 1.0, 1e-12, 1e-12])
+        root = -np.ones(4)
+        problem = ProjectionEquationProblem(Orthant(4), DenseOperator(t), t @ root)
+        report = solve(problem, NewtonConfig())
+        assert linalg_calls == {"svd": 1, "lstsq": 0}
+        np.testing.assert_array_equal(report.solution, root)
+
+    def test_above_threshold_takes_lstsq(self, linalg_calls):
+        t = np.diag([1.0, 1.0, 1e-16, 1e-16])
+        problem = ProjectionEquationProblem(Orthant(4), DenseOperator(t), -np.diag(t))
+        report = solve(problem, NewtonConfig())
+        assert linalg_calls == {"svd": 1, "lstsq": 1}
+        np.testing.assert_allclose(report.solution, [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
 
 
 class TestMeasureRatios:

@@ -126,6 +126,11 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             DenseOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_scaled_identity_rejects_non_finite(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledIdentity(scale, 3)
+
 
 class TestAnalyzeQcpOperator:
     def test_scaled_pd(self):
@@ -175,3 +180,10 @@ class TestProblemContainer:
             ProjectionEquationProblem(Orthant(2), ScaledIdentity(1.0, 3), np.zeros(2))
         with pytest.raises(DimensionMismatchError):
             ProjectionEquationProblem(Orthant(2), ScaledIdentity(1.0, 2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ProjectionEquationProblem(
+                Orthant(2), ScaledIdentity(1.0, 2), np.array([bad, 1.0])
+            )
