@@ -92,9 +92,10 @@ class JacobianElement:
     eigenvalue sign pattern).  Two elements with equal keys came from the
     same branch, which is what the repeat-pattern stopping rule compares.
 
-    The element holds either its dense matrix, or an apply function together
-    with ``build_fn``, which forms the dense matrix in closed form on the
-    first :meth:`materialize` call.
+    The element holds its dense matrix, or its ``diagonal`` when it is
+    diagonal, or an apply function together with ``build_fn``, which forms
+    the dense matrix in closed form on the first :meth:`materialize` call.
+    ``diagonal`` is None for an element that is not diagonal.
     """
 
     def __init__(
@@ -104,17 +105,23 @@ class JacobianElement:
         matrix: np.ndarray | None = None,
         apply_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         build_fn: Callable[[], np.ndarray] | None = None,
+        diagonal: np.ndarray | None = None,
     ):
-        if matrix is None and (apply_fn is None or build_fn is None):
-            raise ValueError("need a matrix, or an apply function and a builder")
+        if matrix is None and diagonal is None and (apply_fn is None or build_fn is None):
+            raise ValueError(
+                "need a matrix, a diagonal, or an apply function and a builder"
+            )
         self.cone = cone
         self.pattern_key = pattern_key
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self._apply_fn = apply_fn
         self._build_fn = build_fn
+        self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vector = self.cone._checked(vector)
+        if self.diagonal is not None:
+            return self.diagonal * vector
         if self._matrix is not None:
             return self._matrix @ vector
         return self._apply_fn(vector)
@@ -122,7 +129,10 @@ class JacobianElement:
     def materialize(self) -> np.ndarray:
         """Dense ambient_dim x ambient_dim matrix of the element (cached)."""
         if self._matrix is None:
-            self._matrix = self._build_fn()
+            if self.diagonal is not None:
+                self._matrix = np.diag(self.diagonal)
+            else:
+                self._matrix = self._build_fn()
         return self._matrix
 
 
@@ -189,7 +199,7 @@ class Orthant(Cone):
         active = x > 0.0
         return JacobianElement(
             self, pattern_key=("orthant", tuple(bool(a) for a in active)),
-            matrix=np.diag(active.astype(float)),
+            diagonal=active.astype(float),
         )
 
 
@@ -349,7 +359,7 @@ class FreeSpace(Cone):
 
     def jacobian_element(self, x):
         self._checked(x)
-        return JacobianElement(self, ("free",), matrix=np.eye(self.n))
+        return JacobianElement(self, ("free",), diagonal=np.ones(self.n))
 
 
 @dataclass(frozen=True)
@@ -385,6 +395,11 @@ class Product(Cone):
         elements = [
             p.jacobian_element(piece) for p, piece in zip(self.parts, self.split(x))
         ]
+        key = ("product", tuple(el.pattern_key for el in elements))
+        if all(el.diagonal is not None for el in elements):
+            return JacobianElement(
+                self, key, diagonal=np.concatenate([el.diagonal for el in elements])
+            )
         off = self._offsets()
 
         def apply_fn(vector):
@@ -401,7 +416,6 @@ class Product(Cone):
                 out[off[i]:off[i + 1], off[i]:off[i + 1]] = el.materialize()
             return out
 
-        key = ("product", tuple(el.pattern_key for el in elements))
         return JacobianElement(self, key, apply_fn=apply_fn, build_fn=build_fn)
 
 

@@ -53,47 +53,16 @@ def _parse_matrix_market(path, lines):
     if layout == "coordinate" and symmetry != "symmetric":
         _fail(path, 1, "coordinate files must be symmetric")
 
-    body = [
-        (no, line)
-        for no, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
+    body = list(filter(_is_data, lines[1:]))
     if not body:
         _fail(path, len(lines), "missing size line")
-    size_no, size_line = body[0]
-    entries = body[1:]
-    fields = size_line.split()
-
     if layout == "array":
-        if len(fields) != 2:
-            _fail(path, size_no, f"expected 'rows cols', got {size_line!r}")
-        try:
-            rows, cols = int(fields[0]), int(fields[1])
-        except ValueError:
-            _fail(path, size_no, f"non-integer size in {size_line!r}")
-        expected = rows * cols if symmetry == "general" else cols * (cols + 1) // 2
-        if rows != cols and symmetry == "symmetric":
-            _fail(path, size_no, "symmetric files must be square")
-        positions = (
-            [(i, j) for j in range(cols) for i in range(rows)]  # column-major
-            if symmetry == "general"
-            else [(i, j) for j in range(cols) for i in range(j, rows)]
-        )
-        out = np.zeros((rows, cols))
-        for k, (i, j) in enumerate(positions):
-            if k >= len(entries):
-                _fail(
-                    path,
-                    entries[-1][0] if entries else size_no,
-                    f"expected {expected} values, found {len(entries)}",
-                )
-            no, line = entries[k]
-            out[i, j] = _parse_value(path, no, line)
-            if symmetry == "symmetric":
-                out[j, i] = out[i, j]
-        if len(entries) > expected:
-            _fail(path, entries[expected][0], f"expected {expected} values, found {len(entries)}")
-        return out
+        return _parse_array(path, lines, body, symmetry == "symmetric")
+
+    numbered = list(zip(_data_line_numbers(lines), body))
+    size_no, size_line = numbered[0]
+    entries = numbered[1:]
+    fields = size_line.split()
 
     # coordinate real symmetric
     if len(fields) != 3:
@@ -124,6 +93,66 @@ def _parse_matrix_market(path, lines):
             _fail(path, no, f"index out of range in {line!r}")
         out[i, j] = value
         out[j, i] = value
+    return out
+
+
+def _is_data(line):
+    """Whether a line after the banner holds data (not blank, not a comment)."""
+    stripped = line.lstrip()
+    return bool(stripped) and stripped[0] != "%"
+
+
+def _data_line_numbers(lines):
+    """1-based file line numbers of the data lines after the banner."""
+    return [no for no, line in enumerate(lines[1:], start=2) if _is_data(line)]
+
+
+def _parse_array(path, lines, body, symmetric):
+    """An ``array`` body: the size line, then one value per line in
+    column-major order, the lower triangle only when ``symmetric``.
+
+    ``body`` holds the data lines; their file line numbers are worked out
+    only for an error message.
+    """
+
+    def fail(k, message):
+        _fail(path, _data_line_numbers(lines)[k], message)
+
+    size_line = body[0]
+    fields = size_line.split()
+    if len(fields) != 2:
+        fail(0, f"expected 'rows cols', got {size_line!r}")
+    try:
+        rows, cols = int(fields[0]), int(fields[1])
+    except ValueError:
+        fail(0, f"non-integer size in {size_line!r}")
+    if rows < 0 or cols < 0:
+        fail(0, f"negative size in {size_line!r}")
+    if symmetric and rows != cols:
+        fail(0, "symmetric files must be square")
+    expected = cols * (cols + 1) // 2 if symmetric else rows * cols
+    entries = body[1:]
+    try:
+        values = np.array(
+            [float(line.split()[0]) for line in entries[:expected]], dtype=float
+        )
+    except ValueError:
+        for no, line in zip(_data_line_numbers(lines)[1:], entries):
+            _parse_value(path, no, line)
+        raise
+    if len(entries) != expected:
+        # the first surplus line, or the last line read when values are short
+        fail(
+            expected + 1 if len(entries) > expected else len(entries),
+            f"expected {expected} values, found {len(entries)}",
+        )
+    if not symmetric:
+        return values.reshape(cols, rows).T
+    # lower triangle column by column = upper triangle row by row
+    upper = np.triu_indices(cols)
+    out = np.zeros((rows, cols))
+    out[upper] = values
+    out[upper[::-1]] = values
     return out
 
 
@@ -167,12 +196,11 @@ def write_matrix(path, matrix: np.ndarray, fmt: str = "matrixmarket") -> None:
     if fmt != "matrixmarket":
         raise ValueError(f"unknown format {fmt!r}")
     rows, cols = matrix.shape
+    values = matrix.T.ravel().tolist()  # column-major
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{rows} {cols}\n")
-        for j in range(cols):
-            for i in range(rows):
-                fh.write(f"{matrix[i, j]:.17g}\n")
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def write_vector(path, vector: np.ndarray, fmt: str = "matrixmarket") -> None:

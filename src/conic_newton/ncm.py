@@ -12,6 +12,15 @@ V = U D U^T where D marks strictly positive eigenvalues, and the new
 diagonal d solves  Diag(diag(V)) d = e - diag(V @ Ghat)  with Ghat the
 off-diagonal part of G.  Entries of diag(V) within 1e-12 of zero are
 handled by the diagonal pseudoinverse (their update component is zero).
+Only the two diagonals are needed, so V is never formed: they are row sums
+over whichever of the positive or nonpositive eigenvectors is the smaller
+set (Qi & Sun 2006), which costs O(n^2 min(r, n - r)) for r positive
+eigenvalues after the eigendecomposition.
+
+A step that leaves the diagonal unchanged without converging (X with no
+positive eigenvalue makes diag(V) zero, so the step is a no-op) restarts
+the recursion once from X = Ghat + I, whose trace n guarantees a positive
+eigenvalue.
 
 A Dykstra-corrected alternating-projections solver is included as a
 baseline for benchmarking.
@@ -28,9 +37,12 @@ from .exceptions import DimensionMismatchError, NumericalFailureError
 from .newton import Termination
 
 _DIAG_PINV_TOL = 1e-12
+# A step that moves the diagonal by at most this, relative to its size, and
+# does not lower the residual has made no progress.
+_STALL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class NcmProblem:
     """Input matrix for the nearest-correlation problem, symmetrized on ingestion."""
 
@@ -42,7 +54,7 @@ class NcmProblem:
             raise DimensionMismatchError(f"expected a square matrix, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("input matrix contains non-finite entries")
-        self.G = 0.5 * (g + g.T)
+        object.__setattr__(self, "G", 0.5 * (g + g.T))
 
     @property
     def n(self) -> int:
@@ -85,17 +97,35 @@ def _eigh_cached(state: NcmState) -> tuple[np.ndarray, np.ndarray]:
     return state.eig
 
 
+def _positive_count(vals: np.ndarray) -> int:
+    """Number of positive eigenvalues; ``eigh`` sorts them last."""
+    return int(np.count_nonzero(vals > 0.0))
+
+
 def _psd_part(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    clipped = np.maximum(vals, 0.0)
-    out = (vecs * clipped) @ vecs.T
+    first = vals.shape[0] - _positive_count(vals)
+    upos = vecs[:, first:]
+    out = (upos * vals[first:]) @ upos.T
     return 0.5 * (out + out.T)
 
 
-def projection_step_matrix(X: np.ndarray) -> np.ndarray:
-    """The matrix U D U^T with D the 0/1 indicator of positive eigenvalues."""
-    vals, vecs = np.linalg.eigh(X)
-    indicator = (vals > 0.0).astype(float)
-    return (vecs * indicator) @ vecs.T
+def _step_diagonals(
+    vals: np.ndarray, vecs: np.ndarray, ghat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """diag(V) and diag(V @ Ghat) for V = U_+ U_+^T, without forming V.
+
+    Uses diag(U_+ U_+^T) = rowsum(U_+ o U_+) and, Ghat being symmetric,
+    diag(U_+ U_+^T Ghat) = rowsum(U_+ o (Ghat U_+)).  When more than half
+    the eigenvalues are positive, V = I - U_- U_-^T gives the same from the
+    nonpositive eigenvectors U_-, using diag(Ghat) = 0.
+    """
+    n = vals.shape[0]
+    r = _positive_count(vals)
+    if 2 * r <= n:
+        u = vecs[:, n - r:]
+        return np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", u, ghat @ u)
+    u = vecs[:, :n - r]
+    return 1.0 - np.einsum("ij,ij->i", u, u), -np.einsum("ij,ij->i", u, ghat @ u)
 
 
 def check_positive_diag(X: np.ndarray) -> bool:
@@ -103,20 +133,26 @@ def check_positive_diag(X: np.ndarray) -> bool:
     return bool(np.all(np.diag(np.asarray(X, dtype=float)) > 0.0))
 
 
-def initial_state(problem: NcmProblem) -> NcmState:
-    """Start at X = G, which pins the off-diagonal and zeroes the multiplier."""
-    g = problem.G
-    d = np.diag(g).copy()
-    ghat = g - np.diag(d)
+def _state_with_diagonal(
+    ghat: np.ndarray, diag_g: np.ndarray, d: np.ndarray
+) -> NcmState:
+    """The iterate X = Ghat + Diag(d), with lambda = diag(G) - d."""
     state = NcmState(
-        X=g.copy(),
-        lam=np.zeros(problem.n),
+        X=ghat + np.diag(d),
+        lam=diag_g - d,
         D_diag=d,
         Ghat=ghat,
         residual=np.nan,
     )
     state.residual = ncm_residual(state)
     return state
+
+
+def initial_state(problem: NcmProblem) -> NcmState:
+    """Start at X = G, which pins the off-diagonal and zeroes the multiplier."""
+    g = problem.G
+    d = np.diag(g).copy()
+    return _state_with_diagonal(g - np.diag(d), d, d)
 
 
 def ncm_residual(state: NcmState) -> float:
@@ -133,45 +169,59 @@ def ncm_residual(state: NcmState) -> float:
 def ncm_step(state: NcmState) -> NcmState:
     """One diagonal Newton step."""
     vals, vecs = _eigh_cached(state)
-    indicator = (vals > 0.0).astype(float)
-    v = (vecs * indicator) @ vecs.T
-    diag_v = np.diag(v).copy()
-    rhs = 1.0 - np.diag(v @ state.Ghat)
+    diag_v, diag_vg = _step_diagonals(vals, vecs, state.Ghat)
+    rhs = 1.0 - diag_vg
     usable = np.abs(diag_v) > _DIAG_PINV_TOL
     d_new = np.zeros_like(rhs)
     d_new[usable] = rhs[usable] / diag_v[usable]
     if not np.all(np.isfinite(d_new)):
         raise NumericalFailureError("non-finite diagonal update")
-    x_new = state.Ghat + np.diag(d_new)
-    diag_g = state.D_diag + state.lam
-    lam_new = diag_g - d_new
-    new_state = NcmState(
-        X=x_new,
-        lam=lam_new,
-        D_diag=d_new,
-        Ghat=state.Ghat,
-        residual=np.nan,
-    )
-    new_state.residual = ncm_residual(new_state)
+    new_state = _state_with_diagonal(state.Ghat, state.D_diag + state.lam, d_new)
     if not np.isfinite(new_state.residual):
         raise NumericalFailureError("non-finite residual after step")
     return new_state
 
 
+def _stalled(prev: NcmState, state: NcmState) -> bool:
+    """Whether the step from ``prev`` to ``state`` made no progress.
+
+    ``prev`` had a residual above the tolerance, so a stalled ``state`` has
+    too.  Rounding can flip the sign of a zero eigenvalue between iterates, so an
+    unchanged diagonal may differ in its last bits.
+    """
+    change = np.abs(state.D_diag - prev.D_diag).max()
+    return bool(
+        state.residual >= prev.residual
+        and change <= _STALL_TOL * (1.0 + np.abs(prev.D_diag).max())
+    )
+
+
 def solve_ncm(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 200
 ) -> NcmReport:
-    """Diagonal Newton recursion starting from X = G."""
+    """Diagonal Newton recursion starting from X = G.
+
+    The first step that leaves the diagonal unchanged (up to rounding) and
+    the residual above ``tol`` is replaced by a restart from X = Ghat + I;
+    a later one is kept.
+    """
     start = time.perf_counter()
     state = initial_state(problem)
     residuals = [state.residual]
     iterations = 0
+    restarted = False
     termination = Termination.MAX_ITER
     if state.residual <= tol:
         termination = Termination.RESIDUAL_TOL
     else:
         for k in range(1, max_iter + 1):
+            prev = state
             state = ncm_step(state)
+            if not restarted and _stalled(prev, state):
+                restarted = True
+                state = _state_with_diagonal(
+                    state.Ghat, state.D_diag + state.lam, np.ones(problem.n)
+                )
             residuals.append(state.residual)
             iterations = k
             if state.residual <= tol:

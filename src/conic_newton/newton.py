@@ -86,10 +86,14 @@ def residual(problem: ProjectionEquationProblem, x: np.ndarray) -> float:
 
 
 def _newton_matrix(T_dense, element, form):
-    v_dense = element.materialize()
     if form is EquationForm.POINT_LINEAR:
-        return v_dense + T_dense
-    return T_dense @ v_dense + np.eye(T_dense.shape[0])
+        return element.materialize() + T_dense
+    eye = np.eye(T_dense.shape[0])
+    if element.diagonal is not None:
+        # T @ Diag(v) + I bit for bit: each entry of the product sums one
+        # term T_ij v_j and signed zeros, and adding I clears the zeros' sign
+        return T_dense * element.diagonal + eye
+    return T_dense @ element.materialize() + eye
 
 
 def _newton_step(matrix, rhs, probe_norms):

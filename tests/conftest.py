@@ -12,6 +12,15 @@ CONE_CASES = [
     pytest.param(Product((Orthant(2), SecondOrder(3), PsdCone(2))), id="product"),
 ]
 
+# NCM inputs on which the plain diagonal recursion reaches a step that
+# changes nothing before it converges.
+STALLING_NCM_INPUTS = [
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(-np.eye(3), id="minus-identity"),
+    pytest.param(np.array([[-5.0]]), id="negative-scalar"),
+    pytest.param(np.diag([2.0, -1.0]), id="mixed-diagonal"),
+]
+
 
 def random_point(cone, rng, scale=2.0):
     return scale * rng.standard_normal(cone.ambient_dim)

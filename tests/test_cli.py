@@ -7,6 +7,7 @@ import pytest
 
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
+from conftest import STALLING_NCM_INPUTS
 
 
 @pytest.fixture()
@@ -164,6 +165,20 @@ class TestNcmCommand:
             outputs[method] = read_matrix(out_matrix)
         diff = np.linalg.norm(outputs["newton"] - outputs["baseline"])
         assert diff <= 1e-3
+
+    @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
+    def test_no_positive_eigenvalue_converges(self, tmp_path, g):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, g)
+        out_report = tmp_path / "r.json"
+        code = main([
+            "ncm", "--input", str(g_path),
+            "--out-matrix", str(tmp_path / "c.mtx"), "--out-report", str(out_report),
+        ])
+        assert code == 0
+        report = json.loads(out_report.read_text())
+        assert report["termination"] == "residual-tol"
+        assert report["iterations"] <= 2
 
     def test_asymmetric_input_warns(self, tmp_path, capsys):
         g_path = tmp_path / "g.csv"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conic_newton.matrixio import (
     MatrixFileError,
@@ -36,6 +39,66 @@ class TestRoundTrip:
         np.testing.assert_array_equal(read_vector(path), vec)
 
 
+# Any double, including -0.0, subnormals and +-inf; NaN is excluded only
+# because it does not compare equal to itself.
+DOUBLES = st.floats(allow_nan=False, allow_subnormal=True)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=DOUBLES)
+        )
+    )
+    def test_general_bit_identical(self, tmp_path_factory, mat):
+        path = tmp_path_factory.mktemp("rt") / "m.mtx"
+        write_matrix(path, mat)
+        back = read_matrix(path)
+        assert back.shape == mat.shape
+        assert np.ascontiguousarray(back).tobytes() == mat.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n), arrays(np.float64, n * (n + 1) // 2, elements=DOUBLES)
+            )
+        )
+    )
+    def test_symmetric_bit_identical(self, tmp_path_factory, case):
+        n, lower = case
+        expected = np.zeros((n, n))
+        k = 0
+        for j in range(n):  # lower triangle, column-major
+            for i in range(j, n):
+                expected[i, j] = expected[j, i] = lower[k]
+                k += 1
+        path = tmp_path_factory.mktemp("rt") / "s.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real symmetric\n"
+            f"{n} {n}\n" + "".join(f"{v:.17g}\n" for v in lower.tolist())
+        )
+        assert read_matrix(path).tobytes() == expected.tobytes()
+
+
+class TestWriteFormat:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        mat = np.array([[0.1, -0.0, np.inf], [5e-324, 1.0 / 3.0, -1e300]])
+        write_matrix(path, mat)
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n"
+            b"2 3\n"
+            b"0.10000000000000001\n"
+            b"4.9406564584124654e-324\n"
+            b"-0\n"
+            b"0.33333333333333331\n"
+            b"inf\n"
+            b"-1.0000000000000001e+300\n"
+        )
+
+
 class TestMatrixMarketParsing:
     def test_symmetric_array(self, tmp_path):
         path = tmp_path / "s.mtx"
@@ -64,6 +127,30 @@ class TestMatrixMarketParsing:
             "%%MatrixMarket matrix array real general\n2 1\n1.0\nbogus\n"
         )
         with pytest.raises(MatrixFileError, match=r":4:"):
+            read_matrix(path)
+
+    def test_malformed_value_after_skipped_lines_names_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n"
+            "% comment\n\n2 2\n1.0\n\n   % indented comment\n2.0\n\n"
+            "%\nbogus\n4.0\n"
+        )
+        with pytest.raises(MatrixFileError, match=r":11: expected a number, got 'bogus'"):
+            read_matrix(path)
+
+    def test_surplus_value_names_first_extra_line(self, tmp_path):
+        path = tmp_path / "long.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n2 1\n1.0\n% c\n2.0\n\n3.0\n"
+        )
+        with pytest.raises(MatrixFileError, match=r":7: expected 2 values, found 3"):
+            read_matrix(path)
+
+    def test_negative_size_rejected(self, tmp_path):
+        path = tmp_path / "neg.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n-1 2\n")
+        with pytest.raises(MatrixFileError, match=r":2: negative size"):
             read_matrix(path)
 
     def test_wrong_count_reported(self, tmp_path):

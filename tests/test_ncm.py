@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conic_newton import (
     KktPoint,
@@ -21,8 +24,14 @@ from conic_newton import (
     svec,
 )
 from conic_newton.bench import ExperimentConfig, generate
-from conic_newton.ncm import initial_state, projection_step_matrix
-from conftest import random_symmetric
+from conic_newton.ncm import initial_state
+from conftest import STALLING_NCM_INPUTS, random_symmetric
+
+
+def step_matrix_reference(x):
+    """The dense step matrix U D U^T, D the 0/1 indicator of positive eigenvalues."""
+    vals, vecs = np.linalg.eigh(x)
+    return (vecs * (vals > 0.0)) @ vecs.T
 
 
 def diag_extraction_matrix(n):
@@ -31,6 +40,17 @@ def diag_extraction_matrix(n):
     for j in range(n):
         a[j, int(np.flatnonzero((rows == j) & (cols == j))[0])] = 1.0
     return a
+
+
+def dense_step_reference(state):
+    """The diagonal Newton update with the step matrix formed densely."""
+    v = step_matrix_reference(state.X)
+    diag_v = np.diag(v)
+    rhs = 1.0 - np.diag(v @ state.Ghat)
+    usable = np.abs(diag_v) > 1e-12
+    d = np.zeros_like(rhs)
+    d[usable] = rhs[usable] / diag_v[usable]
+    return d
 
 
 def ncm_as_qcp(g):
@@ -64,11 +84,25 @@ class TestStep:
         # coordinate's update at zero instead of dividing by zero
         g = np.diag([1.0, -1.0])
         state = initial_state(NcmProblem(g))
-        v = projection_step_matrix(state.X)
+        v = step_matrix_reference(state.X)
         assert abs(v[1, 1]) <= 1e-12
         nxt = ncm_step(state)
         assert nxt.D_diag[1] == 0.0
         assert np.all(np.isfinite(nxt.X))
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5], ids=["few-positive", "many-positive"])
+    @pytest.mark.parametrize("n", [7, 30, 61])
+    def test_matches_dense_step_matrix(self, n, shift):
+        # shift -0.5 leaves at most half the eigenvalues positive, +0.5 more
+        # than half, so both ways of forming the diagonals are compared
+        rng = np.random.default_rng(44 + n)
+        g = random_symmetric(rng, n, scale=1.0 / np.sqrt(n)) + shift * np.eye(n)
+        state = initial_state(NcmProblem(g))
+        positive = int(np.count_nonzero(np.linalg.eigvalsh(state.X) > 0.0))
+        assert (2 * positive <= n) == (shift < 0)
+        reference = dense_step_reference(state)
+        d = ncm_step(state).D_diag
+        assert np.abs(d - reference).max() <= 1e-12 * (1.0 + np.abs(reference).max())
 
 
 class TestResidual:
@@ -107,6 +141,35 @@ class TestSolve:
         assert report.iterations <= 25
         assert np.abs(np.diag(report.correlation_matrix) - 1.0).max() <= 1e-5
         assert np.linalg.eigvalsh(report.correlation_matrix)[0] >= -1e-8
+
+    @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
+    def test_zero_progress_restarts(self, g):
+        report = solve_ncm(NcmProblem(g))
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert report.iterations <= 2
+        np.testing.assert_allclose(
+            report.correlation_matrix, np.eye(g.shape[0]), atol=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0))
+        )
+    )
+    def test_output_is_a_correlation_matrix(self, g):
+        # Inputs whose nearest correlation matrix is rank deficient can
+        # converge only linearly and end MAX_ITER; their output is still the
+        # PSD part of the last iterate, but its diagonal is not yet unit.
+        tol = 1e-8
+        report = solve_ncm(NcmProblem(g), tol=tol)
+        c = report.correlation_matrix
+        np.testing.assert_array_equal(c, c.T)
+        assert np.linalg.eigvalsh(c)[0] >= -1e-12 * max(1.0, np.abs(c).max())
+        assert report.termination in (Termination.RESIDUAL_TOL, Termination.MAX_ITER)
+        if report.termination is Termination.RESIDUAL_TOL:
+            # the residual sums the same eigenpairs in another order
+            assert np.linalg.norm(np.diag(c) - 1.0) <= tol + 1e-14
 
     def test_off_diagonal_pinned_and_multiplier_identity(self):
         rng = np.random.default_rng(40)
@@ -149,6 +212,13 @@ class TestSolve:
         assert kkt_residual(qcp_problem, point) <= 10 * 1e-8 + 1e-10
 
 
+class TestProblem:
+    def test_frozen(self):
+        problem = NcmProblem(np.eye(2))
+        with pytest.raises(AttributeError):
+            problem.G = np.zeros((2, 2))
+
+
 class TestBaseline:
     def test_identity(self):
         report = solve_ncm_baseline(NcmProblem(np.eye(4)))
@@ -179,14 +249,14 @@ class TestPositiveDiagonal:
     def test_identity(self):
         assert check_positive_diag(np.eye(3))
         np.testing.assert_allclose(
-            np.diag(projection_step_matrix(np.eye(3))), np.ones(3)
+            np.diag(step_matrix_reference(np.eye(3))), np.ones(3)
         )
 
     def test_indefinite_with_positive_diagonal(self):
         x = np.array([[1.0, 3.0], [3.0, 1.0]])
         assert check_positive_diag(x)
         np.testing.assert_allclose(
-            projection_step_matrix(x), 0.5 * np.ones((2, 2)), atol=1e-12
+            step_matrix_reference(x), 0.5 * np.ones((2, 2)), atol=1e-12
         )
 
     def test_negative_diagonal_rejected(self):
@@ -200,7 +270,7 @@ class TestPositiveDiagonal:
             if not check_positive_diag(x):
                 continue
             found += 1
-            assert np.all(np.diag(projection_step_matrix(x)) > 1e-12)
+            assert np.all(np.diag(step_matrix_reference(x)) > 1e-12)
 
 
 class TestGenericPathEquivalence:

@@ -5,11 +5,14 @@ import pytest
 
 from conic_newton import (
     DenseOperator,
+    EquationForm,
+    FreeSpace,
     LinearOperator,
     NewtonConfig,
     NumericalFailureError,
     Orthant,
     ProjectionEquationProblem,
+    Product,
     PsdCone,
     ScaledIdentity,
     SecondOrder,
@@ -20,6 +23,7 @@ from conic_newton import (
     residual,
     solve,
 )
+from conic_newton.newton import _newton_matrix
 from conftest import CONE_CASES, random_point
 
 
@@ -163,6 +167,27 @@ class TestSolve:
         assert report.iterates is not None
         assert len(report.iterates) == report.iterations + 1
         assert report.ratio_estimates is not None
+
+
+class TestNewtonMatrix:
+    def test_diagonal_element_matches_gemm_bit_for_bit(self):
+        cone = Product((Orthant(5), FreeSpace(3), Orthant(4)))
+        rng = np.random.default_rng(12)
+        t_dense = rng.standard_normal((12, 12))
+        t_dense[0, :] = -1.0  # negative entries make signed zeros in the gemm
+        x = rng.standard_normal(12)
+        x[[0, 2, 8, 9]] = 0.0  # orthant kinks
+        x[[1, 10]] = -0.0
+        element = cone.jacobian_element(x)
+        assert element.diagonal is not None
+        matrix = _newton_matrix(t_dense, element, EquationForm.PROJECTION_LINEAR)
+        reference = t_dense @ element.materialize() + np.eye(12)
+        assert matrix.tobytes() == reference.tobytes()
+
+    def test_non_diagonal_part_keeps_dense_element(self):
+        cone = Product((Orthant(2), SecondOrder(3)))
+        element = cone.jacobian_element(np.array([1.0, -1.0, 0.5, 2.0, 0.0]))
+        assert element.diagonal is None
 
 
 class TestConditioningGate:
