@@ -60,14 +60,6 @@ def smat(vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_order_from_ambient(ambient_dim: int) -> int:
-    """Matrix order n such that n*(n+1)/2 == ambient_dim."""
-    n = int(round((np.sqrt(8.0 * ambient_dim + 1.0) - 1.0) / 2.0))
-    if n * (n + 1) // 2 != ambient_dim:
-        raise DimensionMismatchError(f"{ambient_dim} is not a triangular number")
-    return n
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""

@@ -96,42 +96,112 @@ def _newton_matrix(T_dense, element, form):
     return T_dense @ element.materialize() + eye
 
 
-def _newton_step(matrix, rhs, probe_norms):
-    """Solve ``matrix x = rhs[:, 0]``; return x and whether lstsq produced it.
+def _probe_gate(matrix_norm, solved_probes, probe_norms):
+    """Whether ``|M|_F max_j |M^-1 g_j| / |g_j|`` clears the LU-only gate.
 
-    ``rhs`` is ``[b | G]`` with fixed Gaussian probe columns G.  One LU
-    solve gives the step and the condition estimate
-    ``|M|_F max_j |M^-1 g_j| / |g_j|``, which is at most sqrt(d) times the
-    2-norm condition number and falls short of it only when every probe
-    misses the smallest singular direction.  When the estimate is within
-    ``_PROBE_MARGIN`` of ``_MAX_CONDITION``, or the factorization fails, the
-    exact rule decides: a values-only SVD, then least squares above
-    ``_MAX_CONDITION``.
+    The estimate is at most sqrt(d) times the 2-norm condition number and
+    falls short of it only when every probe misses the smallest singular
+    direction; the gate sits ``_PROBE_MARGIN`` below ``_MAX_CONDITION``.
     """
-    try:
-        solved = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        solved = None
-    else:
-        growth = np.max(np.linalg.norm(solved[:, 1:], axis=0) / probe_norms)
-        if np.linalg.norm(matrix) * growth < _MAX_CONDITION / _PROBE_MARGIN:
-            return solved[:, 0], False
-    b = rhs[:, 0]
+    growth = np.max(np.linalg.norm(solved_probes, axis=0) / probe_norms)
+    return matrix_norm * growth < _MAX_CONDITION / _PROBE_MARGIN
+
+
+def _exact_rule(matrix, b, solved):
+    """A values-only SVD decides: least squares above ``_MAX_CONDITION``,
+    else the LU answer ``solved`` (a fresh solve when it is None)."""
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[-1] <= 0.0 or sigma[0] > _MAX_CONDITION * sigma[-1]:
         return np.linalg.lstsq(matrix, b, rcond=None)[0], True
     if solved is None:
         return np.linalg.solve(matrix, b), False
-    return solved[:, 0], False
+    return solved, False
+
+
+def _newton_step(matrix, rhs, probe_norms):
+    """Solve ``matrix x = rhs[:, 0]``; return x and whether lstsq produced it.
+
+    ``rhs`` is ``[b | G]`` with fixed Gaussian probe columns G.  One LU
+    solve gives the step and the probe condition estimate.  When the
+    estimate fails the gate, or the factorization fails, the exact rule
+    decides.
+    """
+    try:
+        solved = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return _exact_rule(matrix, rhs[:, 0], None)
+    if _probe_gate(np.linalg.norm(matrix), solved[:, 1:], probe_norms):
+        return solved[:, 0], False
+    return _exact_rule(matrix, rhs[:, 0], solved[:, 0])
+
+
+def _active_set_step(T_dense, element, rhs, probe_norms):
+    """The projection-linear step ``(T D + I) x = rhs[:, 0]`` for a diagonal D.
+
+    With A the coordinates where D is nonzero and I the rest, the matrix is
+    ``[[R, 0], [C, I]]`` after reordering, with ``R = I + T_AA D_A`` and
+    ``C = T_IA D_A``.  One LU solve of R against ``[b_A | G_A]`` gives
+    ``x_A``, and ``x_I = b_I - C x_A``.  The probe gate is that of the full
+    matrix, with ``|M|_F^2 = |I| + |R|_F^2 + |C|_F^2``; a step that fails it
+    takes the exact rule on the full matrix.  When the LU of R fails, R is
+    exactly singular and the step is the minimum-norm least-squares
+    solution of the full system, flagged as lstsq.
+    """
+    active = element.diagonal != 0.0
+    scaled = T_dense[:, active] * element.diagonal[active]
+    r = scaled[active]
+    r[np.diag_indices_from(r)] += 1.0
+    c = scaled[~active]
+    x = rhs.copy()
+    try:
+        x[active] = np.linalg.solve(r, rhs[active])
+    except np.linalg.LinAlgError:
+        x = rhs[:, 0].copy()
+        x[active] = _min_norm_active_part(r, c, x[active], x[~active])
+        x[~active] -= c @ x[active]
+        return x, True
+    x[~active] -= c @ x[active]
+    matrix_norm = np.sqrt(np.count_nonzero(~active) + np.vdot(r, r) + np.vdot(c, c))
+    if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
+        return x[:, 0], False
+    matrix = _newton_matrix(T_dense, element, EquationForm.PROJECTION_LINEAR)
+    return _exact_rule(matrix, rhs[:, 0], x[:, 0])
+
+
+def _min_norm_active_part(r, c, b_active, b_inactive):
+    """``x_A`` of the minimum-norm least-squares solution of
+    ``[[R, 0], [C, I]] x = b``.
+
+    The least-squares solutions are ``x_A = R^+ b_A + N z`` with N an
+    orthonormal basis of null(R), and ``x_I = b_I - C x_A``, which zeroes the
+    second block.  ``R^+ b_A`` is orthogonal to N, so the norm is least at
+    the z that minimizes ``|z|^2 + |b_I - C R^+ b_A - CN z|^2``, that is
+    ``z = (I + (CN)^T CN)^-1 (CN)^T (b_I - C R^+ b_A)``; least squares on
+    the stacked ``[CN; I]`` gives it without squaring the condition number
+    of CN.  In exact arithmetic x is ``lstsq(M, b)``.  Singular values of R
+    up to ``eps |A| sigma_max(R)`` count as zero; gelsd on the full matrix
+    measures its cut against ``sigma_max(M)`` instead.
+    """
+    u, sigma, vt = np.linalg.svd(r)
+    rank = np.count_nonzero(sigma > np.finfo(float).eps * r.shape[0] * sigma[0])
+    x_active = vt[:rank].T @ ((u[:, :rank].T @ b_active) / sigma[:rank])
+    null = vt[rank:].T
+    stacked = np.vstack([c @ null, np.eye(null.shape[1])])
+    target = np.concatenate([b_inactive - c @ x_active, np.zeros(null.shape[1])])
+    z = np.linalg.lstsq(stacked, target, rcond=None)[0]
+    return x_active + null @ z
 
 
 def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None) -> SolveReport:
     """Run the semi-smooth Newton iteration.
 
-    The linear systems use LU with partial pivoting.  A step whose matrix
-    has condition number above 1e14 falls back to a least-squares
-    solution; three consecutive least-squares steps without residual
-    reduction terminate with SINGULAR_SYSTEM.  Non-finite iterates,
+    The linear systems use LU with partial pivoting; in the
+    projection-linear form with a diagonal derivative element only the
+    block of active coordinates is factored.  A step whose matrix has
+    condition number above 1e14, or whose active block is exactly
+    singular, falls back to a least-squares solution; three consecutive
+    least-squares steps without residual reduction terminate with
+    SINGULAR_SYSTEM.  Non-finite iterates,
     iterate norms above 1e12*(1+|b|), or a failed factorization raise
     NumericalFailureError.
     """
@@ -163,6 +233,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     )
     rhs = np.column_stack([b, probes])
     probe_norms = np.linalg.norm(probes, axis=0)
+    projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
 
     residuals = [residual(problem, x)]
     iterates = [x.copy()] if config.record_history else None
@@ -176,9 +247,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         prev_key = element.pattern_key
         lstsq_fail_streak = 0
         for k in range(1, config.max_iter + 1):
-            matrix = _newton_matrix(T_dense, element, problem.form)
             try:
-                x_next, used_lstsq = _newton_step(matrix, rhs, probe_norms)
+                if projection_linear and element.diagonal is not None:
+                    x_next, used_lstsq = _active_set_step(
+                        T_dense, element, rhs, probe_norms
+                    )
+                else:
+                    matrix = _newton_matrix(T_dense, element, problem.form)
+                    x_next, used_lstsq = _newton_step(matrix, rhs, probe_norms)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailureError(
                     f"linear solve failed at iteration {k}: {exc}", iteration=k

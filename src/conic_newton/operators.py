@@ -101,6 +101,8 @@ class ShiftedDense(LinearOperator):
         mat = np.asarray(self.q_matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("operator matrix contains non-finite entries")
         object.__setattr__(self, "q_matrix", mat)
 
     @property
@@ -138,6 +140,8 @@ class AugmentedKkt(LinearOperator):
                 f"constraint has {a.shape[1]} columns, operator dimension is "
                 f"{self.quadratic.dim}"
             )
+        if not np.all(np.isfinite(a)):
+            raise ValueError("constraint matrix contains non-finite entries")
         object.__setattr__(self, "constraint", a)
 
     @property
@@ -360,6 +364,3 @@ def analyze_problem(problem: ProjectionEquationProblem) -> GuaranteeReport:
     q_dense = problem.T.materialize() + np.eye(problem.T.dim)
     return analyze_qcp_operator(DenseOperator(q_dense))
 
-
-def apply(T: LinearOperator, x: np.ndarray) -> np.ndarray:
-    return T.apply(x)

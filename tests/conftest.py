@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from conic_newton import Orthant, Product, PsdCone, SecondOrder, smat, svec
+
+# One profile for every property test: no per-example deadline (first calls
+# pay numpy's warm-up), and the same examples on every run.
+settings.register_profile("conic-newton", deadline=None, derandomize=True)
+settings.load_profile("conic-newton")
 
 CONE_CASES = [
     pytest.param(Orthant(6), id="orthant"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_newton import (
     DimensionMismatchError,
@@ -45,6 +47,95 @@ def mixed_product_kink_points(rng):
 
 
 MIXED_PRODUCT = Product((Orthant(3), PsdCone(3), SecondOrder(4), FreeSpace(2)))
+
+
+# Coordinates with the orthant kinks 0.0 and -0.0 drawn often.
+KINKED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)
+)
+
+
+@st.composite
+def coordinate_points(draw, cone_type, max_n):
+    """An Orthant or FreeSpace of order up to max_n with a point."""
+    n = draw(st.integers(1, max_n))
+    x = np.array(draw(st.lists(KINKED_FLOATS, min_size=n, max_size=n)))
+    return cone_type(n), x
+
+
+@st.composite
+def soc_points(draw):
+    """Random points, and points on the boundary |u| = +-t and at the origin."""
+    n = draw(st.integers(1, 5))
+    x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    where = draw(st.sampled_from(["random", "boundary", "polar-boundary", "origin"]))
+    if where == "origin":
+        x[:] = 0.0
+    elif where != "random":
+        x[0] = np.linalg.norm(x[1:]) * (1.0 if where == "boundary" else -1.0)
+    return SecondOrder(n), x
+
+
+@st.composite
+def psd_points(draw):
+    """svec of Q diag(lam) Q^T with eigenvalues that repeat and hit zero."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-3.0, 3.0)),
+        min_size=n, max_size=n,
+    )))
+    return PsdCone(n), svec((q * lam) @ q.T)
+
+
+BLOCK_POINTS = st.one_of(
+    coordinate_points(Orthant, 5), coordinate_points(FreeSpace, 3),
+    soc_points(), psd_points(),
+)
+
+
+@st.composite
+def cone_points(draw):
+    """A cone of any type, or a product of up to three, with a point."""
+    blocks = draw(st.lists(BLOCK_POINTS, min_size=1, max_size=3))
+    if len(blocks) == 1 and draw(st.booleans()):
+        return blocks[0]
+    return (Product(tuple(c for c, _ in blocks)),
+            np.concatenate([x for _, x in blocks]))
+
+
+class TestInvariantProperties:
+    """The invariants every cone's projection and derivative element keep."""
+
+    @settings(max_examples=200)
+    @given(cone_points())
+    def test_element_reproduces_projection(self, case):
+        cone, x = case
+        el = cone.jacobian_element(x)
+        scale = 1e-12 * (1.0 + np.linalg.norm(x))
+        np.testing.assert_allclose(el.apply(x), cone.project(x), rtol=0, atol=scale)
+        np.testing.assert_allclose(
+            el.materialize() @ x, cone.project(x), rtol=0, atol=scale
+        )
+
+    @settings(max_examples=200)
+    @given(cone_points())
+    def test_element_norm_at_most_one(self, case):
+        cone, x = case
+        mat = cone.jacobian_element(x).materialize()
+        assert np.linalg.norm(mat, 2) <= 1.0 + 1e-12
+
+    @settings(max_examples=200)
+    @given(cone_points())
+    def test_moreau_decomposition(self, case):
+        cone, x = case
+        p = cone.project(x)
+        pd = cone.project_dual(-x)
+        np.testing.assert_allclose(
+            x, p - pd, rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(x))
+        )
+        assert abs(np.dot(p, pd)) <= 1e-12 * (1.0 + np.dot(x, x))
 
 
 class TestVectorization:

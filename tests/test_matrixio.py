@@ -45,7 +45,7 @@ DOUBLES = st.floats(allow_nan=False, allow_subnormal=True)
 
 
 class TestRoundTripProperty:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
             lambda shape: arrays(np.float64, shape, elements=DOUBLES)
@@ -58,7 +58,7 @@ class TestRoundTripProperty:
         assert back.shape == mat.shape
         assert np.ascontiguousarray(back).tobytes() == mat.tobytes()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         st.integers(1, 6).flatmap(
             lambda n: st.tuples(

@@ -151,7 +151,7 @@ class TestSolve:
             report.correlation_matrix, np.eye(g.shape[0]), atol=1e-12
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         st.integers(1, 6).flatmap(
             lambda n: arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0))

@@ -14,6 +14,7 @@ from conic_newton import (
     ProjectionEquationProblem,
     Product,
     PsdCone,
+    QcpProblem,
     ScaledIdentity,
     SecondOrder,
     Termination,
@@ -22,8 +23,9 @@ from conic_newton import (
     measure_ratios,
     residual,
     solve,
+    solve_qcp,
 )
-from conic_newton.newton import _newton_matrix
+from conic_newton.newton import _PROBE_COLUMNS, _active_set_step, _newton_matrix
 from conftest import CONE_CASES, random_point
 
 
@@ -190,15 +192,84 @@ class TestNewtonMatrix:
         assert element.diagonal is None
 
 
+def active_set_cases():
+    """(label, diagonal element) pairs: every mask shape the reduced step sees."""
+    rng = np.random.default_rng(20)
+    x_mixed = rng.standard_normal(10)
+    x_kinks = rng.standard_normal(10)
+    x_kinks[[0, 3, 7]] = 0.0
+    x_kinks[[1, 4]] = -0.0
+    return [
+        ("empty", Orthant(10).jacobian_element(-np.abs(x_mixed))),
+        ("full", Orthant(10).jacobian_element(np.abs(x_mixed) + 0.1)),
+        ("mixed", Orthant(10).jacobian_element(x_mixed)),
+        ("product-kinks",
+         Product((Orthant(7), FreeSpace(3))).jacobian_element(x_kinks)),
+    ]
+
+
+def step_rhs(b):
+    probes = np.random.default_rng(21).standard_normal((b.size, _PROBE_COLUMNS))
+    return np.column_stack([b, probes]), np.linalg.norm(probes, axis=0)
+
+
+class TestActiveSetStep:
+    @pytest.mark.parametrize(
+        "element", [c[1] for c in active_set_cases()],
+        ids=[c[0] for c in active_set_cases()],
+    )
+    def test_matches_full_solve(self, element):
+        rng = np.random.default_rng(22)
+        d = element.diagonal.size
+        t_dense = rng.standard_normal((d, d)) / np.sqrt(d)
+        b = rng.standard_normal(d)
+        rhs, probe_norms = step_rhs(b)
+        x, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+        reference = np.linalg.solve(t_dense * element.diagonal + np.eye(d), b)
+        assert not used_lstsq
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize(
+        "zero_block", [False, True], ids=["zero-row", "zero-block"]
+    )
+    def test_singular_block_matches_full_lstsq(self, zero_block):
+        # R = I + T_AA D_A with an exactly zero row, or R = 0 as at the
+        # start of an equality-constrained program
+        rng = np.random.default_rng(23)
+        element = active_set_cases()[2][1]
+        d = element.diagonal.size
+        active = np.flatnonzero(element.diagonal)
+        t_dense = rng.standard_normal((d, d)) / np.sqrt(d)
+        rows = active if zero_block else active[:1]
+        t_dense[np.ix_(rows, active)] = 0.0
+        t_dense[rows, rows] = -1.0
+        b = rng.standard_normal(d)
+        rhs, probe_norms = step_rhs(b)
+        x, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+        matrix = t_dense * element.diagonal + np.eye(d)
+        reference = np.linalg.lstsq(matrix, b, rcond=None)[0]
+        assert used_lstsq
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+class LinalgCalls(dict):
+    """Call counts by function name; ``shapes`` holds each call's matrix shape."""
+
+    def __init__(self, names):
+        super().__init__({name: 0 for name in names})
+        self.shapes = {name: [] for name in names}
+
+
 class TestConditioningGate:
     @pytest.fixture()
     def linalg_calls(self, monkeypatch):
-        counts = {"svd": 0, "lstsq": 0}
+        counts = LinalgCalls(("svd", "lstsq"))
         for name in counts:
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
+                counts.shapes[_name].append(np.shape(args[0]))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -233,6 +304,51 @@ class TestConditioningGate:
         report = solve(problem, NewtonConfig())
         assert linalg_calls == {"svd": 1, "lstsq": 1}
         np.testing.assert_allclose(report.solution, [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("block", ["ill-conditioned-r", "large-c"])
+    def test_projection_linear_grey_band_takes_exact_rule_on_full_matrix(
+        self, block, linalg_calls
+    ):
+        # condition about 1e12 from R = I + T_AA, or from C = T_IA with R = I
+        # (the gate then needs |C|_F in |M|_F); the two inactive rows make the
+        # full matrix 6 x 6 against the 4 x 4 active block
+        rng = np.random.default_rng(24)
+        t = 0.1 * rng.standard_normal((6, 6))
+        if block == "ill-conditioned-r":
+            t[:4, :4] = np.diag([1.0, 1.0, -1.0 + 1e-12, -1.0 + 1e-12])
+        else:
+            t[:4, :4] = 0.0
+            t[4:, :4] *= 1e7
+        root = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+        b = t @ np.maximum(root, 0.0) + root
+        problem = ProjectionEquationProblem(
+            Orthant(6), DenseOperator(t), b, form=EquationForm.PROJECTION_LINEAR
+        )
+        report = solve(problem, NewtonConfig(x0=2.0 * root))
+        assert linalg_calls.shapes == {"svd": [(6, 6)], "lstsq": []}
+        np.testing.assert_allclose(report.solution, root, rtol=0, atol=1e-9)
+
+    def test_equality_program_makes_no_full_size_least_squares(self, linalg_calls):
+        # from x0 = 0 the active block is the m x m zero block of the
+        # multipliers: the step takes an m x m SVD and least squares in m
+        # unknowns instead of either at the full size d + m
+        rng = np.random.default_rng(25)
+        d, m = 30, 5
+        a = rng.standard_normal((d, d))
+        q_mat = a @ a.T / d + 0.5 * np.eye(d)
+        eq = rng.standard_normal((m, d))
+        problem = QcpProblem(
+            Q=DenseOperator(q_mat), q=rng.standard_normal(d), cone=Orthant(d),
+            equality=(eq, eq @ np.abs(rng.standard_normal(d))),
+        )
+        kkt, report = solve_qcp(problem, NewtonConfig(tol=1e-10))
+        assert report.termination in (
+            Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT
+        )
+        assert kkt.verified
+        assert linalg_calls["svd"] >= 1
+        assert all(max(shape) <= m for shape in linalg_calls.shapes["svd"])
+        assert all(shape[1] <= m for shape in linalg_calls.shapes["lstsq"])
 
 
 class TestMeasureRatios:

@@ -25,13 +25,6 @@ class TestApply:
             ScaledIdentity(3.0, 2).apply([1.0, 2.0]), [3.0, 6.0]
         )
 
-    def test_function_surface(self):
-        from conic_newton.operators import apply
-
-        np.testing.assert_array_equal(
-            apply(ScaledIdentity(3.0, 2), [1.0, 2.0]), [3.0, 6.0]
-        )
-
     def test_dense(self):
         op = DenseOperator([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(op.apply([1.0, 2.0]), [2.0, 1.0])
@@ -130,6 +123,16 @@ class TestAnalyze:
     def test_scaled_identity_rejects_non_finite(self, scale):
         with pytest.raises(ValueError, match="finite"):
             ScaledIdentity(scale, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shifted_dense_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ShiftedDense(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_augmented_kkt_rejects_non_finite_constraint(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            AugmentedKkt(ScaledIdentity(1.0, 2), np.array([[bad, 1.0]]))
 
 
 class TestAnalyzeQcpOperator:
