@@ -24,17 +24,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ncm import NcmProblem, NcmReport, solve_ncm, solve_ncm_baseline
+from .exceptions import NumericalFailureError
+from .ncm import (
+    NcmProblem,
+    NcmReport,
+    solve_ncm,
+    solve_ncm_baseline,
+    solve_ncm_diagonal,
+)
 from .newton import Termination
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
 
 SOLVER_NEWTON = "semi-smooth-newton-ncm"
+SOLVER_DIAGONAL = "diagonal-newton-ncm"
 SOLVER_BASELINE = "alternating-projections"
 _SOLVER_ALIASES = {
     "newton": SOLVER_NEWTON,
+    "diagonal": SOLVER_DIAGONAL,
     "baseline": SOLVER_BASELINE,
     SOLVER_NEWTON: SOLVER_NEWTON,
+    SOLVER_DIAGONAL: SOLVER_DIAGONAL,
     SOLVER_BASELINE: SOLVER_BASELINE,
 }
 
@@ -179,6 +189,8 @@ def canonical_solver(name: str) -> str:
 def _run_solver(name: str, problem: NcmProblem, tol: float) -> NcmReport:
     if name == SOLVER_NEWTON:
         return solve_ncm(problem, tol=tol, max_iter=_NEWTON_MAX_ITER)
+    if name == SOLVER_DIAGONAL:
+        return solve_ncm_diagonal(problem, tol=tol, max_iter=_NEWTON_MAX_ITER)
     return solve_ncm_baseline(problem, tol=tol, max_iter=_BASELINE_MAX_ITER)
 
 
@@ -226,9 +238,9 @@ def run_suite(
     """Time every solver on every generated instance and build the profile.
 
     Each (instance, solver) pair runs in fresh state; a solve that does not
-    reach the tolerance counts as a failure with infinite time.  One
-    untimed warm-up solve runs first so library initialization does not
-    pollute the first timing.
+    reach the tolerance, or raises ``NumericalFailureError``, counts as a
+    failure with infinite time.  One untimed warm-up solve runs first so
+    library initialization does not pollute the first timing.
     """
     if not configs:
         raise ValueError("need at least one experiment configuration")
@@ -248,9 +260,13 @@ def run_suite(
             row = []
             for name in names:
                 begin = time.perf_counter()
-                report = _run_solver(name, problem, tol)
+                try:
+                    report = _run_solver(name, problem, tol)
+                    iterations = report.iterations
+                    converged = report.termination is Termination.RESIDUAL_TOL
+                except NumericalFailureError as exc:
+                    iterations, converged = exc.iteration or 0, False
                 elapsed = time.perf_counter() - begin
-                converged = report.termination is Termination.RESIDUAL_TOL
                 row.append(elapsed if converged else np.inf)
                 raw.append(
                     RawRecord(
@@ -261,7 +277,7 @@ def run_suite(
                         replicate=rep,
                         solver=name,
                         time_seconds=elapsed,
-                        iterations=report.iterations,
+                        iterations=iterations,
                         converged=converged,
                     )
                 )

@@ -37,7 +37,7 @@ from .matrixio import (
     symmetrize_checked,
     write_matrix,
 )
-from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline
+from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline, solve_ncm_diagonal
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
@@ -150,6 +150,9 @@ def cmd_ncm(args) -> int:
         if args.method == "newton":
             max_iter = args.max_iter if args.max_iter is not None else 200
             report = solve_ncm(problem, tol=args.tol, max_iter=max_iter)
+        elif args.method == "diagonal":
+            max_iter = args.max_iter if args.max_iter is not None else 200
+            report = solve_ncm_diagonal(problem, tol=args.tol, max_iter=max_iter)
         else:
             max_iter = args.max_iter if args.max_iter is not None else 5000
             report = solve_ncm_baseline(problem, tol=args.tol, max_iter=max_iter)
@@ -258,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     ncm.add_argument("--input", required=True, help="symmetric matrix file")
     ncm.add_argument("--tol", type=float, default=1e-5)
     ncm.add_argument("--max-iter", type=int, default=None)
-    ncm.add_argument("--method", choices=("newton", "baseline"), default="newton")
+    ncm.add_argument("--method", choices=("newton", "diagonal", "baseline"),
+                     default="newton")
     ncm.add_argument("--out-matrix", default="correlation.mtx")
     ncm.add_argument("--out-report", default="ncm_report.json")
     ncm.set_defaults(func=cmd_ncm)
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None,
                        help="defaults to $CONIC_NEWTON_SEED, then 0")
     bench.add_argument("--replicates", type=int, default=10)
-    bench.add_argument("--solvers", default="newton,baseline")
+    bench.add_argument("--solvers", default="newton,diagonal,baseline")
     bench.add_argument("--tol", type=float, default=1e-5)
     bench.add_argument("--out-dir", default=".")
     bench.set_defaults(func=cmd_bench)

@@ -312,23 +312,27 @@ def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return basis @ basis.T
 
 
-def _psd_omega(lam: np.ndarray) -> np.ndarray:
+def _psd_omega(lam: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Scaling matrix for the semidefinite projection derivative.
 
     Entries: 1 where both eigenvalues are positive, 0 where both are
-    nonpositive, lam_i / (lam_i - lam_j) across the sign split.
+    nonpositive, lam_p / (lam_p - lam_q) across the sign split, with lam_p
+    the positive one.  Only the rows ``rows`` (a slice or mask into
+    ``lam``) are formed.
     """
     pos = lam > 0.0
-    n = lam.shape[0]
-    omega = np.zeros((n, n))
-    omega[np.ix_(pos, pos)] = 1.0
-    neg = ~pos
-    if pos.any() and neg.any():
+    pos_rows = pos[rows]
+    lam_rows = lam[rows]
+    omega = np.zeros((lam_rows.shape[0], lam.shape[0]))
+    omega[np.ix_(pos_rows, pos)] = 1.0
+    if pos_rows.any() and not pos.all():
+        lp = lam_rows[pos_rows]
+        ln = lam[~pos]
+        omega[np.ix_(pos_rows, ~pos)] = lp[:, None] / (lp[:, None] - ln[None, :])
+    if pos.any() and not pos_rows.all():
         lp = lam[pos]
-        ln = lam[neg]
-        cross = lp[:, None] / (lp[:, None] - ln[None, :])
-        omega[np.ix_(pos, neg)] = cross
-        omega[np.ix_(neg, pos)] = cross.T
+        ln = lam_rows[~pos_rows]
+        omega[np.ix_(~pos_rows, pos)] = (lp[:, None] / (lp[:, None] - ln[None, :])).T
     return omega
 
 

@@ -27,6 +27,12 @@ STALLING_NCM_INPUTS = [
     pytest.param(np.diag([2.0, -1.0]), id="mixed-diagonal"),
 ]
 
+# An input whose nearest correlation matrix has rank 1: the diagonal
+# recursion shrinks its residual only about 2% per step near the solution.
+RANK_DEFICIENT_NCM_INPUT = np.array(
+    [[1.0, 1.987, -0.536], [1.987, 1.0, -1.939], [-0.536, -1.939, 1.0]]
+)
+
 
 def random_point(cone, rng, scale=2.0):
     return scale * rng.standard_normal(cone.ambient_dim)

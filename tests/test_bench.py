@@ -6,6 +6,7 @@ import pytest
 from conic_newton.bench import (
     ExperimentConfig,
     SOLVER_BASELINE,
+    SOLVER_DIAGONAL,
     SOLVER_NEWTON,
     canonical_solver,
     generate,
@@ -179,6 +180,14 @@ class TestRunSuite:
         assert np.isinf(table.times).all()
         assert all(not rec.converged for rec in table.raw)
 
+    def test_numerical_failure_recorded_as_infinite(self):
+        # no step can lower the residual below rounding, which raises
+        configs = [ExperimentConfig("E57", n=30, seed=9, replicates=1)]
+        table = run_suite(configs, ["newton"], tol=0.0)
+        assert np.isinf(table.times).all()
+        assert not table.raw[0].converged
+        assert table.raw[0].iterations >= 1
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
             run_suite([ExperimentConfig("E56", n=5, seed=0, replicates=1)], ["nope"])
@@ -202,6 +211,7 @@ class TestRunSuite:
 class TestSolverNames:
     def test_aliases(self):
         assert canonical_solver("newton") == SOLVER_NEWTON
+        assert canonical_solver("diagonal") == SOLVER_DIAGONAL
         assert canonical_solver(SOLVER_BASELINE) == SOLVER_BASELINE
         with pytest.raises(ValueError):
             canonical_solver("gradient-descent")

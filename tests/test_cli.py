@@ -7,7 +7,7 @@ import pytest
 
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
-from conftest import STALLING_NCM_INPUTS
+from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS
 
 
 @pytest.fixture()
@@ -152,7 +152,7 @@ class TestNcmCommand:
         g_path = tmp_path / "g.mtx"
         write_matrix(g_path, g)
         outputs = {}
-        for method in ("newton", "baseline"):
+        for method in ("newton", "diagonal", "baseline"):
             out_matrix = tmp_path / f"{method}.mtx"
             code = main([
                 "ncm", "--input", str(g_path), "--method", method,
@@ -163,8 +163,37 @@ class TestNcmCommand:
             from conic_newton.matrixio import read_matrix
 
             outputs[method] = read_matrix(out_matrix)
-        diff = np.linalg.norm(outputs["newton"] - outputs["baseline"])
-        assert diff <= 1e-3
+        for method in ("newton", "diagonal"):
+            diff = np.linalg.norm(outputs[method] - outputs["baseline"])
+            assert diff <= 1e-3, method
+
+    def test_rank_deficient_converges(self, tmp_path):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, RANK_DEFICIENT_NCM_INPUT)
+        out_report = tmp_path / "r.json"
+        code = main([
+            "ncm", "--input", str(g_path), "--tol", "1e-8",
+            "--out-matrix", str(tmp_path / "c.mtx"), "--out-report", str(out_report),
+        ])
+        assert code == 0
+        report = json.loads(out_report.read_text())
+        assert report["termination"] == "residual-tol"
+        assert report["iterations"] <= 6
+
+    def test_unreachable_tolerance_is_a_numerical_failure(self, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        g = rng.uniform(0.0, 2.0, (30, 30))
+        g = 0.5 * (g + g.T)
+        np.fill_diagonal(g, 1.0)
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, g)
+        code = main([
+            "ncm", "--input", str(g_path), "--tol", "0",
+            "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        assert "no step decreases" in capsys.readouterr().err
 
     @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
     def test_no_positive_eigenvalue_converges(self, tmp_path, g):
@@ -220,6 +249,17 @@ class TestBenchCommand:
         assert tables[0] == tables[1]
         stdout = capsys.readouterr().out
         assert "semi-smooth-newton-ncm" in stdout
+
+    def test_default_solvers(self, tmp_path):
+        code = main([
+            "bench", "--experiment", "5.6", "--n", "10", "--replicates", "1",
+            "--seed", "4", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        header = (tmp_path / "profile.csv").read_text().splitlines()[0]
+        assert header == (
+            "tau,semi-smooth-newton-ncm,diagonal-newton-ncm,alternating-projections"
+        )
 
     def test_single_solver_degenerate_profile(self, tmp_path):
         code = main([

@@ -1,4 +1,4 @@
-"""Nearest-correlation solvers: the diagonal Newton recursion and the baseline."""
+"""Nearest-correlation solvers: Newton-CG, the diagonal Newton recursion and the baseline."""
 
 import numpy as np
 import pytest
@@ -10,22 +10,47 @@ from conic_newton import (
     KktPoint,
     NcmProblem,
     NewtonConfig,
+    NumericalFailureError,
     PsdCone,
     QcpProblem,
     Termination,
-    check_positive_diag,
+    diagonal_step,
     kkt_residual,
     ncm_residual,
     ncm_step,
     solve_ncm,
     solve_ncm_baseline,
+    solve_ncm_diagonal,
     solve_qcp,
     smat,
     svec,
 )
 from conic_newton.bench import ExperimentConfig, generate
-from conic_newton.ncm import initial_state
-from conftest import STALLING_NCM_INPUTS, random_symmetric
+from conic_newton.cones import _psd_omega
+from conic_newton.ncm import (
+    _dual_objective,
+    _gradient,
+    _newton_operator,
+    _state_of,
+    initial_state,
+)
+from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS, random_symmetric
+
+
+# Square matrices of order 1 to 6 with entries in [-3, 3].
+SMALL_SYMMETRIC = st.integers(1, 6).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0))
+)
+
+
+def assert_correlation_output(report, tol):
+    """Symmetric PSD output, with a unit diagonal if the report converged."""
+    c = report.correlation_matrix
+    np.testing.assert_array_equal(c, c.T)
+    assert np.linalg.eigvalsh(c)[0] >= -1e-12 * max(1.0, np.abs(c).max())
+    if report.termination is Termination.RESIDUAL_TOL:
+        # the residual sums the same eigenpairs in another order
+        assert np.linalg.norm(np.diag(c) - 1.0) <= tol + 1e-14
 
 
 def step_matrix_reference(x):
@@ -74,7 +99,7 @@ class TestStep:
     def test_hand_computed_two_by_two(self):
         g = np.array([[1.0, 2.0], [2.0, 1.0]])
         state = initial_state(NcmProblem(g))
-        nxt = ncm_step(state)
+        nxt = diagonal_step(state)
         np.testing.assert_allclose(nxt.X, np.array([[0.0, 2.0], [2.0, 0.0]]), atol=1e-12)
         np.testing.assert_allclose(nxt.lam, [1.0, 1.0], atol=1e-12)
         assert nxt.residual <= 1e-12
@@ -86,7 +111,7 @@ class TestStep:
         state = initial_state(NcmProblem(g))
         v = step_matrix_reference(state.X)
         assert abs(v[1, 1]) <= 1e-12
-        nxt = ncm_step(state)
+        nxt = diagonal_step(state)
         assert nxt.D_diag[1] == 0.0
         assert np.all(np.isfinite(nxt.X))
 
@@ -101,8 +126,117 @@ class TestStep:
         positive = int(np.count_nonzero(np.linalg.eigvalsh(state.X) > 0.0))
         assert (2 * positive <= n) == (shift < 0)
         reference = dense_step_reference(state)
-        d = ncm_step(state).D_diag
+        d = diagonal_step(state).D_diag
         assert np.abs(d - reference).max() <= 1e-12 * (1.0 + np.abs(reference).max())
+
+
+def dense_newton_matrix(vals, vecs):
+    """J with J h = diag(U (Omega o U^T Diag(h) U) U^T), column by column."""
+    omega = _psd_omega(vals)
+    n = vals.shape[0]
+    return np.column_stack(
+        [np.diag(vecs @ (omega * (vecs.T @ np.diag(e) @ vecs)) @ vecs.T) for e in np.eye(n)]
+    )
+
+
+# Spectra of order 8: r positive eigenvalues on either side of n/2, and a zero
+# eigenvalue, which counts as nonpositive.
+SPECTRA = [
+    pytest.param(-np.linspace(0.5, 3.0, 8), id="r=0"),
+    pytest.param(np.array([-3.0, -2.0, -1.5, -1.0, -0.5, 0.7, 1.5, 2.5]), id="2r<=n"),
+    pytest.param(np.array([-2.0, -0.5, 0.1, 0.3, 1.0, 1.2, 2.0, 4.0]), id="2r>n"),
+    pytest.param(np.linspace(0.5, 3.0, 8), id="r=n"),
+    pytest.param(np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]), id="zero-few"),
+    pytest.param(np.array([-2.0, 0.0, 0.5, 0.6, 1.0, 1.5, 2.0, 3.0]), id="zero-many"),
+]
+
+
+class TestNewtonOperator:
+    @pytest.mark.parametrize("vals", SPECTRA)
+    def test_product_matches_dense(self, vals):
+        rng = np.random.default_rng(45)
+        vecs, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        apply, _ = _newton_operator(vals, vecs)
+        reference = dense_newton_matrix(vals, vecs)
+        for _ in range(3):
+            h = rng.standard_normal(8)
+            expected = reference @ h
+            got = apply(h)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("vals", SPECTRA)
+    def test_preconditioner_is_the_diagonal(self, vals):
+        rng = np.random.default_rng(46)
+        vecs, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        _, diagonal = _newton_operator(vals, vecs)
+        expected = np.diag(dense_newton_matrix(vals, vecs))
+        assert np.abs(diagonal - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.0, 0.5])
+    def test_gradient_of_the_dual(self, shift):
+        # F(d) = diag(P_psd(Ghat + Diag d)) - e is the gradient of theta
+        rng = np.random.default_rng(47)
+        problem = NcmProblem(random_symmetric(rng, 7))
+        d = shift + rng.uniform(-0.5, 0.5, 7)
+        grad = _gradient(_state_of(problem, d))
+        step = 1e-6
+        central = np.array([
+            (_dual_objective(_state_of(problem, d + step * e))
+             - _dual_objective(_state_of(problem, d - step * e))) / (2.0 * step)
+            for e in np.eye(7)
+        ])
+        assert np.abs(grad - central).max() <= 1e-7
+
+
+class TestNewtonCg:
+    def test_rank_deficient_solution(self):
+        problem = NcmProblem(RANK_DEFICIENT_NCM_INPUT)
+        report = solve_ncm(problem, tol=1e-8)
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert report.iterations <= 6
+        baseline = solve_ncm_baseline(problem, tol=1e-8)
+        assert baseline.termination is Termination.RESIDUAL_TOL
+        diff = np.abs(report.correlation_matrix - baseline.correlation_matrix).max()
+        assert diff <= 1e-6
+
+    def test_agrees_with_baseline_at_tight_tolerance(self):
+        cfg = ExperimentConfig("E57", n=20, seed=6, replicates=3)
+        for rep in range(3):
+            problem = generate(cfg, rep)
+            report = solve_ncm(problem, tol=1e-8)
+            baseline = solve_ncm_baseline(problem, tol=1e-8)
+            assert report.termination is Termination.RESIDUAL_TOL
+            assert baseline.termination is Termination.RESIDUAL_TOL
+            diff = np.abs(report.correlation_matrix - baseline.correlation_matrix).max()
+            assert diff <= 1e-6, rep
+
+    def test_one_eigendecomposition_per_iterate(self, monkeypatch):
+        # every full step is accepted here, so each iterate costs one eigh:
+        # the accepted trial's factorization is reused by the next step
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        problem = generate(ExperimentConfig("E56", n=40, seed=8, replicates=1), 0)
+        report = solve_ncm(problem, tol=1e-8)
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert len(calls) == report.iterations + 1
+
+    def test_starts_from_unit_diagonal(self):
+        g = np.array([[4.0, 0.5], [0.5, -3.0]])
+        report = solve_ncm(NcmProblem(g), tol=1e-12)
+        # X = Ghat + I is already a correlation matrix
+        assert report.iterations == 0
+        np.testing.assert_allclose(report.lam, [3.0, -4.0], atol=1e-15)
+
+    def test_no_decrease_below_rounding_raises(self):
+        problem = generate(ExperimentConfig("E57", n=30, seed=9, replicates=1), 0)
+        with pytest.raises(NumericalFailureError, match="no step decreases"):
+            solve_ncm(problem, tol=0.0)
 
 
 class TestResidual:
@@ -144,32 +278,33 @@ class TestSolve:
 
     @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
     def test_zero_progress_restarts(self, g):
-        report = solve_ncm(NcmProblem(g))
-        assert report.termination is Termination.RESIDUAL_TOL
-        assert report.iterations <= 2
-        np.testing.assert_allclose(
-            report.correlation_matrix, np.eye(g.shape[0]), atol=1e-12
-        )
+        for solver in (solve_ncm, solve_ncm_diagonal):
+            report = solver(NcmProblem(g))
+            assert report.termination is Termination.RESIDUAL_TOL, solver.__name__
+            assert report.iterations <= 2, solver.__name__
+            np.testing.assert_allclose(
+                report.correlation_matrix, np.eye(g.shape[0]), atol=1e-12
+            )
 
     @settings(max_examples=60)
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda n: arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0))
-        )
-    )
+    @given(SMALL_SYMMETRIC)
     def test_output_is_a_correlation_matrix(self, g):
-        # Inputs whose nearest correlation matrix is rank deficient can
-        # converge only linearly and end MAX_ITER; their output is still the
-        # PSD part of the last iterate, but its diagonal is not yet unit.
         tol = 1e-8
         report = solve_ncm(NcmProblem(g), tol=tol)
-        c = report.correlation_matrix
-        np.testing.assert_array_equal(c, c.T)
-        assert np.linalg.eigvalsh(c)[0] >= -1e-12 * max(1.0, np.abs(c).max())
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert_correlation_output(report, tol)
+
+    @settings(max_examples=60)
+    @given(SMALL_SYMMETRIC)
+    def test_diagonal_output_is_a_correlation_matrix(self, g):
+        # The diagonal recursion can converge only linearly on inputs whose
+        # nearest correlation matrix is rank deficient and end MAX_ITER;
+        # its output is still the PSD part of the last iterate, but its
+        # diagonal is not yet unit.
+        tol = 1e-8
+        report = solve_ncm_diagonal(NcmProblem(g), tol=tol)
         assert report.termination in (Termination.RESIDUAL_TOL, Termination.MAX_ITER)
-        if report.termination is Termination.RESIDUAL_TOL:
-            # the residual sums the same eigenpairs in another order
-            assert np.linalg.norm(np.diag(c) - 1.0) <= tol + 1e-14
+        assert_correlation_output(report, tol)
 
     def test_off_diagonal_pinned_and_multiplier_identity(self):
         rng = np.random.default_rng(40)
@@ -247,27 +382,27 @@ class TestBaseline:
 
 class TestPositiveDiagonal:
     def test_identity(self):
-        assert check_positive_diag(np.eye(3))
+        assert np.all(np.diag(np.eye(3)) > 0)
         np.testing.assert_allclose(
             np.diag(step_matrix_reference(np.eye(3))), np.ones(3)
         )
 
     def test_indefinite_with_positive_diagonal(self):
         x = np.array([[1.0, 3.0], [3.0, 1.0]])
-        assert check_positive_diag(x)
+        assert np.all(np.diag(x) > 0)
         np.testing.assert_allclose(
             step_matrix_reference(x), 0.5 * np.ones((2, 2)), atol=1e-12
         )
 
     def test_negative_diagonal_rejected(self):
-        assert not check_positive_diag(np.diag([-1.0, 1.0]))
+        assert not np.all(np.diag(np.diag([-1.0, 1.0])) > 0)
 
     def test_positive_diag_implies_positive_step_diag(self):
         rng = np.random.default_rng(43)
         found = 0
         while found < 50:
             x = random_symmetric(rng, 6, scale=2.0)
-            if not check_positive_diag(x):
+            if not np.all(np.diag(x) > 0):
                 continue
             found += 1
             assert np.all(np.diag(step_matrix_reference(x)) > 1e-12)
