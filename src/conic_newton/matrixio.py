@@ -11,6 +11,8 @@ Parse errors name the offending line.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -52,13 +54,10 @@ def _parse_matrix_market(path, lines):
         _fail(path, 1, f"unsupported symmetry {symmetry!r}")
     if layout == "coordinate" and symmetry != "symmetric":
         _fail(path, 1, "coordinate files must be symmetric")
-
-    body = list(filter(_is_data, lines[1:]))
-    if not body:
-        _fail(path, len(lines), "missing size line")
     if layout == "array":
-        return _parse_array(path, lines, body, symmetry == "symmetric")
+        return _parse_array(path, lines, symmetry == "symmetric")
 
+    body = _data_lines(path, lines)
     numbered = list(zip(_data_line_numbers(lines), body))
     size_no, size_line = numbered[0]
     entries = numbered[1:]
@@ -102,18 +101,79 @@ def _is_data(line):
     return bool(stripped) and stripped[0] != "%"
 
 
+def _data_lines(path, lines):
+    """The data lines after the banner, the size line first."""
+    body = list(filter(_is_data, lines[1:]))
+    if not body:
+        _fail(path, len(lines), "missing size line")
+    return body
+
+
 def _data_line_numbers(lines):
     """1-based file line numbers of the data lines after the banner."""
     return [no for no, line in enumerate(lines[1:], start=2) if _is_data(line)]
 
 
-def _parse_array(path, lines, body, symmetric):
+def _array_count(rows, cols, symmetric):
+    return cols * (cols + 1) // 2 if symmetric else rows * cols
+
+
+def _parse_array(path, lines, symmetric):
     """An ``array`` body: the size line, then one value per line in
     column-major order, the lower triangle only when ``symmetric``.
 
-    ``body`` holds the data lines; their file line numbers are worked out
-    only for an error message.
+    A body in the plain form costs one ``float`` per value; any other body
+    takes the checked parse, which also words every error.
     """
+    rows, cols, values = _plain_array(lines, symmetric) or _checked_array(
+        path, lines, symmetric
+    )
+    if not symmetric:
+        return values.reshape(cols, rows).T
+    # lower triangle column by column = upper triangle row by row
+    upper = np.triu_indices(cols)
+    out = np.zeros((rows, cols))
+    out[upper] = values
+    out[upper[::-1]] = values
+    return out
+
+
+def _plain_array(lines, symmetric):
+    """``(rows, cols, values)`` of a body in the plain form, else None.
+
+    The plain form is a size line of two unsigned decimal integers (after
+    any header comments), then exactly the expected number of lines, each
+    holding one number.  ``float(line)`` strips the same whitespace as
+    ``line.split()``, so the values are those of the checked parse.
+    """
+    k = 1
+    while k < len(lines) and not _is_data(lines[k]):
+        k += 1
+    fields = lines[k].split() if k < len(lines) else ()
+    if len(fields) != 2 or not (fields[0].isdecimal() and fields[1].isdecimal()):
+        return None
+    rows, cols = int(fields[0]), int(fields[1])
+    expected = _array_count(rows, cols, symmetric)
+    if (symmetric and rows != cols) or len(lines) - k - 1 != expected:
+        return None
+    try:
+        values = np.fromiter(
+            map(float, itertools.islice(lines, k + 1, None)), float, count=expected
+        )
+    except ValueError:
+        return None
+    return rows, cols, values
+
+
+def _checked_array(path, lines, symmetric):
+    """``(rows, cols, values)`` of any body: blank and ``%`` lines are
+    skipped, each value is the first token of its line, and every error
+    names its line.
+
+    The data lines' file line numbers are worked out only for an error
+    message.
+    """
+    body = _data_lines(path, lines)
 
     def fail(k, message):
         _fail(path, _data_line_numbers(lines)[k], message)
@@ -130,7 +190,7 @@ def _parse_array(path, lines, body, symmetric):
         fail(0, f"negative size in {size_line!r}")
     if symmetric and rows != cols:
         fail(0, "symmetric files must be square")
-    expected = cols * (cols + 1) // 2 if symmetric else rows * cols
+    expected = _array_count(rows, cols, symmetric)
     entries = body[1:]
     try:
         values = np.array(
@@ -146,14 +206,7 @@ def _parse_array(path, lines, body, symmetric):
             expected + 1 if len(entries) > expected else len(entries),
             f"expected {expected} values, found {len(entries)}",
         )
-    if not symmetric:
-        return values.reshape(cols, rows).T
-    # lower triangle column by column = upper triangle row by row
-    upper = np.triu_indices(cols)
-    out = np.zeros((rows, cols))
-    out[upper] = values
-    out[upper[::-1]] = values
-    return out
+    return rows, cols, values
 
 
 def _parse_value(path, no, line):
@@ -196,11 +249,31 @@ def write_matrix(path, matrix: np.ndarray, fmt: str = "matrixmarket") -> None:
     if fmt != "matrixmarket":
         raise ValueError(f"unknown format {fmt!r}")
     rows, cols = matrix.shape
-    values = matrix.T.ravel().tolist()  # column-major
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{rows} {cols}\n")
-        fh.write(("%.17g\n" * len(values)) % tuple(values))
+        fh.write(_array_body(matrix))
+
+
+def _array_body(matrix):
+    """One ``%.17g`` line per entry, column-major.
+
+    A bitwise symmetric matrix formats only its upper triangle and places
+    each string twice; bits, not ``==``, decide, so ``-0.0`` facing ``0.0``
+    (or two different NaNs) takes the per-entry path.
+    """
+    rows, cols = matrix.shape
+    bits = matrix.view(np.uint64)
+    if rows != cols or not np.array_equal(bits, bits.T):
+        values = matrix.T.ravel().tolist()
+        return ("%.17g\n" * len(values)) % tuple(values)
+    upper = np.triu_indices(cols)
+    values = matrix[upper].tolist()
+    lines = ("%.17g\n" * len(values) % tuple(values)).splitlines(keepends=True)
+    slot = np.empty((rows, cols), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(len(values))
+    # symmetric, so row-major order is column-major order
+    return "".join(np.array(lines, dtype=object)[slot.ravel()].tolist())
 
 
 def write_vector(path, vector: np.ndarray, fmt: str = "matrixmarket") -> None:
@@ -217,4 +290,4 @@ def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
             f"input matrix is asymmetric (skew norm {skew:.3e}); "
             "proceeding with its symmetric part"
         )
-    return 0.5 * (matrix + matrix.T)
+    return 0.5 * matrix + 0.5 * matrix.T

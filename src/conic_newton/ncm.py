@@ -76,9 +76,11 @@ class NcmProblem:
         g = np.asarray(self.G, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {g.shape}")
+        # halves first: 0.5 * (g + g.T) overflows for entries near the largest double
+        g = 0.5 * g + 0.5 * g.T
         if not np.all(np.isfinite(g)):
             raise ValueError("input matrix contains non-finite entries")
-        object.__setattr__(self, "G", 0.5 * (g + g.T))
+        object.__setattr__(self, "G", g)
 
     @property
     def n(self) -> int:

@@ -31,6 +31,9 @@ _PROBE_COLUMNS = 4
 _PROBE_SEED = 0
 _DIVERGENCE_FACTOR = 1e12
 _LSTSQ_FAIL_LIMIT = 3
+# Right-hand sides with max |b_i| in [2^-_SCALE_RANGE, 2^_SCALE_RANGE] are
+# solved as given; any other is first scaled by a power of two (see solve).
+_SCALE_RANGE = 128
 
 
 class Termination(str, enum.Enum):
@@ -83,6 +86,15 @@ def residual(problem: ProjectionEquationProblem, x: np.ndarray) -> float:
     else:
         value = problem.T.apply(projected) + x - problem.b
     return float(np.linalg.norm(value))
+
+
+def _scale_exponent(b):
+    """0 when max |b_i| is zero or in the normal range, else the k with
+    max |b_i| / 2^k in [1/2, 1)."""
+    peak = float(np.max(np.abs(b), initial=0.0))
+    if peak == 0.0 or 2.0**-_SCALE_RANGE <= peak <= 2.0**_SCALE_RANGE:
+        return 0
+    return int(np.frexp(peak)[1])
 
 
 def _newton_matrix(T_dense, element, form):
@@ -204,6 +216,13 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     SINGULAR_SYSTEM.  Non-finite iterates,
     iterate norms above 1e12*(1+|b|), or a failed factorization raise
     NumericalFailureError.
+
+    A right-hand side far from unit scale (max |b_i| outside 2^-128 ..
+    2^128) is solved as ``b / 2^k`` from ``x0 / 2^k``, with max |b_i| / 2^k
+    in [1/2, 1), and the solution is ``2^k`` times the result: the
+    projection is positively homogeneous and the derivative selection
+    scale-free, so only the norms change, and ``|b|`` no longer overflows
+    or underflows.  Residuals, stops and bounds are in the caller's units.
     """
     if config is None:
         config = NewtonConfig()
@@ -223,11 +242,22 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             raise ValueError("starting point must be finite")
         x = x.copy()
 
+    shift = _scale_exponent(problem.b)
+    if shift:
+        problem = replace(problem, b=np.ldexp(problem.b, -shift))
+        x = np.ldexp(x, -shift)
+
+    def unscaled(norm):
+        return float(np.ldexp(norm, shift)) if shift else norm
+
     T_dense = problem.T.materialize()
     b = problem.b
-    norm_b = float(np.linalg.norm(b))
+    # in the caller's units |b| and the bound can pass the largest double;
+    # capped, no comparison against them reads inf <= inf
+    largest = np.finfo(float).max
+    norm_b = min(unscaled(np.linalg.norm(b)), largest)
     confirm_tol = max(config.tol, 1e-9 * (1.0 + norm_b))
-    divergence_bound = _DIVERGENCE_FACTOR * (1.0 + norm_b)
+    divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
     probes = np.random.default_rng(_PROBE_SEED).standard_normal(
         (cone.ambient_dim, _PROBE_COLUMNS)
     )
@@ -235,8 +265,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     probe_norms = np.linalg.norm(probes, axis=0)
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
 
-    residuals = [residual(problem, x)]
-    iterates = [x.copy()] if config.record_history else None
+    residuals = [unscaled(residual(problem, x))]
+    iterates = [np.ldexp(x, shift)] if config.record_history else None
     iterations = 0
     termination = None
 
@@ -265,16 +295,16 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
                 )
             x = x_next
             iterations = k
-            if np.linalg.norm(x) > divergence_bound:
+            if unscaled(np.linalg.norm(x)) > divergence_bound:
                 raise NumericalFailureError(
                     f"iterate norm exceeded divergence bound at iteration {k}",
                     iteration=k,
                 )
             element = cone.jacobian_element(x)
-            res = residual(problem, x)
+            res = unscaled(residual(problem, x))
             residuals.append(res)
             if config.record_history:
-                iterates.append(x.copy())
+                iterates.append(np.ldexp(x, shift))
 
             if used_lstsq:
                 if res >= residuals[-2]:
@@ -306,8 +336,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     if config.record_history:
         ratios = _error_ratios(iterates, iterates[-1])
     return SolveReport(
-        solution=x,
-        projected_solution=cone.project(x),
+        solution=np.ldexp(x, shift),
+        projected_solution=np.ldexp(cone.project(x), shift),
         iterations=iterations,
         residuals=residuals,
         termination=termination,

@@ -220,6 +220,20 @@ class TestNcmCommand:
         assert code == 0
         assert "asymmetric" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_entries_near_the_largest_double_are_not_called_non_finite(
+        self, tmp_path, capsys
+    ):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, np.array([[1.0, 1e308], [1e308, 1.0]]))
+        code = main([
+            "ncm", "--input", str(g_path),
+            "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code in (0, 2, 3)
+        assert "non-finite" not in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code = main([
             "ncm", "--input", str(tmp_path / "nope.mtx"),

@@ -215,3 +215,141 @@ class TestSymmetrization:
         symmetrize_checked(mat, warn=warnings.append)
         assert len(warnings) == 1
         assert "asymmetric" in warnings[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_entries_near_the_largest_double_stay_finite(self):
+        warnings = []
+        mat = np.array([[1.0, 1e308], [1e308, 1.0]])
+        np.testing.assert_array_equal(symmetrize_checked(mat, warnings.append), mat)
+        assert warnings == []
+
+    def test_bit_identical_to_halved_sum_in_normal_range(self):
+        rng = np.random.default_rng(62)
+        for scale in (1e-3, 1.0, 1e150):
+            mat = scale * rng.standard_normal((50, 50))
+            out = symmetrize_checked(mat, warn=lambda msg: None)
+            assert out.tobytes() == (0.5 * (mat + mat.T)).tobytes()
+
+
+GENERAL = "%%MatrixMarket matrix array real general\n"
+SYMMETRIC = "%%MatrixMarket matrix array real symmetric\n"
+
+# Files off the plain form (size line, then exactly one number per line),
+# with the values or the error their checked parse gives.
+ARRAY_FILES = [
+    pytest.param(
+        GENERAL + "2 2\n1.0\n% c\n\n2.0\n   \n\t\n3.0\n  % indented\n4.0\n",
+        [[1.0, 3.0], [2.0, 4.0]],
+        id="comments-and-blank-lines-among-values",
+    ),
+    pytest.param(
+        GENERAL + "2 1\n1.5 ignored\n2.5\t7\n", [[1.5], [2.5]], id="two-tokens"
+    ),
+    pytest.param(
+        GENERAL + "2 2\r\n  1.0\r\n2.0  \r\n\t3.0\t\r\n 4e0 \r\n",
+        [[1.0, 3.0], [2.0, 4.0]],
+        id="crlf-and-surrounding-spaces",
+    ),
+    pytest.param(
+        GENERAL + "% one\n%\n\n% two\n1 2\n7\n8\n", [[7.0, 8.0]], id="header-comments"
+    ),
+    pytest.param(GENERAL + "+2 1\n1\n2\n", [[1.0], [2.0]], id="signed-size"),
+    pytest.param(GENERAL + "1 1\n3\n\n", [[3.0]], id="trailing-blank-line"),
+    pytest.param(
+        SYMMETRIC + "% lower\n3 3\n1\n2\n\n3\n4\n% x\n5\n6\n",
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]],
+        id="symmetric-with-comments",
+    ),
+    pytest.param(
+        GENERAL + "1 2\n7\n8\n9\n", r":5: expected 2 values, found 3$", id="surplus"
+    ),
+    pytest.param(
+        GENERAL + "2 2\n7\n% c\n8\n9\n\n",
+        r":6: expected 4 values, found 3$",
+        id="short",
+    ),
+    pytest.param(
+        GENERAL + "2 1\n1.0\n   \n",
+        r":3: expected 2 values, found 1$",
+        id="blank-line-filling-the-count",
+    ),
+    pytest.param(
+        GENERAL + "2 1\n1.0\n% c\n",
+        r":3: expected 2 values, found 1$",
+        id="comment-filling-the-count",
+    ),
+    pytest.param(
+        GENERAL + "2 1\n1.0\n1.0.0\n",
+        r":4: expected a number, got '1\.0\.0'$",
+        id="bad-number",
+    ),
+    pytest.param(
+        GENERAL + "2 x\n1\n2\n", r":2: non-integer size in '2 x'$", id="non-digit-size"
+    ),
+    pytest.param(
+        SYMMETRIC + "2 3\n1\n2\n3\n",
+        r":2: symmetric files must be square$",
+        id="symmetric-not-square",
+    ),
+    pytest.param(
+        GENERAL + "% only a comment\n\n", r":3: missing size line$", id="missing-size"
+    ),
+]
+
+
+class TestPlainFormEquivalence:
+    """The plain-form read gives the checked parse's values and errors."""
+
+    @pytest.mark.parametrize("text, expected", ARRAY_FILES)
+    def test_off_plain_form(self, tmp_path, text, expected):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(MatrixFileError, match=expected):
+                read_matrix(path)
+        else:
+            np.testing.assert_array_equal(read_matrix(path), expected)
+
+    def test_special_values(self, tmp_path):
+        path = tmp_path / "s.mtx"
+        path.write_text(GENERAL + "5 1\n1_0\nnan\n-inf\n5e-324\n-0\n")
+        back = read_matrix(path)
+        expected = np.array([[10.0], [np.nan], [-np.inf], [5e-324], [-0.0]])
+        assert back.tobytes() == expected.tobytes()
+
+
+# Lower-triangle entries facing an upper value x: the mirror x itself (so
+# some matrices are bitwise symmetric) or another value, which may be equal
+# to x under == but differ in its bits.
+FACING = ["mirror", "negated", 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+
+
+@st.composite
+def nearly_symmetric(draw):
+    n = draw(st.integers(1, 6))
+    mat = draw(arrays(np.float64, (n, n), elements=st.floats(allow_subnormal=True)))
+    mirror_all = draw(st.booleans())
+    for i in range(n):
+        for j in range(i):
+            facing = "mirror" if mirror_all else draw(st.sampled_from(FACING))
+            if facing == "mirror":
+                mat[i, j] = mat[j, i]
+            elif facing == "negated":
+                mat[i, j] = -mat[j, i]
+            else:
+                mat[i, j] = facing
+    return mat
+
+
+class TestWriteProperty:
+    @settings(max_examples=150)
+    @given(nearly_symmetric())
+    def test_bytes_match_per_value_format(self, tmp_path_factory, mat):
+        path = tmp_path_factory.mktemp("w") / "m.mtx"
+        write_matrix(path, mat)
+        n = mat.shape[0]
+        reference = (
+            f"%%MatrixMarket matrix array real general\n{n} {n}\n"
+            + "".join("%.17g\n" % v for v in mat.T.ravel().tolist())
+        )
+        assert path.read_bytes() == reference.encode()

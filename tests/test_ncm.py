@@ -353,6 +353,22 @@ class TestProblem:
         with pytest.raises(AttributeError):
             problem.G = np.zeros((2, 2))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_entries_near_the_largest_double_stay_finite(self):
+        g = np.array([[1.0, 1e308], [1e308, 1.0]])
+        problem = NcmProblem(g)
+        np.testing.assert_array_equal(problem.G, g)
+        for solver in (solve_ncm, solve_ncm_diagonal, solve_ncm_baseline):
+            try:
+                report = solver(problem)
+            except NumericalFailureError:
+                continue
+            assert isinstance(report.termination, Termination)
+
+    def test_non_finite_symmetric_part_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            NcmProblem(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
 
 class TestBaseline:
     def test_identity(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_newton import (
     DenseOperator,
@@ -25,6 +27,8 @@ from conic_newton import (
     solve,
     solve_qcp,
 )
+from conic_newton.cli import main
+from conic_newton.matrixio import write_matrix, write_vector
 from conic_newton.newton import _PROBE_COLUMNS, _active_set_step, _newton_matrix
 from conftest import CONE_CASES, random_point
 
@@ -386,3 +390,144 @@ class TestMeasureRatios:
             problem = ProjectionEquationProblem(cone, T, b)
             ratios = measure_ratios(problem, NewtonConfig(tol=1e-10), x_hat)
             assert all(r <= report.predicted_ratio + 0.05 for r in ratios)
+
+
+SUCCESS = (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT)
+
+
+def overflow_cases(count):
+    """Random Orthant/SOC problems, d = 2..7, with T scaled by 10^-300..10^300
+    and b by 10^150..10^200, where squaring an entry of b overflows."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        d = int(rng.integers(2, 8))
+        cone = Orthant(d) if rng.random() < 0.5 else SecondOrder(d)
+        T = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-300, 300)
+        b = rng.standard_normal(d) * 10.0 ** rng.uniform(150, 200)
+        form = (
+            EquationForm.POINT_LINEAR
+            if rng.random() < 0.5
+            else EquationForm.PROJECTION_LINEAR
+        )
+        yield ProjectionEquationProblem(cone, DenseOperator(T), b, form)
+
+
+def scale_safe_norm(v):
+    peak = np.max(np.abs(v))
+    return float(peak * np.linalg.norm(v / peak)) if peak > 0.0 else 0.0
+
+
+def scale_safe_residual(problem, x):
+    """The residual norm at x, evaluated at x / 2^k against b / 2^k by
+    homogeneity and then rescaled, so it overflows only if the residual does."""
+    k = int(np.frexp(max(np.max(np.abs(problem.b)), np.max(np.abs(x))))[1])
+    xs, bs = np.ldexp(x, -k), np.ldexp(problem.b, -k)
+    if problem.form is EquationForm.POINT_LINEAR:
+        value = problem.cone.project(xs) + problem.T.apply(xs) - bs
+    else:
+        value = problem.T.apply(problem.cone.project(xs)) + xs - bs
+    return float(np.ldexp(scale_safe_norm(value), k))
+
+
+def assert_claim_holds(problem, report, tol):
+    """A success claim holds for the returned solution; any report is finite."""
+    assert isinstance(report.termination, Termination)
+    assert np.all(np.isfinite(report.solution))
+    if report.termination in SUCCESS:
+        assert np.isfinite(report.residuals[-1])
+        bound = tol
+        if report.termination is Termination.PATTERN_REPEAT:
+            bound = max(tol, 1e-9 * (1.0 + scale_safe_norm(problem.b)))
+        assert scale_safe_residual(problem, report.solution) <= 1.01 * bound
+
+
+@st.composite
+def scaled_problems(draw):
+    """Products of up to three cones, T random, with a zero column or
+    negative semidefinite, scaled by 10^-300..10^300, b by 10^-200..10^200."""
+    makers = {
+        "orthant": lambda: Orthant(draw(st.integers(1, 3))),
+        "soc": lambda: SecondOrder(draw(st.integers(2, 4))),
+        "psd": lambda: PsdCone(2),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1, max_size=3))
+    parts = tuple(makers[kind]() for kind in kinds)
+    cone = parts[0] if len(parts) == 1 else Product(parts)
+    d = cone.ambient_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((d, d))
+    t_class = draw(st.sampled_from(["random", "zero-column", "negative-semidefinite"]))
+    if t_class == "zero-column":
+        a[:, draw(st.integers(0, d - 1))] = 0.0
+    elif t_class == "negative-semidefinite":
+        a = -a @ a.T
+    T = a * 10.0 ** draw(st.integers(-300, 300))
+    b = rng.standard_normal(d) * 10.0 ** draw(st.integers(-200, 200))
+    form = draw(st.sampled_from(list(EquationForm)))
+    return ProjectionEquationProblem(cone, DenseOperator(T), b, form)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+class TestScaleSafety:
+    def test_overflowing_rhs_claims_no_false_success(self):
+        # Before b was rescaled, |b| overflowed to inf here, so every
+        # repeated pattern "confirmed": 49 of these 400 reported
+        # PATTERN_REPEAT, 48 of them with a last residual of inf, at true
+        # residuals of 6.6e153 and more.
+        config = NewtonConfig(max_iter=50)
+        for problem in overflow_cases(400):
+            try:
+                report = solve(problem, config)
+            except NumericalFailureError:
+                continue
+            assert_claim_holds(problem, report, config.tol)
+
+    @settings(max_examples=150)
+    @given(scaled_problems())
+    def test_success_claims_hold_at_any_scale(self, problem):
+        config = NewtonConfig(max_iter=50)
+        try:
+            report = solve(problem, config)
+        except NumericalFailureError:
+            return
+        assert_claim_holds(problem, report, config.tol)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_scaled_rhs_gives_the_scaled_run(self, power):
+        # b 2^p with tol 2^p runs the same steps as b with tol, scaled
+        rng = np.random.default_rng(17)
+        cone = Product((Orthant(3), SecondOrder(4)))
+        a = rng.standard_normal((7, 7))
+        T = DenseOperator(a @ a.T / 7 + np.eye(7))
+        b = 3.0 * rng.standard_normal(7)
+        base = solve(
+            ProjectionEquationProblem(cone, T, b),
+            NewtonConfig(tol=1e-10, use_pattern_stop=False),
+        )
+        scaled = solve(
+            ProjectionEquationProblem(cone, T, np.ldexp(b, power)),
+            NewtonConfig(tol=np.ldexp(1e-10, power), use_pattern_stop=False),
+        )
+        assert base.termination is Termination.RESIDUAL_TOL
+        assert scaled.iterations == base.iterations
+        assert scaled.solution.tobytes() == np.ldexp(base.solution, power).tobytes()
+        assert (
+            scaled.projected_solution.tobytes()
+            == np.ldexp(base.projected_solution, power).tobytes()
+        )
+        assert scaled.residuals == [np.ldexp(r, power) for r in base.residuals]
+
+    def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
+        # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
+        # iteration trips the divergence bound; it used to exit 0
+        problem = list(overflow_cases(9))[8]
+        assert problem.form is EquationForm.POINT_LINEAR
+        t_path, b_path = tmp_path / "T.mtx", tmp_path / "b.mtx"
+        write_matrix(t_path, problem.T.matrix)
+        write_vector(b_path, problem.b)
+        code = main([
+            "solve-pe", "--cone", f"orthant:{problem.cone.ambient_dim}",
+            "--T", str(t_path), "--b", str(b_path),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
