@@ -7,7 +7,8 @@ Subcommands:
 * ``bench``: run a benchmark suite and emit raw.csv plus profile.csv.
 
 Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
-1 input error, 2 iteration limit, 3 numerical failure or singular system.
+1 input error, 2 iteration limit or pattern cycle, 3 numerical failure or
+singular system.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline, solve_ncm_diagonal
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,7 +72,7 @@ def _parse_cone(spec: str) -> Cone:
 def _termination_exit(termination: Termination) -> int:
     if termination in (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT):
         return EXIT_OK
-    if termination is Termination.MAX_ITER:
+    if termination in (Termination.MAX_ITER, Termination.PATTERN_CYCLE):
         return EXIT_MAX_ITER
     return EXIT_NUMERICAL
 

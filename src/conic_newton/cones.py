@@ -82,11 +82,13 @@ class JacobianElement:
     ``pattern_key`` is a hashable signature of the selection branch that
     produced the element (orthant activity set, second-order cone region,
     eigenvalue sign pattern).  Two elements with equal keys came from the
-    same branch, which is what the repeat-pattern stopping rule compares.
+    same branch, which is what the repeat-pattern stopping rule compares;
+    for a diagonal element the key also fixes the diagonal.
 
-    The element holds its dense matrix, or its ``diagonal`` when it is
-    diagonal, or an apply function together with ``build_fn``, which forms
-    the dense matrix in closed form on the first :meth:`materialize` call.
+    The element holds its ``diagonal`` when it is diagonal, or else an apply
+    function together with ``add_fn``, which adds the dense matrix into a
+    given square array in place, or ``build_fn``, which forms the dense
+    matrix in closed form on the first :meth:`materialize` call.
     ``diagonal`` is None for an element that is not diagonal.
     """
 
@@ -94,28 +96,27 @@ class JacobianElement:
         self,
         cone: "Cone",
         pattern_key,
-        matrix: np.ndarray | None = None,
         apply_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         build_fn: Callable[[], np.ndarray] | None = None,
+        add_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         diagonal: np.ndarray | None = None,
     ):
-        if matrix is None and diagonal is None and (apply_fn is None or build_fn is None):
+        if diagonal is None and (apply_fn is None or (build_fn is None and add_fn is None)):
             raise ValueError(
-                "need a matrix, a diagonal, or an apply function and a builder"
+                "need a diagonal, or an apply function and a builder or an adder"
             )
         self.cone = cone
         self.pattern_key = pattern_key
-        self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
+        self._matrix = None
         self._apply_fn = apply_fn
         self._build_fn = build_fn
+        self._add_fn = add_fn
         self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         vector = self.cone._checked(vector)
         if self.diagonal is not None:
             return self.diagonal * vector
-        if self._matrix is not None:
-            return self._matrix @ vector
         return self._apply_fn(vector)
 
     def materialize(self) -> np.ndarray:
@@ -123,9 +124,23 @@ class JacobianElement:
         if self._matrix is None:
             if self.diagonal is not None:
                 self._matrix = np.diag(self.diagonal)
-            else:
+            elif self._build_fn is not None:
                 self._matrix = self._build_fn()
+            else:
+                d = self.cone.ambient_dim
+                self._matrix = self._add_fn(np.zeros((d, d)))
         return self._matrix
+
+    def add_to(self, out: np.ndarray) -> np.ndarray:
+        """Add the element into the square array ``out`` in place; return it."""
+        if self.diagonal is not None:
+            idx = np.arange(self.diagonal.size)
+            out[idx, idx] += self.diagonal
+        elif self._add_fn is not None:
+            self._add_fn(out)
+        else:
+            out += self.materialize()
+        return out
 
 
 class Cone:
@@ -142,6 +157,11 @@ class Cone:
     def jacobian_element(self, x: np.ndarray) -> JacobianElement:
         """Deterministically selected generalized-derivative element at x."""
         raise NotImplementedError
+
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, JacobianElement]:
+        """``(project(x), jacobian_element(x))``; a cone whose two share
+        work (one eigendecomposition) computes it once."""
+        return self.project(x), self.jacobian_element(x)
 
     def project_dual(self, x: np.ndarray) -> np.ndarray:
         """Projection onto the dual cone.
@@ -190,7 +210,7 @@ class Orthant(Cone):
         x = self._checked(x)
         active = x > 0.0
         return JacobianElement(
-            self, pattern_key=("orthant", tuple(bool(a) for a in active)),
+            self, pattern_key=("orthant", active.tobytes()),
             diagonal=active.astype(float),
         )
 
@@ -228,25 +248,37 @@ class SecondOrder(Cone):
         head, tail = x[0], x[1:]
         tail_norm = np.linalg.norm(tail)
         if tail_norm < head:
-            return JacobianElement(
-                self, ("soc", "interior"), matrix=np.eye(self.n)
-            )
+            return JacobianElement(self, ("soc", "interior"), diagonal=np.ones(self.n))
         if tail_norm < -head:
-            return JacobianElement(
-                self, ("soc", "polar"), matrix=np.zeros((self.n, self.n))
-            )
+            return JacobianElement(self, ("soc", "polar"), diagonal=np.zeros(self.n))
         if tail_norm == 0.0:
             # origin: identity is a valid limit element from the interior
-            return JacobianElement(self, ("soc", "interior"), matrix=np.eye(self.n))
+            return JacobianElement(self, ("soc", "interior"), diagonal=np.ones(self.n))
+        # V = [[1, w^T], [w, a I - c w w^T]] / 2 with w the unit tail
         w = tail / tail_norm
-        block = ((head + tail_norm) / tail_norm) * np.eye(self.n - 1)
-        block -= (head / tail_norm) * np.outer(w, w)
-        mat = np.empty((self.n, self.n))
-        mat[0, 0] = 1.0
-        mat[0, 1:] = w
-        mat[1:, 0] = w
-        mat[1:, 1:] = block
-        return JacobianElement(self, ("soc", "boundary"), matrix=0.5 * mat)
+        a = (head + tail_norm) / tail_norm
+        c = head / tail_norm
+
+        def apply_fn(vector):
+            wv = w @ vector[1:]
+            out = np.empty(self.n)
+            out[0] = 0.5 * (vector[0] + wv)
+            out[1:] = 0.5 * ((vector[0] - c * wv) * w + a * vector[1:])
+            return out
+
+        def add_fn(out):
+            half_w = 0.5 * w
+            out[0, 0] += 0.5
+            out[0, 1:] += half_w
+            out[1:, 0] += half_w
+            out[1:, 1:] -= (0.5 * c * w)[:, None] * w
+            idx = np.arange(1, self.n)
+            out[idx, idx] += 0.5 * a
+            return out
+
+        return JacobianElement(
+            self, ("soc", "boundary"), apply_fn=apply_fn, add_fn=add_fn
+        )
 
 
 @dataclass(frozen=True)
@@ -264,15 +296,19 @@ class PsdCone(Cone):
         return self.n * (self.n + 1) // 2
 
     def project(self, x):
-        x = self._checked(x)
-        dec = spectral_decomposition(smat(x))
-        clipped = np.maximum(dec.eigvals, 0.0)
-        mat = (dec.eigvecs * clipped) @ dec.eigvecs.T
-        return svec(0.5 * (mat + mat.T))
+        return _psd_projection(self._decompose(x))
 
     def jacobian_element(self, x):
-        x = self._checked(x)
-        dec = spectral_decomposition(smat(x))
+        return self._element(self._decompose(x))
+
+    def linearize(self, x):
+        dec = self._decompose(x)
+        return _psd_projection(dec), self._element(dec)
+
+    def _decompose(self, x):
+        return spectral_decomposition(smat(self._checked(x)))
+
+    def _element(self, dec):
         lam = dec.eigvals
         u = dec.eigvecs
         omega = _psd_omega(lam)
@@ -290,25 +326,34 @@ class PsdCone(Cone):
         )
 
 
+def _psd_projection(dec: SpectralDecomposition) -> np.ndarray:
+    clipped = np.maximum(dec.eigvals, 0.0)
+    mat = (dec.eigvecs * clipped) @ dec.eigvecs.T
+    return svec(0.5 * (mat + mat.T))
+
+
 def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Dense derivative element H -> U (omega o U^T H U) U^T in svec coordinates.
 
     The svec images of u_i u_i^T and (u_i u_j^T + u_j u_i^T)/sqrt(2), i < j,
     are the orthonormal columns of a d x d matrix Q, and each is an
     eigenvector of the map with eigenvalue omega_ij in [0, 1].  So the
-    element is B B^T with B = Q diag(sqrt(omega[triu])).  Entry
+    element is B B^T with B = Q diag(sqrt(omega[triu])), and only the
+    columns with omega_ij > 0 (a pair with a positive eigenvalue) are
+    formed: none at a point with no positive eigenvalue.  Entry
     ((p, q), (i, j)) of Q is s_pq s_ij (u_pi u_qj + u_pj u_qi) / 2, with
     s = sqrt(2) off the diagonal and 1 on it.
     """
     n = u.shape[0]
     rows, cols = np.triu_indices(n)
+    weights = omega[rows, cols]
+    keep = weights > 0.0
+    i, j = rows[keep], cols[keep]
     scale = np.where(rows == cols, 1.0, _SQRT2)
-    # products[(p, q), i * n + j] = s_pq u_pi u_qj
-    products = ((scale[:, None] * u[rows])[:, :, None] * u[cols][:, None, :]).reshape(
-        rows.size, n * n
-    )
-    basis = products[:, rows * n + cols] + products[:, cols * n + rows]
-    basis *= 0.5 * scale * np.sqrt(omega[rows, cols])
+    left = scale[:, None] * u[rows]  # left[(p, q), i] = s_pq u_pi
+    right = u[cols]  # right[(p, q), j] = u_qj
+    basis = left[:, i] * right[:, j] + left[:, j] * right[:, i]
+    basis *= 0.5 * scale[keep] * np.sqrt(weights[keep])
     return basis @ basis.T
 
 
@@ -388,9 +433,18 @@ class Product(Cone):
         )
 
     def jacobian_element(self, x):
-        elements = [
-            p.jacobian_element(piece) for p, piece in zip(self.parts, self.split(x))
-        ]
+        return self._element(
+            [p.jacobian_element(piece) for p, piece in zip(self.parts, self.split(x))]
+        )
+
+    def linearize(self, x):
+        pairs = [p.linearize(piece) for p, piece in zip(self.parts, self.split(x))]
+        return (
+            np.concatenate([projected for projected, _ in pairs]),
+            self._element([element for _, element in pairs]),
+        )
+
+    def _element(self, elements):
         key = ("product", tuple(el.pattern_key for el in elements))
         if all(el.diagonal is not None for el in elements):
             return JacobianElement(
@@ -406,13 +460,12 @@ class Product(Cone):
                 ]
             )
 
-        def build_fn():
-            out = np.zeros((off[-1], off[-1]))
+        def add_fn(out):
             for i, el in enumerate(elements):
-                out[off[i]:off[i + 1], off[i]:off[i + 1]] = el.materialize()
+                el.add_to(out[off[i]:off[i + 1], off[i]:off[i + 1]])
             return out
 
-        return JacobianElement(self, key, apply_fn=apply_fn, build_fn=build_fn)
+        return JacobianElement(self, key, apply_fn=apply_fn, add_fn=add_fn)
 
 
 def project(cone: Cone, x: np.ndarray) -> np.ndarray:

@@ -281,13 +281,20 @@ def write_vector(path, vector: np.ndarray, fmt: str = "matrixmarket") -> None:
 
 
 def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
-    """Symmetrize, calling ``warn(message)`` when the skew part is material."""
+    """Symmetrize, calling ``warn(message)`` when the skew part is material.
+
+    Both norms are taken of the matrix divided by a power of two that brings
+    its largest entry into [1/2, 1), so they do not overflow (or underflow)
+    and the test ``|skew| > 1e-9 |matrix|`` does not depend on the scale.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    skew = np.linalg.norm(matrix - matrix.T)
-    scale = np.linalg.norm(matrix)
-    if skew > 1e-9 * max(scale, 1e-30):
+    peak = float(np.max(np.abs(matrix), initial=0.0))
+    shift = int(np.frexp(peak)[1]) if np.isfinite(peak) else 0
+    scaled = np.ldexp(matrix, -shift)
+    skew = np.linalg.norm(scaled - scaled.T)
+    if skew > 1e-9 * np.linalg.norm(scaled):
         warn(
-            f"input matrix is asymmetric (skew norm {skew:.3e}); "
+            f"input matrix is asymmetric (skew norm {np.ldexp(skew, shift):.3e}); "
             "proceeding with its symmetric part"
         )
     return 0.5 * matrix + 0.5 * matrix.T

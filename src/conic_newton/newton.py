@@ -9,7 +9,9 @@ projection at the current iterate and solves a dense linear system:
 Because V(x) x equals the projection of x, the residual of either form at
 the new iterate vanishes exactly when the derivative selection repeats, so
 a repeated selection pattern (confirmed by a residual check) is a sound
-stopping rule alongside the plain residual tolerance.
+stopping rule alongside the plain residual tolerance.  A diagonal element
+is fixed by its pattern, so the step from an iterate depends only on that
+pattern: once a diagonal pattern recurs, the iteration repeats forever.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class Termination(str, enum.Enum):
     RESIDUAL_TOL = "residual-tol"
     PATTERN_REPEAT = "pattern-repeat"
     MAX_ITER = "max-iter"
+    PATTERN_CYCLE = "pattern-cycle"
     SINGULAR_SYSTEM = "singular-system"
 
 
@@ -72,15 +75,42 @@ class SolveReport:
     iterates: list[np.ndarray] | None = None
 
 
-def residual(problem: ProjectionEquationProblem, x: np.ndarray) -> float:
-    """Euclidean norm of the equation residual at x."""
+def residual(
+    problem: ProjectionEquationProblem,
+    x: np.ndarray,
+    *,
+    projected: np.ndarray | None = None,
+) -> float:
+    """Euclidean norm of the equation residual at x.
+
+    ``projected`` is P_K(x) when the caller has it already.  A right-hand
+    side far from unit scale is handled as in :func:`solve`: the norm is
+    taken at ``x / 2^k`` against ``b / 2^k`` and scaled back, capped at the
+    largest double, so it overflows only if the residual itself does.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.cone.ambient_dim,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, ambient dimension is "
             f"{problem.cone.ambient_dim}"
         )
-    projected = problem.cone.project(x)
+    shift = _scale_exponent(problem.b)
+    if shift:
+        problem = replace(problem, b=np.ldexp(problem.b, -shift))
+        x = np.ldexp(x, -shift)
+        if projected is not None:
+            projected = np.ldexp(projected, -shift)
+    if projected is None:
+        projected = problem.cone.project(x)
+    norm = _residual_norm(problem, x, projected)
+    if shift:
+        with np.errstate(over="ignore"):
+            return min(float(np.ldexp(norm, shift)), np.finfo(float).max)
+    return norm
+
+
+def _residual_norm(problem, x, projected):
+    """The residual norm at x, given ``projected`` = P_K(x)."""
     if problem.form is EquationForm.POINT_LINEAR:
         value = projected + problem.T.apply(x) - problem.b
     else:
@@ -99,7 +129,9 @@ def _scale_exponent(b):
 
 def _newton_matrix(T_dense, element, form):
     if form is EquationForm.POINT_LINEAR:
-        return element.materialize() + T_dense
+        # V added into one copy of T; adding 0.0 clears the sign of T's
+        # zeros, as adding V's zeros did
+        return element.add_to(T_dense + 0.0)
     eye = np.eye(T_dense.shape[0])
     if element.diagonal is not None:
         # T @ Diag(v) + I bit for bit: each entry of the product sums one
@@ -160,10 +192,13 @@ def _active_set_step(T_dense, element, rhs, probe_norms):
     solution of the full system, flagged as lstsq.
     """
     active = element.diagonal != 0.0
-    scaled = T_dense[:, active] * element.diagonal[active]
-    r = scaled[active]
+    weights = element.diagonal[active]
+    r = T_dense[np.ix_(active, active)]
+    c = T_dense[np.ix_(~active, active)]
+    if not np.all(weights == 1.0):
+        r *= weights
+        c *= weights
     r[np.diag_indices_from(r)] += 1.0
-    c = scaled[~active]
     x = rhs.copy()
     try:
         x[active] = np.linalg.solve(r, rhs[active])
@@ -215,7 +250,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     least-squares steps without residual reduction terminate with
     SINGULAR_SYSTEM.  Non-finite iterates,
     iterate norms above 1e12*(1+|b|), or a failed factorization raise
-    NumericalFailureError.
+    NumericalFailureError.  When a diagonal derivative element (orthant,
+    free and second-order interior or polar blocks) has a pattern already
+    met since the last least-squares step, and no other stop fires, the
+    run ends PATTERN_CYCLE: its iterates would repeat without end.
+
+    Each iterate is linearized once (``Cone.linearize``): its projection
+    gives the residual, its element the next step, and the last projection
+    is the report's ``projected_solution``.
 
     A right-hand side far from unit scale (max |b_i| outside 2^-128 ..
     2^128) is solved as ``b / 2^k`` from ``x0 / 2^k``, with max |b_i| / 2^k
@@ -265,7 +307,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     probe_norms = np.linalg.norm(probes, axis=0)
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
 
-    residuals = [unscaled(residual(problem, x))]
+    projected, element = cone.linearize(x)
+    residuals = [unscaled(residual(problem, x, projected=projected))]
     iterates = [np.ldexp(x, shift)] if config.record_history else None
     iterations = 0
     termination = None
@@ -273,8 +316,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     if residuals[-1] <= config.tol:
         termination = Termination.RESIDUAL_TOL
     else:
-        element = cone.jacobian_element(x)
         prev_key = element.pattern_key
+        # diagonal patterns met since the last least-squares step
+        seen = {prev_key} if element.diagonal is not None else set()
         lstsq_fail_streak = 0
         for k in range(1, config.max_iter + 1):
             try:
@@ -300,13 +344,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
                     f"iterate norm exceeded divergence bound at iteration {k}",
                     iteration=k,
                 )
-            element = cone.jacobian_element(x)
-            res = unscaled(residual(problem, x))
+            projected, element = cone.linearize(x)
+            res = unscaled(_residual_norm(problem, x, projected))
             residuals.append(res)
             if config.record_history:
                 iterates.append(np.ldexp(x, shift))
 
             if used_lstsq:
+                seen.clear()
                 if res >= residuals[-2]:
                     lstsq_fail_streak += 1
                     if lstsq_fail_streak >= _LSTSQ_FAIL_LIMIT:
@@ -327,6 +372,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             if res <= config.tol:
                 termination = Termination.RESIDUAL_TOL
                 break
+            if element.diagonal is not None:
+                # the step from here repeats the one from the earlier visit,
+                # so the iterates since then repeat without end; none of
+                # them stopped, and none was a least-squares step
+                if element.pattern_key in seen:
+                    termination = Termination.PATTERN_CYCLE
+                    break
+                seen.add(element.pattern_key)
             prev_key = element.pattern_key
         else:
             termination = Termination.MAX_ITER
@@ -337,7 +390,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         ratios = _error_ratios(iterates, iterates[-1])
     return SolveReport(
         solution=np.ldexp(x, shift),
-        projected_solution=np.ldexp(cone.project(x), shift),
+        projected_solution=np.ldexp(projected, shift),
         iterations=iterations,
         residuals=residuals,
         termination=termination,

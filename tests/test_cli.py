@@ -31,7 +31,7 @@ class TestSolvePe:
         captured = capsys.readouterr()
         assert "q-linear" in captured.err  # guarantee summary on stderr
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         np.testing.assert_allclose(report["solution"], [1.0, -1.0])
         np.testing.assert_allclose(report["projected_solution"], [1.0, 0.0])
         assert report["termination"] in ("residual-tol", "pattern-repeat")
@@ -212,6 +212,18 @@ class TestNcmCommand:
     def test_asymmetric_input_warns(self, tmp_path, capsys):
         g_path = tmp_path / "g.csv"
         g_path.write_text("1.0,0.9\n0.1,1.0\n")
+        code = main([
+            "ncm", "--input", str(g_path),
+            "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+        assert "asymmetric" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_asymmetric_input_warns_at_any_scale(self, tmp_path, capsys):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, np.array([[1.0, 1e200], [-1e200, 1.0]]))
         code = main([
             "ncm", "--input", str(g_path),
             "--out-matrix", str(tmp_path / "c.mtx"),

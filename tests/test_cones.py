@@ -20,6 +20,7 @@ from conic_newton import (
     spectral_decomposition,
     svec,
 )
+from conic_newton.cones import _psd_jacobian_matrix, _psd_omega
 from conftest import CONE_CASES, random_point, random_symmetric
 
 
@@ -396,3 +397,120 @@ class TestFunctionSurface:
         )
         assert membership(cone, np.array([1.0, 0.0, 2.0]), tol=0.0)
         assert not membership(cone, x, tol=1e-9)
+
+
+def linearize_kink_cases():
+    """(cone, x) at kinks of every cone: zero and repeated eigenvalues, the
+    second-order cone boundary, polar boundary and origin, and -0.0."""
+    rng = np.random.default_rng(30)
+    cases = [(PsdCone(n), x) for n in (1, 3, 5) for x in psd_kink_points(n, rng)]
+    cases += [(MIXED_PRODUCT, x) for x in mixed_product_kink_points(rng)]
+    cases += [
+        (SecondOrder(3), np.array([5.0, 3.0, 4.0])),
+        (SecondOrder(3), np.array([-5.0, 3.0, 4.0])),
+        (SecondOrder(3), np.zeros(3)),
+        (SecondOrder(3), np.array([-0.0, 0.0, -0.0])),
+        (Orthant(4), np.array([0.0, -0.0, 1.0, -1.0])),
+        (FreeSpace(2), np.array([-0.0, 1.0])),
+        (Product((PsdCone(2), Orthant(2))), np.array([0.0, 0.0, 0.0, -0.0, 0.0])),
+    ]
+    return cases
+
+
+def assert_same_linearization(cone, x):
+    projected, element = cone.linearize(x)
+    reference = cone.jacobian_element(x)
+    assert projected.tobytes() == cone.project(x).tobytes()
+    assert element.pattern_key == reference.pattern_key
+    assert (element.diagonal is None) == (reference.diagonal is None)
+    assert element.materialize().tobytes() == reference.materialize().tobytes()
+
+
+def signed_zero_matrix(rng, d):
+    """A random d x d matrix with some entries -0.0 and 0.0."""
+    t = rng.standard_normal((d, d))
+    t[rng.random((d, d)) < 0.2] = -0.0
+    t[rng.random((d, d)) < 0.1] = 0.0
+    return t
+
+
+class TestLinearize:
+    @pytest.mark.parametrize(
+        "cone, x", linearize_kink_cases(),
+        ids=[f"{type(c).__name__}-{i}" for i, (c, _) in enumerate(linearize_kink_cases())],
+    )
+    def test_matches_project_and_element_at_kinks(self, cone, x):
+        assert_same_linearization(cone, x)
+
+    @settings(max_examples=200)
+    @given(cone_points())
+    def test_matches_project_and_element(self, case):
+        assert_same_linearization(*case)
+
+
+class TestAddTo:
+    @settings(max_examples=200)
+    @given(cone_points(), st.integers(0, 2**16))
+    def test_matches_materialized_sum(self, case, seed):
+        cone, x = case
+        element = cone.jacobian_element(x)
+        t = signed_zero_matrix(np.random.default_rng(seed), cone.ambient_dim)
+        reference = element.materialize() + t
+        out = element.add_to(t + 0.0)
+        if element.diagonal is not None:
+            assert out.tobytes() == reference.tobytes()
+        else:
+            gap = np.linalg.norm(out - reference)
+            assert gap <= 1e-15 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("x", [[5.0, 1.0, 0.0], [-5.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                             ids=["interior", "polar", "origin"])
+    def test_soc_interior_and_polar_are_diagonal(self, x):
+        element = SecondOrder(3).jacobian_element(x)
+        assert element.diagonal is not None
+        np.testing.assert_array_equal(element.diagonal, np.full(3, float(x[0] >= 0.0)))
+
+    @settings(max_examples=200)
+    @given(soc_points(), st.integers(0, 2**16))
+    def test_soc_apply_matches_materialized_product(self, case, seed):
+        cone, x = case
+        element = cone.jacobian_element(x)
+        v = np.random.default_rng(seed).standard_normal(cone.ambient_dim)
+        np.testing.assert_allclose(
+            element.apply(v), element.materialize() @ v,
+            rtol=0, atol=1e-14 * (1.0 + np.linalg.norm(v)),
+        )
+
+
+def full_column_psd_matrix(u, omega):
+    """B B^T with every column of B, including those of weight omega_ij = 0."""
+    n = u.shape[0]
+    rows, cols = np.triu_indices(n)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    products = (
+        (scale[:, None] * u[rows])[:, :, None] * u[cols][:, None, :]
+    ).reshape(rows.size, n * n)
+    basis = products[:, rows * n + cols] + products[:, cols * n + rows]
+    basis *= 0.5 * scale * np.sqrt(omega[rows, cols])
+    return basis @ basis.T
+
+
+class TestReducedPsdBuilder:
+    @pytest.mark.parametrize("positive", [0, 3, 6], ids=["r=0", "mixed", "r=n"])
+    def test_matches_full_column_builder(self, positive):
+        rng = np.random.default_rng(32)
+        n = 6
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # descending, with a zero eigenvalue whenever one is nonpositive
+        lam = np.concatenate([rng.uniform(0.5, 2.0, positive),
+                              [0.0] * (positive < n),
+                              -rng.uniform(0.5, 2.0, max(n - positive - 1, 0))])
+        omega = _psd_omega(lam)
+        reduced = _psd_jacobian_matrix(q, omega)
+        full = full_column_psd_matrix(q, omega)
+        if positive == 0:
+            assert not reduced.any()
+        elif positive == n:
+            assert reduced.tobytes() == full.tobytes()
+        else:
+            np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-15)

@@ -1,5 +1,7 @@
 """Matrix file round trips and parse diagnostics."""
 
+import warnings as np_warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,21 @@ class TestSymmetrization:
         mat = np.array([[1.0, 1e308], [1e308, 1.0]])
         np.testing.assert_array_equal(symmetrize_checked(mat, warnings.append), mat)
         assert warnings == []
+
+    @pytest.mark.parametrize("mat", [
+        [[1.0, 1e2], [-1e2, 1.0]],
+        [[1.0, 1e200], [-1e200, 1.0]],  # unscaled, both norms overflow
+        [[1e-300, 1e-300], [-1e-300, 1e-300]],  # unscaled, both norms are 0
+    ], ids=["normal", "huge", "tiny"])
+    def test_warns_on_skew_at_any_scale(self, mat):
+        warnings = []
+        mat = np.array(mat)
+        with np_warnings.catch_warnings():
+            np_warnings.simplefilter("error")
+            out = symmetrize_checked(mat, warn=warnings.append)
+        assert len(warnings) == 1
+        assert "asymmetric" in warnings[0]
+        np.testing.assert_array_equal(out, np.diag(np.diag(mat)))
 
     def test_bit_identical_to_halved_sum_in_normal_range(self):
         rng = np.random.default_rng(62)

@@ -1,5 +1,8 @@
 """The semi-smooth Newton iteration: residuals, stopping rules, convergence."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -531,3 +534,156 @@ class TestScaleSafety:
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == 3
+
+
+def cycle_fuzz_cases(count=3000):
+    """Random problems on Orthant(d) (even trials) and SecondOrder(d) (odd
+    trials), d = 2..6, forms in alternating pairs (point-linear first), T and
+    b standard normal.  441 of the 1,500 orthant runs used to stop only at
+    the iteration limit, every one after revisiting a pattern by iteration
+    12."""
+    rng = np.random.default_rng(7)
+    for trial in range(count):
+        d = int(rng.integers(2, 7))
+        cone = Orthant(d) if trial % 2 == 0 else SecondOrder(d)
+        form = (
+            EquationForm.POINT_LINEAR
+            if trial // 2 % 2 == 0
+            else EquationForm.PROJECTION_LINEAR
+        )
+        t = rng.standard_normal((d, d))
+        b = rng.standard_normal(d)
+        yield ProjectionEquationProblem(cone, DenseOperator(t), b, form)
+
+
+def assert_real_cycle(problem, report):
+    """The last iterate repeats the diagonal pattern of an earlier one, and one
+    more step from it lands exactly on that iterate's successor."""
+    cone = problem.cone
+    keys = [cone.jacobian_element(x).pattern_key for x in report.iterates]
+    earlier = keys.index(keys[-1])
+    assert earlier < len(keys) - 1
+    assert cone.jacobian_element(report.solution).diagonal is not None
+    step = solve(problem, NewtonConfig(tol=1e-8, x0=report.solution, max_iter=1))
+    assert step.solution.tobytes() == report.iterates[earlier + 1].tobytes()
+
+
+class TestPatternCycle:
+    def test_orthant_stalls_end_as_cycles(self):
+        config = NewtonConfig(tol=1e-8, record_history=True)
+        ends = {}
+        for problem in cycle_fuzz_cases():
+            report = solve(problem, config)
+            kind = type(problem.cone).__name__
+            ends.setdefault((kind, report.termination), []).append(report.iterations)
+            if report.termination is Termination.PATTERN_CYCLE:
+                assert_real_cycle(problem, report)
+        assert len(ends[("Orthant", Termination.PATTERN_CYCLE)]) == 441
+        assert max(ends[("Orthant", Termination.PATTERN_CYCLE)]) <= 12
+        assert len(ends[("Orthant", Termination.PATTERN_REPEAT)]) == 1059
+        assert ("Orthant", Termination.MAX_ITER) not in ends
+
+    def test_cycle_is_not_cut_short_of_a_singular_stop(self):
+        # every step is least squares from the same pattern: the streak of
+        # three without progress ends it, not the cycle rule
+        problem = ProjectionEquationProblem(
+            Orthant(1), DenseOperator([[0.0]]), np.array([-1.0])
+        )
+        report = solve(problem, NewtonConfig())
+        assert report.termination is Termination.SINGULAR_SYSTEM
+        assert report.iterations == 3
+
+    def test_cli_exit_code(self, tmp_path):
+        problem = next(
+            p for p in cycle_fuzz_cases()
+            if isinstance(p.cone, Orthant) and p.form is EquationForm.POINT_LINEAR
+            and solve(p, NewtonConfig(tol=1e-8)).termination
+            is Termination.PATTERN_CYCLE
+        )
+        t_path, b_path = tmp_path / "T.mtx", tmp_path / "b.mtx"
+        write_matrix(t_path, problem.T.matrix)
+        write_vector(b_path, problem.b)
+        out = tmp_path / "r.json"
+        code = main([
+            "solve-pe", "--cone", f"orthant:{problem.cone.ambient_dim}",
+            "--T", str(t_path), "--b", str(b_path), "--tol", "1e-8",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert json.loads(out.read_text())["termination"] == "pattern-cycle"
+
+    def test_qcp_cycle_is_unverified(self):
+        problem = QcpProblem(
+            Q=DenseOperator([[-0.8, -1.1], [-1.1, 0.7]]),
+            q=np.array([0.5, -1.6]), cone=Orthant(2),
+        )
+        kkt, report = solve_qcp(problem, NewtonConfig(tol=1e-8))
+        assert report.termination is Termination.PATTERN_CYCLE
+        assert not kkt.verified
+
+
+class TestOneLinearizationPerIterate:
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_psd_solve_makes_one_eigh_per_iterate(self, start, monkeypatch):
+        rng = np.random.default_rng(33)
+        cone = PsdCone(5)
+        d = cone.ambient_dim
+        a = rng.standard_normal((d, d))
+        x0 = None if start == "zero" else rng.standard_normal(d)
+        problem = ProjectionEquationProblem(
+            cone, DenseOperator(a @ a.T / d + np.eye(d)), 3.0 * rng.standard_normal(d)
+        )
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args)
+        )
+        report = solve(problem, NewtonConfig(tol=1e-10, x0=x0))
+        assert report.iterations >= 2
+        assert len(calls) == report.iterations + 1
+        assert report.projected_solution.tobytes() == cone.project(report.solution).tobytes()
+
+
+class TestScaleSafeResidual:
+    def test_matches_the_report_on_an_overflowing_rhs(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, 4))
+        problem = ProjectionEquationProblem(
+            Orthant(4), DenseOperator(a @ a.T + np.eye(4)),
+            rng.standard_normal(4) * 1e200,
+        )
+        report = solve(problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = residual(problem, report.solution)
+        assert np.isfinite(value)
+        assert value == report.residuals[-1]
+
+    def test_caps_at_the_largest_double(self):
+        problem = ProjectionEquationProblem(
+            Orthant(2), ScaledIdentity(1.0, 2), np.array([1e308, -1e308])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = residual(problem, np.array([-1e308, 1e308]))
+        assert value == np.finfo(float).max
+
+    @pytest.mark.parametrize("form", list(EquationForm))
+    def test_bit_identical_in_normal_range(self, form):
+        rng = np.random.default_rng(35)
+        cone = Product((Orthant(3), SecondOrder(4), PsdCone(2)))
+        d = cone.ambient_dim
+        t = rng.standard_normal((d, d))
+        for scale in (1e-30, 1.0, 1e30):
+            problem = ProjectionEquationProblem(
+                cone, DenseOperator(t), scale * rng.standard_normal(d), form
+            )
+            x = scale * rng.standard_normal(d)
+            projected = cone.project(x)
+            if form is EquationForm.POINT_LINEAR:
+                value = projected + t @ x - problem.b
+            else:
+                value = t @ projected + x - problem.b
+            expected = float(np.linalg.norm(value))
+            assert residual(problem, x) == expected
+            assert residual(problem, x, projected=projected) == expected
