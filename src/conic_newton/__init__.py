@@ -16,13 +16,7 @@ from .cones import (
     Product,
     PsdCone,
     SecondOrder,
-    SpectralDecomposition,
-    jacobian_element,
-    membership,
-    project,
-    project_dual,
     smat,
-    spectral_decomposition,
     svec,
 )
 from .exceptions import DimensionMismatchError, NumericalFailureError
@@ -44,7 +38,6 @@ from .operators import (
 )
 from .ncm import (
     NcmProblem,
-    NcmReport,
     NcmState,
     diagonal_step,
     ncm_residual,
@@ -68,7 +61,6 @@ __all__ = [
     "KktPoint",
     "LinearOperator",
     "NcmProblem",
-    "NcmReport",
     "NcmState",
     "NewtonConfig",
     "NumericalFailureError",
@@ -81,7 +73,6 @@ __all__ = [
     "SecondOrder",
     "ShiftedDense",
     "SolveReport",
-    "SpectralDecomposition",
     "Termination",
     "analyze",
     "analyze_problem",
@@ -89,14 +80,10 @@ __all__ = [
     "as_operator",
     "diagonal_step",
     "embed_kkt",
-    "jacobian_element",
     "kkt_residual",
     "measure_ratios",
-    "membership",
     "ncm_residual",
     "ncm_step",
-    "project",
-    "project_dual",
     "residual",
     "smat",
     "solve",
@@ -104,7 +91,6 @@ __all__ = [
     "solve_ncm_baseline",
     "solve_ncm_diagonal",
     "solve_qcp",
-    "spectral_decomposition",
     "svec",
     "to_projection_equation",
 ]

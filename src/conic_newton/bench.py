@@ -27,12 +27,11 @@ import numpy as np
 from .exceptions import NumericalFailureError
 from .ncm import (
     NcmProblem,
-    NcmReport,
     solve_ncm,
     solve_ncm_baseline,
     solve_ncm_diagonal,
 )
-from .newton import Termination
+from .newton import SolveReport, Termination
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
 
@@ -186,7 +185,7 @@ def canonical_solver(name: str) -> str:
         raise ValueError(f"unknown solver {name!r}") from None
 
 
-def _run_solver(name: str, problem: NcmProblem, tol: float) -> NcmReport:
+def _run_solver(name: str, problem: NcmProblem, tol: float) -> SolveReport:
     if name == SOLVER_NEWTON:
         return solve_ncm(problem, tol=tol, max_iter=_NEWTON_MAX_ITER)
     if name == SOLVER_DIAGONAL:

@@ -161,7 +161,7 @@ def cmd_ncm(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    write_matrix(args.out_matrix, report.correlation_matrix)
+    write_matrix(args.out_matrix, report.projected_solution)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "solver": args.method,
@@ -175,7 +175,7 @@ def cmd_ncm(args) -> int:
         "iterations": report.iterations,
         "residuals": report.residuals,
         "wall_time_seconds": report.wall_time_seconds,
-        "lambda": report.lam.tolist(),
+        "lambda": (np.diag(problem.G) - np.diag(report.solution)).tolist(),
         "matrix_path": os.fspath(args.out_matrix),
     }
     _write_json(args.out_report, payload)

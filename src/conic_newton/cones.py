@@ -14,6 +14,9 @@ its projection map at any point, with deterministic tie rules at kinks:
   boundary branch applies whenever the tail is nonzero, and the origin maps
   to the identity;
 * semidefinite cone: zero eigenvalues count as nonpositive.
+
+Semidefinite code, here and in the NCM solvers, takes ``np.linalg.eigh``
+output as it comes, eigenvalues ascending.
 """
 
 from __future__ import annotations
@@ -58,22 +61,6 @@ def smat(vector: np.ndarray) -> np.ndarray:
     out[rows, cols] = vals
     out[cols, rows] = vals
     return out
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""
-
-    eigvals: np.ndarray
-    eigvecs: np.ndarray  # columns aligned with eigvals
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
-
-
-def spectral_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
-    vals, vecs = np.linalg.eigh(matrix)
-    return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 class JacobianElement:
@@ -296,21 +283,20 @@ class PsdCone(Cone):
         return self.n * (self.n + 1) // 2
 
     def project(self, x):
-        return _psd_projection(self._decompose(x))
+        return svec(_psd_part(*self._decompose(x)))
 
     def jacobian_element(self, x):
-        return self._element(self._decompose(x))
+        return self._element(*self._decompose(x))
 
     def linearize(self, x):
-        dec = self._decompose(x)
-        return _psd_projection(dec), self._element(dec)
+        lam, u = self._decompose(x)
+        return svec(_psd_part(lam, u)), self._element(lam, u)
 
     def _decompose(self, x):
-        return spectral_decomposition(smat(self._checked(x)))
+        """``np.linalg.eigh`` of the matrix: eigenvalues ascending."""
+        return np.linalg.eigh(smat(self._checked(x)))
 
-    def _element(self, dec):
-        lam = dec.eigvals
-        u = dec.eigvecs
+    def _element(self, lam, u):
         omega = _psd_omega(lam)
         signs = tuple(1 if v > 0.0 else -1 for v in lam)
 
@@ -326,10 +312,18 @@ class PsdCone(Cone):
         )
 
 
-def _psd_projection(dec: SpectralDecomposition) -> np.ndarray:
-    clipped = np.maximum(dec.eigvals, 0.0)
-    mat = (dec.eigvecs * clipped) @ dec.eigvecs.T
-    return svec(0.5 * (mat + mat.T))
+def _positive_count(vals: np.ndarray) -> int:
+    """Number of positive eigenvalues; ``eigh`` sorts them last."""
+    return int(np.count_nonzero(vals > 0.0))
+
+
+def _psd_part(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """P_psd(U Diag(vals) U^T) from ``eigh`` output: only the columns of
+    the positive eigenvalues are multiplied."""
+    first = vals.shape[0] - _positive_count(vals)
+    upos = vecs[:, first:]
+    out = (upos * vals[first:]) @ upos.T
+    return 0.5 * (out + out.T)
 
 
 def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -467,18 +461,3 @@ class Product(Cone):
 
         return JacobianElement(self, key, apply_fn=apply_fn, add_fn=add_fn)
 
-
-def project(cone: Cone, x: np.ndarray) -> np.ndarray:
-    return cone.project(x)
-
-
-def project_dual(cone: Cone, x: np.ndarray) -> np.ndarray:
-    return cone.project_dual(x)
-
-
-def jacobian_element(cone: Cone, x: np.ndarray) -> JacobianElement:
-    return cone.jacobian_element(x)
-
-
-def membership(cone: Cone, x: np.ndarray, tol: float = 1e-9) -> bool:
-    return cone.contains(x, tol)

@@ -41,6 +41,10 @@ X = Ghat + I, whose trace n guarantees a positive eigenvalue.
 
 A Dykstra-corrected alternating-projections solver is included as a
 baseline for benchmarking.
+
+Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
+whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
+the multiplier is lambda = diag(G) - diag(solution).
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _psd_omega
+from .cones import _positive_count, _psd_omega, _psd_part
 from .exceptions import DimensionMismatchError, NumericalFailureError
-from .newton import Termination
+from .newton import SolveReport, Termination
 
 _DIAG_PINV_TOL = 1e-12
 # A step that moves the diagonal by at most this, relative to its size, and
@@ -91,53 +95,21 @@ class NcmProblem:
 class NcmState:
     """One iterate X = Ghat + Diag(D_diag) of either Newton method.
 
-    The off-diagonal of X always equals the off-diagonal of G, and
-    lambda = diag(G) - D_diag holds exactly by construction.  ``eig``
-    caches the spectral decomposition of X so the residual evaluation and
-    the following step share one factorization.
+    The off-diagonal of X always equals the off-diagonal of G.  ``eig``
+    is ``np.linalg.eigh(X)``, taken when the state is built, so the
+    residual evaluation and the following step share one factorization.
     """
 
     X: np.ndarray
-    lam: np.ndarray
     D_diag: np.ndarray
     Ghat: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray]
     residual: float
-    eig: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass
-class NcmReport:
-    correlation_matrix: np.ndarray
-    raw_root: np.ndarray
-    lam: np.ndarray
-    iterations: int
-    residuals: list[float]
-    wall_time_seconds: float
-    termination: Termination
-
-
-def _eigh_cached(state: NcmState) -> tuple[np.ndarray, np.ndarray]:
-    if state.eig is None:
-        vals, vecs = np.linalg.eigh(state.X)
-        state.eig = (vals, vecs)
-    return state.eig
-
-
-def _positive_count(vals: np.ndarray) -> int:
-    """Number of positive eigenvalues; ``eigh`` sorts them last."""
-    return int(np.count_nonzero(vals > 0.0))
-
-
-def _psd_part(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    first = vals.shape[0] - _positive_count(vals)
-    upos = vecs[:, first:]
-    out = (upos * vals[first:]) @ upos.T
-    return 0.5 * (out + out.T)
 
 
 def _gradient(state: NcmState) -> np.ndarray:
     """F(d) = diag(P_psd(X)) - e, a row sum over the positive eigenvectors."""
-    vals, vecs = _eigh_cached(state)
+    vals, vecs = state.eig
     first = vals.shape[0] - _positive_count(vals)
     upos = vecs[:, first:]
     return np.einsum("ij,j,ij->i", upos, vals[first:], upos) - 1.0
@@ -145,7 +117,7 @@ def _gradient(state: NcmState) -> np.ndarray:
 
 def _dual_objective(state: NcmState) -> float:
     """theta(d) = 1/2 |P_psd(X)|_F^2 - e^T d."""
-    vals, _ = _eigh_cached(state)
+    vals, _ = state.eig
     positive = np.maximum(vals, 0.0)
     return float(0.5 * (positive @ positive) - state.D_diag.sum())
 
@@ -209,16 +181,11 @@ def _pcg(apply, precond, rhs, tol, max_iter):
     return x
 
 
-def _state_with_diagonal(
-    ghat: np.ndarray, diag_g: np.ndarray, d: np.ndarray
-) -> NcmState:
-    """The iterate X = Ghat + Diag(d), with lambda = diag(G) - d."""
+def _state_with_diagonal(ghat: np.ndarray, d: np.ndarray) -> NcmState:
+    """The iterate X = Ghat + Diag(d), its eigendecomposition and residual."""
+    x = ghat + np.diag(d)
     state = NcmState(
-        X=ghat + np.diag(d),
-        lam=diag_g - d,
-        D_diag=d,
-        Ghat=ghat,
-        residual=np.nan,
+        X=x, D_diag=d, Ghat=ghat, eig=np.linalg.eigh(x), residual=np.nan
     )
     state.residual = ncm_residual(state)
     return state
@@ -226,8 +193,7 @@ def _state_with_diagonal(
 
 def _state_of(problem: NcmProblem, d: np.ndarray) -> NcmState:
     """The iterate X = Ghat + Diag(d) of ``problem``."""
-    diag_g = np.diag(problem.G).copy()
-    return _state_with_diagonal(problem.G - np.diag(diag_g), diag_g, d)
+    return _state_with_diagonal(problem.G - np.diag(np.diag(problem.G)), d)
 
 
 def initial_state(problem: NcmProblem) -> NcmState:
@@ -239,7 +205,8 @@ def ncm_residual(state: NcmState) -> float:
     """|F(d)| = |diag(P_psd(X)) - e|.
 
     The multiplier block of the optimality system holds exactly by
-    construction, so this is the residual of the whole system.
+    construction (lambda is defined as diag(G) - diag(X)), so this is the
+    residual of the whole system.
     """
     return float(np.linalg.norm(_gradient(state)))
 
@@ -258,7 +225,7 @@ def ncm_step(state: NcmState) -> NcmState:
     if norm == 0.0:
         return state
     grad = _gradient(state)
-    apply, diagonal = _newton_operator(*_eigh_cached(state))
+    apply, diagonal = _newton_operator(*state.eig)
     h = _pcg(
         lambda v: apply(v) + _REGULARIZATION * v,
         diagonal + _REGULARIZATION,
@@ -270,13 +237,12 @@ def ncm_step(state: NcmState) -> NcmState:
         raise NumericalFailureError("non-finite Newton direction")
     slope = float(grad @ h)
     theta = _dual_objective(state)
-    diag_g = state.D_diag + state.lam
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
         d = state.D_diag + alpha * h
         if np.array_equal(d, state.D_diag):
             break
-        trial = _state_with_diagonal(state.Ghat, diag_g, d)
+        trial = _state_with_diagonal(state.Ghat, d)
         if (
             trial.residual < (1.0 - _ARMIJO * alpha) * norm
             or _dual_objective(trial) < theta + _ARMIJO * alpha * slope
@@ -288,7 +254,7 @@ def ncm_step(state: NcmState) -> NcmState:
 
 def diagonal_step(state: NcmState) -> NcmState:
     """One step of the diagonal Newton recursion."""
-    vals, vecs = _eigh_cached(state)
+    vals, vecs = state.eig
     diag_v, diag_vg = _step_diagonals(vals, vecs, state.Ghat)
     rhs = 1.0 - diag_vg
     usable = np.abs(diag_v) > _DIAG_PINV_TOL
@@ -296,7 +262,7 @@ def diagonal_step(state: NcmState) -> NcmState:
     d_new[usable] = rhs[usable] / diag_v[usable]
     if not np.all(np.isfinite(d_new)):
         raise NumericalFailureError("non-finite diagonal update")
-    new_state = _state_with_diagonal(state.Ghat, state.D_diag + state.lam, d_new)
+    new_state = _state_with_diagonal(state.Ghat, d_new)
     if not np.isfinite(new_state.residual):
         raise NumericalFailureError("non-finite residual after step")
     return new_state
@@ -337,7 +303,7 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
 
 def _iterate(
     problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int
-) -> NcmReport:
+) -> SolveReport:
     """Apply ``step`` from X = Ghat + Diag(d0) until the residual is at most
     ``tol``.
 
@@ -365,28 +331,26 @@ def _iterate(
             if state.residual <= tol:
                 termination = Termination.RESIDUAL_TOL
                 break
-    vals, vecs = _eigh_cached(state)
-    return NcmReport(
-        correlation_matrix=_psd_part(vals, vecs),
-        raw_root=state.X.copy(),
-        lam=state.lam.copy(),
+    return SolveReport(
+        solution=state.X,
+        projected_solution=_psd_part(*state.eig),
         iterations=iterations,
         residuals=residuals,
-        wall_time_seconds=time.perf_counter() - start,
         termination=termination,
+        wall_time_seconds=time.perf_counter() - start,
     )
 
 
 def solve_ncm(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 200
-) -> NcmReport:
+) -> SolveReport:
     """Globalized semismooth Newton-CG (``ncm_step``) from X = Ghat + I."""
     return _iterate(problem, np.ones(problem.n), ncm_step, tol, max_iter)
 
 
 def solve_ncm_diagonal(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 200
-) -> NcmReport:
+) -> SolveReport:
     """Diagonal Newton recursion (``diagonal_step``) starting from X = G.
 
     The first step that leaves the diagonal unchanged (up to rounding) and
@@ -400,9 +364,7 @@ def solve_ncm_diagonal(
         new_state = diagonal_step(state)
         if not restarted and _stalled(state, new_state):
             restarted = True
-            new_state = _state_with_diagonal(
-                new_state.Ghat, new_state.D_diag + new_state.lam, np.ones(problem.n)
-            )
+            new_state = _state_with_diagonal(new_state.Ghat, np.ones(problem.n))
         return new_state
 
     return _iterate(problem, np.diag(problem.G).copy(), step, tol, max_iter)
@@ -410,20 +372,19 @@ def solve_ncm_diagonal(
 
 def solve_ncm_baseline(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 5000
-) -> NcmReport:
+) -> SolveReport:
     """Alternating projections between the unit-diagonal set and the
     semidefinite cone, with Dykstra's correction on the cone projection.
 
     Stops when the projected iterate's diagonal defect drops below tol,
-    measured with the same residual as the Newton solver.
+    measured with the same residual as the Newton solver.  The report's
+    ``solution`` is the last matrix projected onto the cone.
     """
     start = time.perf_counter()
-    g = problem.G
     diag_idx = np.arange(problem.n)
 
-    r = g.copy()
-    vals, vecs = np.linalg.eigh(r)
-    x = _psd_part(vals, vecs)
+    r = problem.G.copy()
+    x = _psd_part(*np.linalg.eigh(r))
     res = float(np.linalg.norm(np.diag(x) - 1.0))
     residuals = [res]
     iterations = 0
@@ -436,8 +397,7 @@ def solve_ncm_baseline(
         y[diag_idx, diag_idx] = 1.0
         for k in range(1, max_iter + 1):
             r = y - correction
-            vals, vecs = np.linalg.eigh(r)
-            x = _psd_part(vals, vecs)
+            x = _psd_part(*np.linalg.eigh(r))
             if not np.all(np.isfinite(x)):
                 raise NumericalFailureError("non-finite iterate", iteration=k)
             res = float(np.linalg.norm(np.diag(x) - 1.0))
@@ -449,12 +409,11 @@ def solve_ncm_baseline(
             correction = x - r
             y = x.copy()
             y[diag_idx, diag_idx] = 1.0
-    return NcmReport(
-        correlation_matrix=x,
-        raw_root=r.copy(),
-        lam=np.diag(g) - np.diag(r),
+    return SolveReport(
+        solution=r,
+        projected_solution=x,
         iterations=iterations,
         residuals=residuals,
-        wall_time_seconds=time.perf_counter() - start,
         termination=termination,
+        wall_time_seconds=time.perf_counter() - start,
     )

@@ -11,7 +11,7 @@ quadratic-program form they are phrased in terms of norm(Q - I).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -318,8 +318,9 @@ def _guarantee_from_modulus(invertible, norm_inv, positive_definite):
 def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
     """Convergence guarantees for the form T P_K(x) + x = b with T = Q - I.
 
-    Mirrors :func:`analyze` with norm(Q - I) in place of norm(T^-1); the
-    existence branch also accepts invertible Q with norm(Q^-1 - I) < 1.
+    Mirrors :func:`analyze` with norm(Q - I) in place of norm(T^-1); where
+    that grants nothing, invertible Q with norm(Q^-1 - I) < 1 still gives
+    existence and uniqueness.
     """
     if isinstance(Q, ScaledIdentity):
         c = float(Q.scale)
@@ -338,21 +339,10 @@ def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
         if invertible:
             inv_dev = float(np.linalg.norm(np.linalg.inv(mat) - eye, 2))
 
-    guarantee = Guarantee.NONE
-    ratio = None
-    if positive_definite and dev < 1.0:
-        guarantee, ratio = Guarantee.Q_LINEAR, dev
-    elif dev < 0.5:
-        guarantee, ratio = Guarantee.Q_LINEAR, dev / (1.0 - dev)
-    elif dev < 1.0 or (inv_dev is not None and inv_dev < 1.0):
-        guarantee = Guarantee.EXISTENCE_UNIQUENESS
-    return GuaranteeReport(
-        invertible=invertible,
-        norm_T_inv=dev,
-        is_positive_definite=positive_definite,
-        guarantee=guarantee,
-        predicted_ratio=ratio,
-    )
+    report = _guarantee_from_modulus(invertible, dev, positive_definite)
+    if report.guarantee is Guarantee.NONE and inv_dev is not None and inv_dev < 1.0:
+        report = replace(report, guarantee=Guarantee.EXISTENCE_UNIQUENESS)
+    return report
 
 
 def analyze_problem(problem: ProjectionEquationProblem) -> GuaranteeReport:

@@ -180,19 +180,20 @@ def test_ncm_correctness_oracle():
             assert newton_report.termination is Termination.RESIDUAL_TOL, rep
             assert baseline_report.termination is Termination.RESIDUAL_TOL, rep
             diff = np.linalg.norm(
-                newton_report.correlation_matrix - baseline_report.correlation_matrix
+                newton_report.projected_solution - baseline_report.projected_solution
             )
             assert diff <= 1e-3, rep
             qcp_problem = QcpProblem(
                 Q=1.0, q=-svec(problem.G), cone=PsdCone(n), equality=(a, np.ones(n))
             )
+            lam = np.diag(problem.G) - np.diag(newton_report.solution)
             point = KktPoint(
-                x=svec(newton_report.correlation_matrix),
-                lam=newton_report.lam,
+                x=svec(newton_report.projected_solution),
+                lam=lam,
                 mu=svec(
-                    newton_report.correlation_matrix
+                    newton_report.projected_solution
                     - problem.G
-                    + np.diag(newton_report.lam)
+                    + np.diag(lam)
                 ),
             )
             assert kkt_residual(qcp_problem, point) <= 1e-5, rep
@@ -204,7 +205,7 @@ def test_two_by_two_closed_form():
             matrix = np.array([[1.0, g], [g, 1.0]])
             report = solve_ncm(NcmProblem(matrix), tol=1e-10)
             expected = float(np.clip(g, -1.0, 1.0))
-            assert abs(report.correlation_matrix[0, 1] - expected) <= 1e-8, g
+            assert abs(report.projected_solution[0, 1] - expected) <= 1e-8, g
 
 
 def test_desk_scale_experiment_regression():

@@ -133,6 +133,27 @@ class TestNcmCommand:
         report = json.loads(out_report.read_text())
         np.testing.assert_allclose(report["lambda"], [1.0, 1.0], atol=1e-8)
 
+    def test_lambda_is_the_diagonal_gap_of_the_root(self, tmp_path):
+        # the reported multiplier is diag(G) - diag(X) for the root X, to the
+        # bit; carrying lambda beside X through the iteration drifted by ulps
+        from conic_newton import NcmProblem, solve_ncm
+        from conic_newton.bench import ExperimentConfig, generate
+        from conic_newton.matrixio import read_matrix
+
+        g = generate(ExperimentConfig("E57", n=60, seed=0, replicates=1), 0).G
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, g)
+        out_report = tmp_path / "r.json"
+        code = main([
+            "ncm", "--input", str(g_path),
+            "--out-matrix", str(tmp_path / "c.mtx"), "--out-report", str(out_report),
+        ])
+        assert code == 0
+        problem = NcmProblem(read_matrix(g_path))
+        expected = np.diag(problem.G) - np.diag(solve_ncm(problem).solution)
+        lam = np.array(json.loads(out_report.read_text())["lambda"])
+        np.testing.assert_array_equal(lam, expected)
+
     def test_identity_zero_iterations(self, tmp_path):
         g_path = tmp_path / "g.mtx"
         write_matrix(g_path, np.eye(3))

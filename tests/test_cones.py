@@ -12,15 +12,10 @@ from conic_newton import (
     Product,
     PsdCone,
     SecondOrder,
-    jacobian_element,
-    membership,
-    project,
-    project_dual,
     smat,
-    spectral_decomposition,
     svec,
 )
-from conic_newton.cones import _psd_jacobian_matrix, _psd_omega
+from conic_newton.cones import _psd_jacobian_matrix, _psd_omega, _psd_part
 from conftest import CONE_CASES, random_point, random_symmetric
 
 
@@ -159,17 +154,19 @@ class TestVectorization:
             smat(np.zeros(4))  # not a triangular number
 
 
-class TestSpectralDecomposition:
-    def test_orthogonality_and_reconstruction(self):
+class TestPsdPart:
+    def test_matches_clipped_reconstruction(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a = random_symmetric(rng, 7, scale=3.0)
-            dec = spectral_decomposition(a)
-            assert np.all(np.diff(dec.eigvals) <= 0)  # descending
-            gram = dec.eigvecs.T @ dec.eigvecs
-            np.testing.assert_allclose(gram, np.eye(7), atol=1e-10)
-            err = np.linalg.norm(dec.reconstruct() - a)
-            assert err <= 1e-8 * (1 + np.linalg.norm(a))
+            vals, vecs = np.linalg.eigh(a)
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(7), atol=1e-10)
+            part = _psd_part(vals, vecs)
+            clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            err = np.linalg.norm(part - clipped)
+            assert err <= 1e-12 * (1 + np.linalg.norm(a))
+            np.testing.assert_array_equal(part, part.T)
+            assert np.linalg.eigvalsh(part)[0] >= -1e-12 * (1 + np.linalg.norm(a))
 
 
 class TestProjection:
@@ -385,18 +382,17 @@ class TestJacobianElement:
         assert el.pattern_key[0] == "product"
 
 
-class TestFunctionSurface:
-    def test_functions_delegate_to_methods(self):
+class TestConeMethods:
+    def test_project_dual_element_and_contains(self):
         cone = Orthant(3)
         x = np.array([1.0, -2.0, 0.0])
-        np.testing.assert_array_equal(project(cone, x), cone.project(x))
-        np.testing.assert_array_equal(project_dual(cone, x), cone.project_dual(x))
-        el = jacobian_element(cone, x)
+        np.testing.assert_array_equal(cone.project(x), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(cone.project_dual(x), [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(
-            el.materialize(), cone.jacobian_element(x).materialize()
+            cone.jacobian_element(x).materialize(), np.diag([1.0, 0.0, 0.0])
         )
-        assert membership(cone, np.array([1.0, 0.0, 2.0]), tol=0.0)
-        assert not membership(cone, x, tol=1e-9)
+        assert cone.contains(np.array([1.0, 0.0, 2.0]), tol=0.0)
+        assert not cone.contains(x, tol=1e-9)
 
 
 def linearize_kink_cases():

@@ -26,7 +26,7 @@ from conic_newton import (
     svec,
 )
 from conic_newton.bench import ExperimentConfig, generate
-from conic_newton.cones import _psd_omega
+from conic_newton.cones import _psd_omega, _psd_part
 from conic_newton.ncm import (
     _dual_objective,
     _gradient,
@@ -45,7 +45,7 @@ SMALL_SYMMETRIC = st.integers(1, 6).flatmap(
 
 def assert_correlation_output(report, tol):
     """Symmetric PSD output, with a unit diagonal if the report converged."""
-    c = report.correlation_matrix
+    c = report.projected_solution
     np.testing.assert_array_equal(c, c.T)
     assert np.linalg.eigvalsh(c)[0] >= -1e-12 * max(1.0, np.abs(c).max())
     if report.termination is Termination.RESIDUAL_TOL:
@@ -101,7 +101,7 @@ class TestStep:
         state = initial_state(NcmProblem(g))
         nxt = diagonal_step(state)
         np.testing.assert_allclose(nxt.X, np.array([[0.0, 2.0], [2.0, 0.0]]), atol=1e-12)
-        np.testing.assert_allclose(nxt.lam, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.diag(g) - nxt.D_diag, [1.0, 1.0], atol=1e-12)
         assert nxt.residual <= 1e-12
 
     def test_pseudoinverse_zeroes_dead_coordinates(self):
@@ -196,7 +196,7 @@ class TestNewtonCg:
         assert report.iterations <= 6
         baseline = solve_ncm_baseline(problem, tol=1e-8)
         assert baseline.termination is Termination.RESIDUAL_TOL
-        diff = np.abs(report.correlation_matrix - baseline.correlation_matrix).max()
+        diff = np.abs(report.projected_solution - baseline.projected_solution).max()
         assert diff <= 1e-6
 
     def test_agrees_with_baseline_at_tight_tolerance(self):
@@ -207,7 +207,7 @@ class TestNewtonCg:
             baseline = solve_ncm_baseline(problem, tol=1e-8)
             assert report.termination is Termination.RESIDUAL_TOL
             assert baseline.termination is Termination.RESIDUAL_TOL
-            diff = np.abs(report.correlation_matrix - baseline.correlation_matrix).max()
+            diff = np.abs(report.projected_solution - baseline.projected_solution).max()
             assert diff <= 1e-6, rep
 
     def test_one_eigendecomposition_per_iterate(self, monkeypatch):
@@ -231,7 +231,8 @@ class TestNewtonCg:
         report = solve_ncm(NcmProblem(g), tol=1e-12)
         # X = Ghat + I is already a correlation matrix
         assert report.iterations == 0
-        np.testing.assert_allclose(report.lam, [3.0, -4.0], atol=1e-15)
+        lam = np.diag(g) - np.diag(report.solution)
+        np.testing.assert_allclose(lam, [3.0, -4.0], atol=1e-15)
 
     def test_no_decrease_below_rounding_raises(self):
         problem = generate(ExperimentConfig("E57", n=30, seed=9, replicates=1), 0)
@@ -258,12 +259,14 @@ class TestSolve:
     def test_identity_converges_immediately(self):
         report = solve_ncm(NcmProblem(np.eye(5)))
         assert report.iterations == 0
-        np.testing.assert_array_equal(report.correlation_matrix, np.eye(5))
+        np.testing.assert_array_equal(report.projected_solution, np.eye(5))
 
     def test_two_by_two(self):
-        report = solve_ncm(NcmProblem(np.array([[1.0, 2.0], [2.0, 1.0]])), tol=1e-8)
-        np.testing.assert_allclose(report.correlation_matrix, np.ones((2, 2)), atol=1e-8)
-        np.testing.assert_allclose(report.lam, [1.0, 1.0], atol=1e-8)
+        g = np.array([[1.0, 2.0], [2.0, 1.0]])
+        report = solve_ncm(NcmProblem(g), tol=1e-8)
+        np.testing.assert_allclose(report.projected_solution, np.ones((2, 2)), atol=1e-8)
+        lam = np.diag(g) - np.diag(report.solution)
+        np.testing.assert_allclose(lam, [1.0, 1.0], atol=1e-8)
         assert report.iterations <= 2
 
     def test_seeded_regression_anchor(self):
@@ -273,8 +276,8 @@ class TestSolve:
         report = solve_ncm(problem, tol=1e-5)
         assert report.termination is Termination.RESIDUAL_TOL
         assert report.iterations <= 25
-        assert np.abs(np.diag(report.correlation_matrix) - 1.0).max() <= 1e-5
-        assert np.linalg.eigvalsh(report.correlation_matrix)[0] >= -1e-8
+        assert np.abs(np.diag(report.projected_solution) - 1.0).max() <= 1e-5
+        assert np.linalg.eigvalsh(report.projected_solution)[0] >= -1e-8
 
     @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
     def test_zero_progress_restarts(self, g):
@@ -283,7 +286,7 @@ class TestSolve:
             assert report.termination is Termination.RESIDUAL_TOL, solver.__name__
             assert report.iterations <= 2, solver.__name__
             np.testing.assert_allclose(
-                report.correlation_matrix, np.eye(g.shape[0]), atol=1e-12
+                report.projected_solution, np.eye(g.shape[0]), atol=1e-12
             )
 
     @settings(max_examples=60)
@@ -315,9 +318,8 @@ class TestSolve:
         for _ in range(5):
             state = ncm_step(state)
             np.testing.assert_array_equal(state.X[off_mask], problem.G[off_mask])
-            np.testing.assert_allclose(
-                state.lam, np.diag(problem.G) - state.D_diag, atol=0
-            )
+            # so lambda = diag(G) - D_diag is diag(G) - diag(X) exactly
+            np.testing.assert_array_equal(np.diag(state.X), state.D_diag)
 
     def test_report_invariants(self):
         rng = np.random.default_rng(41)
@@ -325,11 +327,12 @@ class TestSolve:
         np.fill_diagonal(g, 1.0)
         report = solve_ncm(NcmProblem(g), tol=1e-7)
         assert report.termination is Termination.RESIDUAL_TOL
-        assert np.linalg.eigvalsh(report.correlation_matrix)[0] >= -1e-8
-        assert np.abs(np.diag(report.correlation_matrix) - 1.0).max() <= 1e-6
+        assert np.linalg.eigvalsh(report.projected_solution)[0] >= -1e-8
+        assert np.abs(np.diag(report.projected_solution) - 1.0).max() <= 1e-6
         # the raw root and multiplier solve the optimality system
+        lam = np.diag(NcmProblem(g).G) - np.diag(report.solution)
         np.testing.assert_allclose(
-            report.raw_root + np.diag(report.lam), NcmProblem(g).G, atol=1e-12
+            report.solution + np.diag(lam), NcmProblem(g).G, atol=1e-12
         )
 
     def test_kkt_residual_of_solution(self):
@@ -339,12 +342,46 @@ class TestSolve:
         problem = NcmProblem(g)
         report = solve_ncm(problem, tol=1e-8)
         qcp_problem = ncm_as_qcp(problem.G)
+        lam = np.diag(problem.G) - np.diag(report.solution)
         point = KktPoint(
-            x=svec(report.correlation_matrix),
-            lam=report.lam,
-            mu=svec(report.correlation_matrix - problem.G + np.diag(report.lam)),
+            x=svec(report.projected_solution),
+            lam=lam,
+            mu=svec(report.projected_solution - problem.G + np.diag(lam)),
         )
         assert kkt_residual(qcp_problem, point) <= 10 * 1e-8 + 1e-10
+
+
+NCM_SOLVERS = [
+    pytest.param(solve_ncm, id="newton-cg"),
+    pytest.param(solve_ncm_diagonal, id="diagonal"),
+    pytest.param(solve_ncm_baseline, id="baseline"),
+]
+
+
+def report_contract_inputs():
+    inputs = [RANK_DEFICIENT_NCM_INPUT] + [p.values[0] for p in STALLING_NCM_INPUTS]
+    for experiment in ("E56", "E57"):
+        cfg = ExperimentConfig(experiment, n=20, seed=12, replicates=2)
+        inputs += [generate(cfg, rep).G for rep in range(2)]
+    return inputs
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("solver", NCM_SOLVERS)
+    def test_projected_solution_is_the_psd_part_of_the_solution(self, solver):
+        for g in report_contract_inputs():
+            report = solver(NcmProblem(g), tol=1e-8)
+            np.testing.assert_array_equal(
+                report.projected_solution, _psd_part(*np.linalg.eigh(report.solution))
+            )
+
+    @pytest.mark.parametrize("solver", NCM_SOLVERS[:2])
+    def test_newton_solution_keeps_the_off_diagonal_of_g(self, solver):
+        for g in report_contract_inputs():
+            problem = NcmProblem(g)
+            report = solver(problem, tol=1e-8)
+            off = ~np.eye(problem.n, dtype=bool)
+            np.testing.assert_array_equal(report.solution[off], problem.G[off])
 
 
 class TestProblem:
@@ -374,13 +411,13 @@ class TestBaseline:
     def test_identity(self):
         report = solve_ncm_baseline(NcmProblem(np.eye(4)))
         assert report.iterations == 0
-        np.testing.assert_array_equal(report.correlation_matrix, np.eye(4))
+        np.testing.assert_array_equal(report.projected_solution, np.eye(4))
 
     def test_two_by_two(self):
         report = solve_ncm_baseline(
             NcmProblem(np.array([[1.0, 2.0], [2.0, 1.0]])), tol=1e-8
         )
-        np.testing.assert_allclose(report.correlation_matrix, np.ones((2, 2)), atol=1e-6)
+        np.testing.assert_allclose(report.projected_solution, np.ones((2, 2)), atol=1e-6)
 
     def test_agreement_with_newton(self):
         cfg = ExperimentConfig("E56", n=30, seed=5, replicates=20)
@@ -391,7 +428,7 @@ class TestBaseline:
             assert newton_report.termination is Termination.RESIDUAL_TOL
             assert baseline_report.termination is Termination.RESIDUAL_TOL
             diff = np.linalg.norm(
-                newton_report.correlation_matrix - baseline_report.correlation_matrix
+                newton_report.projected_solution - baseline_report.projected_solution
             )
             assert diff <= 1e-3
 
@@ -436,5 +473,5 @@ class TestGenericPathEquivalence:
             Termination.RESIDUAL_TOL,
             Termination.PATTERN_REPEAT,
         )
-        diff = np.linalg.norm(smat(kkt.x) - newton_report.correlation_matrix)
+        diff = np.linalg.norm(smat(kkt.x) - newton_report.projected_solution)
         assert diff <= 1e-6

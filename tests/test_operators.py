@@ -156,6 +156,45 @@ class TestAnalyzeQcpOperator:
         report = analyze_qcp_operator(DenseOperator(np.diag([3.0, 2.0])))
         assert report.guarantee is Guarantee.EXISTENCE_UNIQUENESS
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            pytest.param(ScaledIdentity(1.5, 3), id="1.5I"),
+            pytest.param(ScaledIdentity(1.0, 3), id="I"),
+            # dev = 2; only |Q^-1 - I| = 2/3 < 1 grants existence
+            pytest.param(ScaledIdentity(3.0, 2), id="3I"),
+            pytest.param(ScaledIdentity(0.4, 2), id="0.4I"),
+            pytest.param(ScaledIdentity(0.0, 2), id="0I"),
+            pytest.param(ScaledIdentity(-1.0, 2), id="-I"),
+            pytest.param(DenseOperator(np.diag([3.0, 0.2])), id="diag(3,0.2)"),
+            pytest.param(DenseOperator(np.diag([3.0, 2.0])), id="diag(3,2)"),
+            pytest.param(DenseOperator(np.diag([1.2, 0.9])), id="diag(1.2,0.9)"),
+            pytest.param(DenseOperator(np.array([[1.0, 0.8], [-0.8, 1.0]])), id="I+skew"),
+            pytest.param(DenseOperator(np.diag([1.0, 0.0])), id="singular"),
+        ],
+    )
+    def test_matches_the_branch_rules(self, op):
+        # the rules of the docstring, stated in full: positive definite Q with
+        # dev < 1 gives ratio dev; dev < 1/2 gives dev / (1 - dev); dev < 1 or
+        # invertible Q with |Q^-1 - I| < 1 gives existence only
+        mat = op.materialize()
+        eye = np.eye(mat.shape[0])
+        dev = float(np.linalg.norm(mat - eye, 2))
+        report = analyze_qcp_operator(op)
+        inv_dev = None
+        if report.invertible:
+            inv_dev = float(np.linalg.norm(np.linalg.inv(mat) - eye, 2))
+        guarantee, ratio = Guarantee.NONE, None
+        if report.is_positive_definite and dev < 1.0:
+            guarantee, ratio = Guarantee.Q_LINEAR, dev
+        elif dev < 0.5:
+            guarantee, ratio = Guarantee.Q_LINEAR, dev / (1.0 - dev)
+        elif dev < 1.0 or (inv_dev is not None and inv_dev < 1.0):
+            guarantee = Guarantee.EXISTENCE_UNIQUENESS
+        assert report.guarantee is guarantee
+        assert report.predicted_ratio == pytest.approx(ratio, rel=1e-14, abs=0)
+        assert report.norm_T_inv == pytest.approx(dev, rel=1e-14)
+
 
 class TestAnalyzeProblem:
     def test_point_linear_uses_plain_analyzer(self):
