@@ -185,12 +185,20 @@ def canonical_solver(name: str) -> str:
         raise ValueError(f"unknown solver {name!r}") from None
 
 
-def _run_solver(name: str, problem: NcmProblem, tol: float) -> SolveReport:
+def default_max_iter(name: str) -> int:
+    """Iteration cap of the canonical solver ``name`` when none is given."""
+    return _BASELINE_MAX_ITER if name == SOLVER_BASELINE else _NEWTON_MAX_ITER
+
+
+def run_solver(name: str, problem: NcmProblem, tol: float, max_iter=None) -> SolveReport:
+    """Run the canonical solver ``name``; ``max_iter=None`` takes its default."""
+    if max_iter is None:
+        max_iter = default_max_iter(name)
     if name == SOLVER_NEWTON:
-        return solve_ncm(problem, tol=tol, max_iter=_NEWTON_MAX_ITER)
+        return solve_ncm(problem, tol=tol, max_iter=max_iter)
     if name == SOLVER_DIAGONAL:
-        return solve_ncm_diagonal(problem, tol=tol, max_iter=_NEWTON_MAX_ITER)
-    return solve_ncm_baseline(problem, tol=tol, max_iter=_BASELINE_MAX_ITER)
+        return solve_ncm_diagonal(problem, tol=tol, max_iter=max_iter)
+    return solve_ncm_baseline(problem, tol=tol, max_iter=max_iter)
 
 
 def profile(times: np.ndarray, tau_grid=None) -> ProfileTable:
@@ -249,7 +257,7 @@ def run_suite(
 
     warmup = NcmProblem(np.eye(8) + 0.01)
     for name in names:
-        _run_solver(name, warmup, tol=1e-4)
+        run_solver(name, warmup, tol=1e-4)
 
     rows = []
     raw = []
@@ -260,7 +268,7 @@ def run_suite(
             for name in names:
                 begin = time.perf_counter()
                 try:
-                    report = _run_solver(name, problem, tol)
+                    report = run_solver(name, problem, tol)
                     iterations = report.iterations
                     converged = report.termination is Termination.RESIDUAL_TOL
                 except NumericalFailureError as exc:

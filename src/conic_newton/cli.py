@@ -24,6 +24,8 @@ from . import __version__
 from .bench import (
     ExperimentConfig,
     canonical_solver,
+    default_max_iter,
+    run_solver,
     run_suite,
     summarize,
     write_profile_csv,
@@ -38,7 +40,7 @@ from .matrixio import (
     symmetrize_checked,
     write_matrix,
 )
-from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline, solve_ncm_diagonal
+from .ncm import NcmProblem, _check_tol
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
@@ -147,16 +149,13 @@ def cmd_ncm(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    name = canonical_solver(args.method)
+    max_iter = args.max_iter if args.max_iter is not None else default_max_iter(name)
     try:
-        if args.method == "newton":
-            max_iter = args.max_iter if args.max_iter is not None else 200
-            report = solve_ncm(problem, tol=args.tol, max_iter=max_iter)
-        elif args.method == "diagonal":
-            max_iter = args.max_iter if args.max_iter is not None else 200
-            report = solve_ncm_diagonal(problem, tol=args.tol, max_iter=max_iter)
-        else:
-            max_iter = args.max_iter if args.max_iter is not None else 5000
-            report = solve_ncm_baseline(problem, tol=args.tol, max_iter=max_iter)
+        report = run_solver(name, problem, args.tol, max_iter)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -192,6 +191,7 @@ def cmd_bench(args) -> int:
         default_n = "200,400" if experiment == "E58" else "100,200,300"
         ns = _parse_list(args.n if args.n is not None else default_n, int)
         solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
+        _check_tol(args.tol)
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("CONIC_NEWTON_SEED", "0"))

@@ -22,7 +22,6 @@ output as it comes, eigenvalues ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -70,63 +69,125 @@ class JacobianElement:
     produced the element (orthant activity set, second-order cone region,
     eigenvalue sign pattern).  Two elements with equal keys came from the
     same branch, which is what the repeat-pattern stopping rule compares;
-    for a diagonal element the key also fixes the diagonal.
+    for a :class:`Diagonal` element the key also fixes the diagonal.
 
-    The element holds its ``diagonal`` when it is diagonal, or else an apply
-    function together with ``add_fn``, which adds the dense matrix into a
-    given square array in place, or ``build_fn``, which forms the dense
-    matrix in closed form on the first :meth:`materialize` call.
-    ``diagonal`` is None for an element that is not diagonal.
+    Each kind holds the structure its cone gives it: :class:`Diagonal`,
+    :class:`SocBoundary`, :class:`Spectral`, or :class:`Block` for a
+    product with a part that is not diagonal.
     """
 
-    def __init__(
-        self,
-        cone: "Cone",
-        pattern_key,
-        apply_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        build_fn: Callable[[], np.ndarray] | None = None,
-        add_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        diagonal: np.ndarray | None = None,
-    ):
-        if diagonal is None and (apply_fn is None or (build_fn is None and add_fn is None)):
-            raise ValueError(
-                "need a diagonal, or an apply function and a builder or an adder"
-            )
-        self.cone = cone
-        self.pattern_key = pattern_key
-        self._matrix = None
-        self._apply_fn = apply_fn
-        self._build_fn = build_fn
-        self._add_fn = add_fn
-        self.diagonal = None if diagonal is None else np.asarray(diagonal, dtype=float)
+    pattern_key: object
+    size: int
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        vector = self.cone._checked(vector)
-        if self.diagonal is not None:
-            return self.diagonal * vector
-        return self._apply_fn(vector)
-
-    def materialize(self) -> np.ndarray:
-        """Dense ambient_dim x ambient_dim matrix of the element (cached)."""
-        if self._matrix is None:
-            if self.diagonal is not None:
-                self._matrix = np.diag(self.diagonal)
-            elif self._build_fn is not None:
-                self._matrix = self._build_fn()
-            else:
-                d = self.cone.ambient_dim
-                self._matrix = self._add_fn(np.zeros((d, d)))
-        return self._matrix
+        raise NotImplementedError
 
     def add_to(self, out: np.ndarray) -> np.ndarray:
         """Add the element into the square array ``out`` in place; return it."""
-        if self.diagonal is not None:
-            idx = np.arange(self.diagonal.size)
-            out[idx, idx] += self.diagonal
-        elif self._add_fn is not None:
-            self._add_fn(out)
-        else:
-            out += self.materialize()
+        raise NotImplementedError
+
+    def materialize(self) -> np.ndarray:
+        """Dense size x size matrix of the element."""
+        return self.add_to(np.zeros((self.size, self.size)))
+
+    def _checked(self, vector: np.ndarray) -> np.ndarray:
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape != (self.size,):
+            raise DimensionMismatchError(
+                f"element of size {self.size} got vector of shape {vector.shape}"
+            )
+        return vector
+
+
+class Diagonal(JacobianElement):
+    """A diagonal element: orthant, free space, second-order cone interior,
+    polar and origin, and any product of these."""
+
+    def __init__(self, pattern_key, diagonal: np.ndarray):
+        self.pattern_key = pattern_key
+        self.diagonal = np.asarray(diagonal, dtype=float)
+        self.size = self.diagonal.size
+
+    def apply(self, vector):
+        return self.diagonal * self._checked(vector)
+
+    def add_to(self, out):
+        idx = np.arange(self.size)
+        out[idx, idx] += self.diagonal
+        return out
+
+
+class SocBoundary(JacobianElement):
+    """``[[1, w^T], [w, a I - c w w^T]] / 2`` at a second-order cone point
+    off both the cone and its polar, with ``w`` the unit tail."""
+
+    pattern_key = ("soc", "boundary")
+
+    def __init__(self, w: np.ndarray, a: float, c: float):
+        self.w, self.a, self.c = w, a, c
+        self.size = w.size + 1
+
+    def apply(self, vector):
+        vector = self._checked(vector)
+        w, a, c = self.w, self.a, self.c
+        wv = w @ vector[1:]
+        out = np.empty(self.size)
+        out[0] = 0.5 * (vector[0] + wv)
+        out[1:] = 0.5 * ((vector[0] - c * wv) * w + a * vector[1:])
+        return out
+
+    def add_to(self, out):
+        w = self.w
+        out[0, 0] += 0.5
+        out[0, 1:] += 0.5 * w
+        out[1:, 0] += 0.5 * w
+        out[1:, 1:] -= (0.5 * self.c * w)[:, None] * w
+        idx = np.arange(1, self.size)
+        out[idx, idx] += 0.5 * self.a
+        return out
+
+
+class Spectral(JacobianElement):
+    """``H -> U (omega o U^T H U) U^T`` in svec coordinates, from the
+    eigenvectors ``u`` and the scaling matrix ``omega`` of :func:`_psd_omega`."""
+
+    def __init__(self, pattern_key, u: np.ndarray, omega: np.ndarray):
+        self.pattern_key, self.u, self.omega = pattern_key, u, omega
+        self.size = u.shape[0] * (u.shape[0] + 1) // 2
+
+    def apply(self, vector):
+        u = self.u
+        out = u @ (self.omega * (u.T @ smat(self._checked(vector)) @ u)) @ u.T
+        return svec(0.5 * (out + out.T))
+
+    def materialize(self):
+        return _psd_jacobian_matrix(self.u, self.omega)
+
+    def add_to(self, out):
+        out += self.materialize()
+        return out
+
+
+class Block(JacobianElement):
+    """Block-diagonal element of a product with a part that is not diagonal;
+    part i acts on coordinates ``offsets[i]:offsets[i + 1]``."""
+
+    def __init__(self, pattern_key, parts: tuple[JacobianElement, ...], offsets):
+        self.pattern_key, self.parts, self.offsets = pattern_key, parts, offsets
+        self.size = int(offsets[-1])
+
+    def _slices(self):
+        return map(slice, self.offsets[:-1], self.offsets[1:])
+
+    def apply(self, vector):
+        vector = self._checked(vector)
+        return np.concatenate(
+            [part.apply(vector[s]) for part, s in zip(self.parts, self._slices())]
+        )
+
+    def add_to(self, out):
+        for part, s in zip(self.parts, self._slices()):
+            part.add_to(out[s, s])
         return out
 
 
@@ -196,10 +257,7 @@ class Orthant(Cone):
     def jacobian_element(self, x):
         x = self._checked(x)
         active = x > 0.0
-        return JacobianElement(
-            self, pattern_key=("orthant", active.tobytes()),
-            diagonal=active.astype(float),
-        )
+        return Diagonal(("orthant", active.tobytes()), active.astype(float))
 
 
 @dataclass(frozen=True)
@@ -235,36 +293,14 @@ class SecondOrder(Cone):
         head, tail = x[0], x[1:]
         tail_norm = np.linalg.norm(tail)
         if tail_norm < head:
-            return JacobianElement(self, ("soc", "interior"), diagonal=np.ones(self.n))
+            return Diagonal(("soc", "interior"), np.ones(self.n))
         if tail_norm < -head:
-            return JacobianElement(self, ("soc", "polar"), diagonal=np.zeros(self.n))
+            return Diagonal(("soc", "polar"), np.zeros(self.n))
         if tail_norm == 0.0:
             # origin: identity is a valid limit element from the interior
-            return JacobianElement(self, ("soc", "interior"), diagonal=np.ones(self.n))
-        # V = [[1, w^T], [w, a I - c w w^T]] / 2 with w the unit tail
-        w = tail / tail_norm
-        a = (head + tail_norm) / tail_norm
-        c = head / tail_norm
-
-        def apply_fn(vector):
-            wv = w @ vector[1:]
-            out = np.empty(self.n)
-            out[0] = 0.5 * (vector[0] + wv)
-            out[1:] = 0.5 * ((vector[0] - c * wv) * w + a * vector[1:])
-            return out
-
-        def add_fn(out):
-            half_w = 0.5 * w
-            out[0, 0] += 0.5
-            out[0, 1:] += half_w
-            out[1:, 0] += half_w
-            out[1:, 1:] -= (0.5 * c * w)[:, None] * w
-            idx = np.arange(1, self.n)
-            out[idx, idx] += 0.5 * a
-            return out
-
-        return JacobianElement(
-            self, ("soc", "boundary"), apply_fn=apply_fn, add_fn=add_fn
+            return Diagonal(("soc", "interior"), np.ones(self.n))
+        return SocBoundary(
+            tail / tail_norm, (head + tail_norm) / tail_norm, head / tail_norm
         )
 
 
@@ -297,19 +333,8 @@ class PsdCone(Cone):
         return np.linalg.eigh(smat(self._checked(x)))
 
     def _element(self, lam, u):
-        omega = _psd_omega(lam)
         signs = tuple(1 if v > 0.0 else -1 for v in lam)
-
-        def apply_fn(vector):
-            h = smat(vector)
-            inner = u.T @ h @ u
-            out = u @ (omega * inner) @ u.T
-            return svec(0.5 * (out + out.T))
-
-        return JacobianElement(
-            self, ("psd", signs), apply_fn=apply_fn,
-            build_fn=lambda: _psd_jacobian_matrix(u, omega),
-        )
+        return Spectral(("psd", signs), u, _psd_omega(lam))
 
 
 def _positive_count(vals: np.ndarray) -> int:
@@ -394,7 +419,7 @@ class FreeSpace(Cone):
 
     def jacobian_element(self, x):
         self._checked(x)
-        return JacobianElement(self, ("free",), diagonal=np.ones(self.n))
+        return Diagonal(("free",), np.ones(self.n))
 
 
 @dataclass(frozen=True)
@@ -440,24 +465,7 @@ class Product(Cone):
 
     def _element(self, elements):
         key = ("product", tuple(el.pattern_key for el in elements))
-        if all(el.diagonal is not None for el in elements):
-            return JacobianElement(
-                self, key, diagonal=np.concatenate([el.diagonal for el in elements])
-            )
-        off = self._offsets()
-
-        def apply_fn(vector):
-            return np.concatenate(
-                [
-                    el.apply(vector[off[i]:off[i + 1]])
-                    for i, el in enumerate(elements)
-                ]
-            )
-
-        def add_fn(out):
-            for i, el in enumerate(elements):
-                el.add_to(out[off[i]:off[i + 1], off[i]:off[i + 1]])
-            return out
-
-        return JacobianElement(self, key, apply_fn=apply_fn, add_fn=add_fn)
+        if all(isinstance(el, Diagonal) for el in elements):
+            return Diagonal(key, np.concatenate([el.diagonal for el in elements]))
+        return Block(key, tuple(elements), self._offsets())
 

@@ -301,6 +301,13 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
     )
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a negative, NaN or infinite tolerance.  Zero asks for an exact
+    root; a run that cannot reach it ends in ``NumericalFailureError``."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+
+
 def _iterate(
     problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int
 ) -> SolveReport:
@@ -310,6 +317,7 @@ def _iterate(
     A step that returns its input unchanged cannot make progress, which
     raises ``NumericalFailureError``.
     """
+    _check_tol(tol)
     start = time.perf_counter()
     state = _state_of(problem, d0)
     residuals = [state.residual]
@@ -380,6 +388,7 @@ def solve_ncm_baseline(
     measured with the same residual as the Newton solver.  The report's
     ``solution`` is the last matrix projected onto the cone.
     """
+    _check_tol(tol)
     start = time.perf_counter()
     diag_idx = np.arange(problem.n)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cones import Diagonal
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
@@ -57,8 +58,8 @@ class NewtonConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -71,7 +72,6 @@ class SolveReport:
     residuals: list[float]
     termination: Termination
     wall_time_seconds: float
-    ratio_estimates: list[float] | None = None
     iterates: list[np.ndarray] | None = None
 
 
@@ -133,7 +133,7 @@ def _newton_matrix(T_dense, element, form):
         # zeros, as adding V's zeros did
         return element.add_to(T_dense + 0.0)
     eye = np.eye(T_dense.shape[0])
-    if element.diagonal is not None:
+    if isinstance(element, Diagonal):
         # T @ Diag(v) + I bit for bit: each entry of the product sums one
         # term T_ij v_j and signed zeros, and adding I clears the zeros' sign
         return T_dense * element.diagonal + eye
@@ -318,11 +318,11 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     else:
         prev_key = element.pattern_key
         # diagonal patterns met since the last least-squares step
-        seen = {prev_key} if element.diagonal is not None else set()
+        seen = {prev_key} if isinstance(element, Diagonal) else set()
         lstsq_fail_streak = 0
         for k in range(1, config.max_iter + 1):
             try:
-                if projection_linear and element.diagonal is not None:
+                if projection_linear and isinstance(element, Diagonal):
                     x_next, used_lstsq = _active_set_step(
                         T_dense, element, rhs, probe_norms
                     )
@@ -372,7 +372,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             if res <= config.tol:
                 termination = Termination.RESIDUAL_TOL
                 break
-            if element.diagonal is not None:
+            if isinstance(element, Diagonal):
                 # the step from here repeats the one from the earlier visit,
                 # so the iterates since then repeat without end; none of
                 # them stopped, and none was a least-squares step
@@ -385,9 +385,6 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             termination = Termination.MAX_ITER
 
     elapsed = time.perf_counter() - start
-    ratios = None
-    if config.record_history:
-        ratios = _error_ratios(iterates, iterates[-1])
     return SolveReport(
         solution=np.ldexp(x, shift),
         projected_solution=np.ldexp(projected, shift),
@@ -395,18 +392,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         residuals=residuals,
         termination=termination,
         wall_time_seconds=elapsed,
-        ratio_estimates=ratios,
         iterates=iterates,
     )
-
-
-def _error_ratios(iterates, reference):
-    ratios = []
-    errors = [float(np.linalg.norm(it - reference)) for it in iterates]
-    for prev, curr in zip(errors, errors[1:]):
-        if prev > 0.0:
-            ratios.append(curr / prev)
-    return ratios
 
 
 def measure_ratios(
@@ -426,4 +413,5 @@ def measure_ratios(
             f"reference point is not a root (residual {ref_res:.3e} > 1e-10)"
         )
     report = solve(problem, replace(config, record_history=True))
-    return _error_ratios(report.iterates, reference)
+    errors = [float(np.linalg.norm(it - reference)) for it in report.iterates]
+    return [curr / prev for prev, curr in zip(errors, errors[1:]) if prev > 0.0]

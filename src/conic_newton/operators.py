@@ -20,14 +20,11 @@ from .exceptions import DimensionMismatchError
 
 
 class LinearOperator:
-    """Square linear map with explicit apply, adjoint, and densification."""
+    """Square linear map with explicit apply and densification."""
 
     dim: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def materialize(self) -> np.ndarray:
@@ -63,9 +60,6 @@ class DenseOperator(LinearOperator):
     def apply(self, x):
         return self.matrix @ self._checked(x)
 
-    def apply_adjoint(self, x):
-        return self.matrix.T @ self._checked(x)
-
     def materialize(self):
         return self.matrix.copy()
 
@@ -82,9 +76,6 @@ class ScaledIdentity(LinearOperator):
             raise ValueError(f"identity scale must be finite, got {self.scale}")
 
     def apply(self, x):
-        return self.scale * self._checked(x)
-
-    def apply_adjoint(self, x):
         return self.scale * self._checked(x)
 
     def materialize(self):
@@ -112,10 +103,6 @@ class ShiftedDense(LinearOperator):
     def apply(self, x):
         x = self._checked(x)
         return self.q_matrix @ x - x
-
-    def apply_adjoint(self, x):
-        x = self._checked(x)
-        return self.q_matrix.T @ x - x
 
     def materialize(self):
         return self.q_matrix - np.eye(self.dim)
@@ -156,13 +143,6 @@ class AugmentedKkt(LinearOperator):
         z = self._checked(z)
         x, lam = self._split(z)
         top = self.quadratic.apply(x) + self.constraint.T @ lam - x
-        bottom = self.constraint @ x - lam
-        return np.concatenate([top, bottom])
-
-    def apply_adjoint(self, z):
-        z = self._checked(z)
-        x, lam = self._split(z)
-        top = self.quadratic.apply_adjoint(x) + self.constraint.T @ lam - x
         bottom = self.constraint @ x - lam
         return np.concatenate([top, bottom])
 

@@ -76,6 +76,20 @@ class TestSolvePe:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_infinite_tol_is_input_error(self, tmp_path, capsys):
+        t_path = tmp_path / "T.mtx"
+        b_path = tmp_path / "b.mtx"
+        write_matrix(t_path, np.array([[2.0]]))
+        write_vector(b_path, np.array([5.0]))
+        out = tmp_path / "r.json"
+        code = main([
+            "solve-pe", "--cone", "orthant:1", "--T", str(t_path),
+            "--b", str(b_path), "--tol", "inf", "--out", str(out),
+        ])
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_psd_cone_with_x0(self, tmp_path):
         # psd:2 works on scaled-vectorized coordinates of length 3
         t_path = tmp_path / "T.mtx"
@@ -216,6 +230,20 @@ class TestNcmCommand:
         assert code == 3
         assert "no step decreases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["newton", "diagonal", "baseline"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_tol_is_input_error(self, tmp_path, capsys, method, tol):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, np.array([[1.0]]))
+        out_report = tmp_path / "r.json"
+        code = main([
+            "ncm", "--input", str(g_path), "--tol", tol, "--method", method,
+            "--out-matrix", str(tmp_path / "c.mtx"), "--out-report", str(out_report),
+        ])
+        assert code == 1
+        assert "error: tol must be" in capsys.readouterr().err
+        assert not out_report.exists()
+
     @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
     def test_no_positive_eigenvalue_converges(self, tmp_path, g):
         g_path = tmp_path / "g.mtx"
@@ -334,12 +362,15 @@ class TestBenchCommand:
             assert cells[8] == "1"  # converged
 
     def test_invalid_parameters(self, tmp_path):
-        code = main([
-            "bench", "--experiment", "5.8", "--n", "10", "--alpha", "0.001",
-            "--ell", "99", "--seed", "1", "--replicates", "1",
-            "--solvers", "newton", "--out-dir", str(tmp_path),
-        ])
-        assert code == 1
+        common = ["bench", "--n", "10", "--seed", "1", "--replicates", "1",
+                  "--solvers", "newton", "--out-dir", str(tmp_path)]
+        for extra in (
+            ["--experiment", "5.8", "--alpha", "0.001", "--ell", "99"],
+            ["--experiment", "5.6", "--tol", "nan"],
+        ):
+            code = main(common + extra)
+            assert code == 1, extra
+        assert not (tmp_path / "raw.csv").exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONIC_NEWTON_SEED", "123")

@@ -15,14 +15,47 @@ from conic_newton import (
     smat,
     svec,
 )
-from conic_newton.cones import _psd_jacobian_matrix, _psd_omega, _psd_part
+from conic_newton.cones import (
+    Block,
+    Diagonal,
+    SocBoundary,
+    Spectral,
+    _psd_jacobian_matrix,
+    _psd_omega,
+    _psd_part,
+)
 from conftest import CONE_CASES, random_point, random_symmetric
 
 
 def column_reference(element):
     """Dense matrix of an element built one basis vector at a time by apply."""
-    d = element.cone.ambient_dim
-    return np.column_stack([element.apply(e) for e in np.eye(d)])
+    return np.column_stack([element.apply(e) for e in np.eye(element.size)])
+
+
+def assert_kind(cone, x, element):
+    """The element has the kind its cone's region gives: Spectral on the
+    semidefinite cone, SocBoundary off the second-order cone's interior,
+    polar and origin, Block for a product with such a part, and Diagonal
+    everywhere else."""
+    if isinstance(cone, Product):
+        pieces = cone.split(x)
+        parts = [p.jacobian_element(piece) for p, piece in zip(cone.parts, pieces)]
+        for part, piece, el in zip(cone.parts, pieces, parts):
+            assert_kind(part, piece, el)
+        if all(isinstance(el, Diagonal) for el in parts):
+            assert isinstance(element, Diagonal)
+        else:
+            assert isinstance(element, Block)
+            assert [type(el) for el in element.parts] == [type(el) for el in parts]
+    elif isinstance(cone, PsdCone):
+        assert isinstance(element, Spectral)
+    elif isinstance(cone, SecondOrder):
+        tail_norm = np.linalg.norm(x[1:])
+        on_boundary = tail_norm > 0.0 and -tail_norm <= x[0] <= tail_norm
+        assert isinstance(element, SocBoundary if on_boundary else Diagonal)
+    else:
+        assert isinstance(element, Diagonal)
+    assert element.size == cone.ambient_dim
 
 
 def psd_kink_points(n, rng):
@@ -418,7 +451,8 @@ def assert_same_linearization(cone, x):
     reference = cone.jacobian_element(x)
     assert projected.tobytes() == cone.project(x).tobytes()
     assert element.pattern_key == reference.pattern_key
-    assert (element.diagonal is None) == (reference.diagonal is None)
+    assert type(element) is type(reference)
+    assert_kind(cone, x, element)
     assert element.materialize().tobytes() == reference.materialize().tobytes()
 
 
@@ -453,7 +487,8 @@ class TestAddTo:
         t = signed_zero_matrix(np.random.default_rng(seed), cone.ambient_dim)
         reference = element.materialize() + t
         out = element.add_to(t + 0.0)
-        if element.diagonal is not None:
+        assert_kind(cone, x, element)
+        if isinstance(element, Diagonal):
             assert out.tobytes() == reference.tobytes()
         else:
             gap = np.linalg.norm(out - reference)
@@ -463,7 +498,7 @@ class TestAddTo:
                              ids=["interior", "polar", "origin"])
     def test_soc_interior_and_polar_are_diagonal(self, x):
         element = SecondOrder(3).jacobian_element(x)
-        assert element.diagonal is not None
+        assert isinstance(element, Diagonal)
         np.testing.assert_array_equal(element.diagonal, np.full(3, float(x[0] >= 0.0)))
 
     @settings(max_examples=200)

@@ -256,6 +256,15 @@ class TestResidual:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "solver", [solve_ncm, solve_ncm_diagonal, solve_ncm_baseline],
+        ids=["newton", "diagonal", "baseline"],
+    )
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_invalid_tol_raises(self, solver, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solver(NcmProblem(np.array([[1.0]])), tol=tol)
+
     def test_identity_converges_immediately(self):
         report = solve_ncm(NcmProblem(np.eye(5)))
         assert report.iterations == 0

@@ -32,6 +32,7 @@ from conic_newton import (
 )
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
+from conic_newton.cones import Block, Diagonal
 from conic_newton.newton import _PROBE_COLUMNS, _active_set_step, _newton_matrix
 from conftest import CONE_CASES, random_point
 
@@ -59,6 +60,16 @@ class TestResidual:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": -1.0}, {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf},
+         {"max_iter": 0}],
+        ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "max-iter-zero"],
+    )
+    def test_config_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            NewtonConfig(**kwargs)
+
     def test_two_step_orthant_example(self):
         report = solve(orthant_problem(), NewtonConfig())
         np.testing.assert_allclose(report.solution, [1.0, -1.0])
@@ -153,7 +164,6 @@ class TestSolve:
     def test_history_off_keeps_no_iterates(self):
         report = solve(orthant_problem(), NewtonConfig())
         assert report.iterates is None
-        assert report.ratio_estimates is None
 
     def test_failed_factorization_raises_numerical_failure(self):
         class NanOperator(LinearOperator):
@@ -171,11 +181,11 @@ class TestSolve:
         assert exc_info.value.iteration == 1
         assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_record_history_exposes_ratio_estimates(self):
+    def test_record_history_keeps_every_iterate(self):
         report = solve(orthant_problem(), NewtonConfig(record_history=True))
         assert report.iterates is not None
         assert len(report.iterates) == report.iterations + 1
-        assert report.ratio_estimates is not None
+        assert report.iterates[-1].tobytes() == report.solution.tobytes()
 
 
 class TestNewtonMatrix:
@@ -188,7 +198,7 @@ class TestNewtonMatrix:
         x[[0, 2, 8, 9]] = 0.0  # orthant kinks
         x[[1, 10]] = -0.0
         element = cone.jacobian_element(x)
-        assert element.diagonal is not None
+        assert isinstance(element, Diagonal)
         matrix = _newton_matrix(t_dense, element, EquationForm.PROJECTION_LINEAR)
         reference = t_dense @ element.materialize() + np.eye(12)
         assert matrix.tobytes() == reference.tobytes()
@@ -196,7 +206,7 @@ class TestNewtonMatrix:
     def test_non_diagonal_part_keeps_dense_element(self):
         cone = Product((Orthant(2), SecondOrder(3)))
         element = cone.jacobian_element(np.array([1.0, -1.0, 0.5, 2.0, 0.0]))
-        assert element.diagonal is None
+        assert isinstance(element, Block)
 
 
 def active_set_cases():
@@ -563,7 +573,7 @@ def assert_real_cycle(problem, report):
     keys = [cone.jacobian_element(x).pattern_key for x in report.iterates]
     earlier = keys.index(keys[-1])
     assert earlier < len(keys) - 1
-    assert cone.jacobian_element(report.solution).diagonal is not None
+    assert isinstance(cone.jacobian_element(report.solution), Diagonal)
     step = solve(problem, NewtonConfig(tol=1e-8, x0=report.solution, max_iter=1))
     assert step.solution.tobytes() == report.iterates[earlier + 1].tobytes()
 
