@@ -40,7 +40,7 @@ from .matrixio import (
     symmetrize_checked,
     write_matrix,
 )
-from .ncm import NcmProblem, _check_tol
+from .ncm import NcmProblem, _check_limits
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
@@ -191,7 +191,9 @@ def cmd_bench(args) -> int:
         default_n = "200,400" if experiment == "E58" else "100,200,300"
         ns = _parse_list(args.n if args.n is not None else default_n, int)
         solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
-        _check_tol(args.tol)
+        if not ns or not solvers:
+            raise ValueError("--n and --solvers each need at least one entry")
+        _check_limits(args.tol, max_iter=1)  # each solver runs to its own default limit
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("CONIC_NEWTON_SEED", "0"))

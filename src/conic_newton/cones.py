@@ -21,7 +21,9 @@ output as it comes, eigenvalues ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +42,9 @@ def svec(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise DimensionMismatchError(f"expected a square matrix, got {matrix.shape}")
-    rows, cols = np.triu_indices(n)
-    out = matrix[rows, cols].copy()
-    out[rows != cols] *= _SQRT2
+    rows, cols, scale = _svec_table(n)
+    out = matrix[rows, cols]
+    out *= scale
     return out
 
 
@@ -53,13 +55,30 @@ def smat(vector: np.ndarray) -> np.ndarray:
     n = int(round((np.sqrt(8.0 * m + 1.0) - 1.0) / 2.0))
     if n * (n + 1) // 2 != m:
         raise DimensionMismatchError(f"length {m} is not a triangular number")
-    rows, cols = np.triu_indices(n)
-    vals = vector.copy()
-    vals[rows != cols] /= _SQRT2
+    rows, cols, scale = _svec_table(n)
+    vals = vector / scale
     out = np.zeros((n, n))
     out[rows, cols] = vals
     out[cols, rows] = vals
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _svec_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, scale)`` for matrix order n: the upper-triangle
+    positions in svec order and their svec scale (sqrt(2) off the diagonal,
+    1 on it; scaling by 1 is exact).  The arrays are read-only, so every
+    call for one order shares them."""
+    rows, cols = np.triu_indices(n)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    for table in (rows, cols, scale):
+        table.flags.writeable = False
+    return rows, cols, scale
+
+
+def _diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Writeable view of the main diagonal of a square array or view."""
+    return np.einsum("ii->i", matrix)
 
 
 class JacobianElement:
@@ -82,13 +101,19 @@ class JacobianElement:
     def apply(self, vector: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def add_to(self, out: np.ndarray) -> np.ndarray:
-        """Add the element into the square array ``out`` in place; return it."""
+    def plus(self, base: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``base + V`` for a size x size ``base``, in a new array or in
+        ``out``, which must not overlap ``base``.
+
+        Bit for bit the result is V's entries added into ``base + 0.0``, so
+        no zero in it is negative.  Each kind writes its own structure in the
+        order that needs no second size x size array.
+        """
         raise NotImplementedError
 
     def materialize(self) -> np.ndarray:
         """Dense size x size matrix of the element."""
-        return self.add_to(np.zeros((self.size, self.size)))
+        return self.plus(np.zeros((self.size, self.size)))
 
     def _checked(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=float)
@@ -111,9 +136,9 @@ class Diagonal(JacobianElement):
     def apply(self, vector):
         return self.diagonal * self._checked(vector)
 
-    def add_to(self, out):
-        idx = np.arange(self.size)
-        out[idx, idx] += self.diagonal
+    def plus(self, base, out=None):
+        out = np.add(base, 0.0, out=out)
+        _diagonal(out)[:] += self.diagonal
         return out
 
 
@@ -136,14 +161,20 @@ class SocBoundary(JacobianElement):
         out[1:] = 0.5 * ((vector[0] - c * wv) * w + a * vector[1:])
         return out
 
-    def add_to(self, out):
+    def plus(self, base, out=None):
+        # the rank-1 term, row 0 and column 0 are written into the result
+        # and base is added onto them, so no second array is made; -p + t
+        # rounds as t - p, and adding 0.0 clears the sign of a zero that
+        # base + 0.0 would have cleared
+        if out is None:
+            out = np.empty_like(base)
         w = self.w
-        out[0, 0] += 0.5
-        out[0, 1:] += 0.5 * w
-        out[1:, 0] += 0.5 * w
-        out[1:, 1:] -= (0.5 * self.c * w)[:, None] * w
-        idx = np.arange(1, self.size)
-        out[idx, idx] += 0.5 * self.a
+        out[0, 0] = 0.5
+        out[0, 1:] = out[1:, 0] = 0.5 * w
+        np.multiply.outer(-0.5 * self.c * w, w, out=out[1:, 1:])
+        out += base
+        out += 0.0
+        _diagonal(out)[1:] += 0.5 * self.a
         return out
 
 
@@ -163,9 +194,11 @@ class Spectral(JacobianElement):
     def materialize(self):
         return _psd_jacobian_matrix(self.u, self.omega)
 
-    def add_to(self, out):
-        out += self.materialize()
-        return out
+    def plus(self, base, out=None):
+        # base is added into the product; the product's zeros are +0.0 (its
+        # sums start from +0.0), so the sum has no negative zero
+        matrix = self.materialize()
+        return np.add(matrix, base, out=matrix if out is None else out)
 
 
 class Block(JacobianElement):
@@ -185,9 +218,11 @@ class Block(JacobianElement):
             [part.apply(vector[s]) for part, s in zip(self.parts, self._slices())]
         )
 
-    def add_to(self, out):
+    def plus(self, base, out=None):
+        # base + 0.0 everywhere, then each diagonal block from its part
+        out = np.add(base, 0.0, out=out)
         for part, s in zip(self.parts, self._slices()):
-            part.add_to(out[s, s])
+            part.plus(base[s, s], out=out[s, s])
         return out
 
 
@@ -363,15 +398,17 @@ def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
     ((p, q), (i, j)) of Q is s_pq s_ij (u_pi u_qj + u_pj u_qi) / 2, with
     s = sqrt(2) off the diagonal and 1 on it.
     """
-    n = u.shape[0]
-    rows, cols = np.triu_indices(n)
+    rows, cols, scale = _svec_table(u.shape[0])
     weights = omega[rows, cols]
     keep = weights > 0.0
     i, j = rows[keep], cols[keep]
-    scale = np.where(rows == cols, 1.0, _SQRT2)
     left = scale[:, None] * u[rows]  # left[(p, q), i] = s_pq u_pi
     right = u[cols]  # right[(p, q), j] = u_qj
-    basis = left[:, i] * right[:, j] + left[:, j] * right[:, i]
+    basis = left[:, i]
+    basis *= right[:, j]
+    cross = left[:, j]
+    cross *= right[:, i]
+    basis += cross
     basis *= 0.5 * scale[keep] * np.sqrt(weights[keep])
     return basis @ basis.T
 
@@ -427,24 +464,23 @@ class Product(Cone):
     """Cartesian product of cones over concatenated coordinates."""
 
     parts: tuple[Cone, ...]
+    # part i owns coordinates _offsets[i]:_offsets[i + 1]
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("product cone needs at least one factor")
+        sizes = (p.ambient_dim for p in self.parts)
+        object.__setattr__(self, "_offsets", tuple(itertools.accumulate(sizes, initial=0)))
 
     @property
     def ambient_dim(self) -> int:
-        return sum(p.ambient_dim for p in self.parts)
-
-    def _offsets(self):
-        sizes = [p.ambient_dim for p in self.parts]
-        return np.concatenate([[0], np.cumsum(sizes)])
+        return self._offsets[-1]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         x = self._checked(x)
-        off = self._offsets()
-        return [x[off[i]:off[i + 1]] for i in range(len(self.parts))]
+        return [x[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
 
     def project(self, x):
         return np.concatenate(
@@ -467,5 +503,5 @@ class Product(Cone):
         key = ("product", tuple(el.pattern_key for el in elements))
         if all(isinstance(el, Diagonal) for el in elements):
             return Diagonal(key, np.concatenate([el.diagonal for el in elements]))
-        return Block(key, tuple(elements), self._offsets())
+        return Block(key, tuple(elements), self._offsets)
 

@@ -78,8 +78,10 @@ class NcmProblem:
 
     def __post_init__(self):
         g = np.asarray(self.G, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got {g.shape}")
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
+            raise DimensionMismatchError(
+                f"expected a nonempty square matrix, got shape {g.shape}"
+            )
         # halves first: 0.5 * (g + g.T) overflows for entries near the largest double
         g = 0.5 * g + 0.5 * g.T
         if not np.all(np.isfinite(g)):
@@ -301,11 +303,14 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
     )
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a negative, NaN or infinite tolerance.  Zero asks for an exact
-    root; a run that cannot reach it ends in ``NumericalFailureError``."""
+def _check_limits(tol: float, max_iter: int) -> None:
+    """Reject a negative, NaN or infinite tolerance and an iteration limit
+    below 1.  Zero tol asks for an exact root; a run that cannot reach it
+    ends in ``NumericalFailureError``."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _iterate(
@@ -317,7 +322,7 @@ def _iterate(
     A step that returns its input unchanged cannot make progress, which
     raises ``NumericalFailureError``.
     """
-    _check_tol(tol)
+    _check_limits(tol, max_iter)
     start = time.perf_counter()
     state = _state_of(problem, d0)
     residuals = [state.residual]
@@ -388,7 +393,7 @@ def solve_ncm_baseline(
     measured with the same residual as the Newton solver.  The report's
     ``solution`` is the last matrix projected onto the cone.
     """
-    _check_tol(tol)
+    _check_limits(tol, max_iter)
     start = time.perf_counter()
     diag_idx = np.arange(problem.n)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import Diagonal
+from .cones import Diagonal, _diagonal
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
@@ -129,15 +129,17 @@ def _scale_exponent(b):
 
 def _newton_matrix(T_dense, element, form):
     if form is EquationForm.POINT_LINEAR:
-        # V added into one copy of T; adding 0.0 clears the sign of T's
-        # zeros, as adding V's zeros did
-        return element.add_to(T_dense + 0.0)
-    eye = np.eye(T_dense.shape[0])
+        return element.plus(T_dense)
     if isinstance(element, Diagonal):
-        # T @ Diag(v) + I bit for bit: each entry of the product sums one
-        # term T_ij v_j and signed zeros, and adding I clears the zeros' sign
-        return T_dense * element.diagonal + eye
-    return T_dense @ element.materialize() + eye
+        # T @ Diag(v) bit for bit: each entry of the product sums one term
+        # T_ij v_j and signed zeros
+        matrix = T_dense * element.diagonal
+    else:
+        matrix = T_dense @ element.materialize()
+    # + I in place: adding 0.0 clears the zeros' sign as adding I's zeros did
+    matrix += 0.0
+    _diagonal(matrix)[:] += 1.0
+    return matrix
 
 
 def _probe_gate(matrix_norm, solved_probes, probe_norms):
@@ -191,24 +193,27 @@ def _active_set_step(T_dense, element, rhs, probe_norms):
     exactly singular and the step is the minimum-norm least-squares
     solution of the full system, flagged as lstsq.
     """
-    active = element.diagonal != 0.0
+    active = np.flatnonzero(element.diagonal)
+    inactive = np.flatnonzero(element.diagonal == 0.0)
     weights = element.diagonal[active]
-    r = T_dense[np.ix_(active, active)]
-    c = T_dense[np.ix_(~active, active)]
+    # take keeps R and C C-ordered; T[a][:, a] would be Fortran-ordered,
+    # and LAPACK rounds differently on the other layout
+    columns = T_dense.take(active, axis=1)
     if not np.all(weights == 1.0):
-        r *= weights
-        c *= weights
-    r[np.diag_indices_from(r)] += 1.0
+        columns *= weights
+    r = columns.take(active, axis=0)
+    c = columns.take(inactive, axis=0)
+    _diagonal(r)[:] += 1.0
     x = rhs.copy()
     try:
         x[active] = np.linalg.solve(r, rhs[active])
     except np.linalg.LinAlgError:
         x = rhs[:, 0].copy()
-        x[active] = _min_norm_active_part(r, c, x[active], x[~active])
-        x[~active] -= c @ x[active]
+        x[active] = _min_norm_active_part(r, c, x[active], x[inactive])
+        x[inactive] -= c @ x[active]
         return x, True
-    x[~active] -= c @ x[active]
-    matrix_norm = np.sqrt(np.count_nonzero(~active) + np.vdot(r, r) + np.vdot(c, c))
+    x[inactive] -= c @ x[active]
+    matrix_norm = np.sqrt(inactive.size + np.vdot(r, r) + np.vdot(c, c))
     if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
         return x[:, 0], False
     matrix = _newton_matrix(T_dense, element, EquationForm.PROJECTION_LINEAR)

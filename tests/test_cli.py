@@ -1,9 +1,15 @@
 """Command-line behavior: exit codes, report files, benchmark outputs."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
@@ -244,6 +250,20 @@ class TestNcmCommand:
         assert "error: tol must be" in capsys.readouterr().err
         assert not out_report.exists()
 
+    @pytest.mark.parametrize("method", ["newton", "diagonal", "baseline"])
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_invalid_max_iter_is_input_error(self, tmp_path, capsys, method, max_iter):
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        out_report = tmp_path / "r.json"
+        code = main([
+            "ncm", "--input", str(g_path), "--max-iter", max_iter, "--method", method,
+            "--out-matrix", str(tmp_path / "c.mtx"), "--out-report", str(out_report),
+        ])
+        assert code == 1
+        assert "error: max_iter must be" in capsys.readouterr().err
+        assert not out_report.exists()
+
     @pytest.mark.parametrize("g", STALLING_NCM_INPUTS)
     def test_no_positive_eigenvalue_converges(self, tmp_path, g):
         g_path = tmp_path / "g.mtx"
@@ -367,6 +387,8 @@ class TestBenchCommand:
         for extra in (
             ["--experiment", "5.8", "--alpha", "0.001", "--ell", "99"],
             ["--experiment", "5.6", "--tol", "nan"],
+            ["--experiment", "5.6", "--n", ","],
+            ["--experiment", "5.6", "--solvers", ""],
         ):
             code = main(common + extra)
             assert code == 1, extra
@@ -382,3 +404,102 @@ class TestBenchCommand:
         assert code == 0
         line = (d1 / "raw.csv").read_text().splitlines()[1]
         assert line.split(",")[3] == "123"
+
+
+# Files the property writes: tiny well-formed ones, and malformed ones.
+CLI_FILES = {
+    "matrix": "2,1\n1,2\n",
+    "huge-matrix": "1,1e308\n1e308,1\n",
+    "vector": "1\n-1\n",
+    "huge-vector": "1e308\n-1\n",
+    "empty": "",
+    "ragged": "1,2\n3\n",
+    "zero-by-zero": "%%MatrixMarket matrix array real general\n0 0\n",
+    "non-numeric": "1,x\nx,1\n",
+    "nan": "nan,1\n1,nan\n",
+}
+MALFORMED_FILES = ["empty", "ragged", "zero-by-zero", "non-numeric", "nan"]
+FILE_OPTIONS = ("--T", "--b", "--input")
+
+
+def drawn(valid, invalid=()):
+    """An option value with whether it is valid input."""
+    values = st.sampled_from(valid).map(lambda v: (v, True))
+    if invalid:
+        values |= st.sampled_from(invalid).map(lambda v: (v, False))
+    return values
+
+
+# Option values argparse accepts; the invalid ones are input errors the
+# command itself must catch.  Sizes stay tiny, so bench runs no real suite.
+CLI_OPTIONS = {
+    "solve-pe": {
+        "--cone": drawn(["orthant:2", "soc:2"],
+                        ["orthant:0", "soc:-1", "psd:x", "cube:2", "orthant", "psd:2"]),
+        "--T": drawn(["matrix", "huge-matrix"], MALFORMED_FILES),
+        "--b": drawn(["vector", "huge-vector"], MALFORMED_FILES),
+        "--tol": drawn(["1e-8"], ["0", "-1", "nan", "inf"]),
+        "--max-iter": drawn(["5"], ["0", "-3"]),
+    },
+    "ncm": {
+        "--input": drawn(["matrix", "huge-matrix"], MALFORMED_FILES),
+        "--tol": drawn(["1e-6", "0"], ["-1", "nan", "inf"]),
+        "--max-iter": drawn(["50"], ["0", "-3"]),
+        "--method": drawn(["newton", "diagonal", "baseline"]),
+    },
+    "bench": {
+        "--experiment": drawn(["5.5", "5.6", "5.7", "5.8"]),
+        "--n": drawn(["2"], ["0", "-2", "x", "", ","]),
+        "--replicates": drawn(["1"], ["0", "-1"]),
+        "--tol": drawn(["1e-6"], ["-1", "nan", "inf"]),
+        "--solvers": drawn(["newton", "diagonal", "baseline"], ["", "simplex"]),
+    },
+}
+
+CLI_CASES = st.sampled_from(sorted(CLI_OPTIONS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.fixed_dictionaries(CLI_OPTIONS[command]))
+)
+
+
+def run_cli(tmp, command, options):
+    """Exit code and stderr of one in-process CLI run in directory ``tmp``."""
+    argv = [command]
+    for flag, (value, _) in options.items():
+        argv += [flag, os.path.join(tmp, value) if flag in FILE_OPTIONS else value]
+    argv += {
+        "solve-pe": ["--out", os.path.join(tmp, "r.json")],
+        "ncm": ["--out-matrix", os.path.join(tmp, "c.mtx"),
+                "--out-report", os.path.join(tmp, "r.json")],
+        "bench": ["--seed", "1", "--out-dir", os.path.join(tmp, "bench")],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCliProperty:
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @settings(max_examples=80, deadline=None)
+    @given(CLI_CASES)
+    @example(("ncm", {"--input": ("matrix", True), "--tol": ("1e-6", True),
+                      "--max-iter": ("0", False), "--method": ("newton", True)}))
+    @example(("bench", {"--experiment": ("5.6", True), "--n": ("", False),
+                        "--replicates": ("1", True), "--tol": ("1e-6", True),
+                        "--solvers": ("newton", True)}))
+    @example(("ncm", {"--input": ("zero-by-zero", False), "--tol": ("1e-6", True),
+                      "--max-iter": ("50", True), "--method": ("newton", True)}))
+    def test_every_input_has_a_documented_exit(self, case):
+        # an input error exits 1; a well-formed input solves, hits a limit or
+        # fails numerically (0, 2, 3); nothing raises out of main
+        command, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in CLI_FILES.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            code, err = run_cli(tmp, command, options)
+        assert "Traceback" not in err
+        if all(valid for _, valid in options.values()):
+            assert code in (0, 2, 3), (code, err)
+        else:
+            assert code == 1, (code, err)

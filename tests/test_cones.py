@@ -23,6 +23,7 @@ from conic_newton.cones import (
     _psd_jacobian_matrix,
     _psd_omega,
     _psd_part,
+    _svec_table,
 )
 from conftest import CONE_CASES, random_point, random_symmetric
 
@@ -185,6 +186,41 @@ class TestVectorization:
     def test_rejects_bad_lengths(self):
         with pytest.raises(DimensionMismatchError):
             smat(np.zeros(4))  # not a triangular number
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_index_table_is_shared_and_read_only(self, n):
+        table = _svec_table(n)
+        assert _svec_table(n) is table
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # the results are fresh arrays, not views of the table
+        a = random_symmetric(np.random.default_rng(2), n)
+        v = svec(a)
+        v[:] = np.nan
+        m = smat(svec(a))
+        m[:] = np.nan
+        assert not np.isnan(svec(a)).any() and not np.isnan(smat(svec(a))).any()
+
+    def test_matches_masked_scaling_bit_for_bit(self):
+        # off-diagonal entries times sqrt(2), the diagonal untouched: -0.0,
+        # inf and nan included
+        a = random_symmetric(np.random.default_rng(3), 5)
+        a[0, 0] = a[1, 2] = a[2, 1] = -0.0
+        a[3, 3] = np.inf
+        a[0, 4] = a[4, 0] = np.nan
+        rows, cols = np.triu_indices(5)
+        off = rows != cols
+        expected = a[rows, cols].copy()
+        expected[off] *= np.sqrt(2.0)
+        assert svec(a).tobytes() == expected.tobytes()
+        back = expected.copy()
+        back[off] /= np.sqrt(2.0)
+        m = np.zeros((5, 5))
+        m[rows, cols] = back
+        m[cols, rows] = back
+        assert smat(expected).tobytes() == m.tobytes()
 
 
 class TestPsdPart:
@@ -478,7 +514,58 @@ class TestLinearize:
         assert_same_linearization(*case)
 
 
+def added_in_place(element, out):
+    """The element's entries added into ``out`` in place, kind by kind: the
+    entrywise assembly that ``JacobianElement.plus`` must equal bit for bit."""
+    if isinstance(element, Block):
+        for part, a, b in zip(element.parts, element.offsets, element.offsets[1:]):
+            added_in_place(part, out[a:b, a:b])
+    elif isinstance(element, SocBoundary):
+        w = element.w
+        out[0, 0] += 0.5
+        out[0, 1:] += 0.5 * w
+        out[1:, 0] += 0.5 * w
+        out[1:, 1:] -= (0.5 * element.c * w)[:, None] * w
+        idx = np.arange(1, element.size)
+        out[idx, idx] += 0.5 * element.a
+    elif isinstance(element, Spectral):
+        out += element.materialize()
+    else:
+        idx = np.arange(element.size)
+        out[idx, idx] += element.diagonal
+    return out
+
+
+def plus_kink_cases():
+    """(label, cone, x) at the kinks of every element kind: SOC boundary
+    points with zero and -0.0 tail entries, a zero head (c = 0) and the
+    polar boundary (a = 0); PSD points with zero and repeated eigenvalues;
+    products with SOC and PSD parts; orthant and free coordinates at 0.0
+    and -0.0."""
+    soc = [
+        [5.0, 3.0, 4.0, 0.0, -0.0],
+        [-5.0, 3.0, -0.0, 4.0, 0.0],
+        [0.0, 3.0, 4.0, 0.0, -0.0],
+        [-0.0, -0.0, 2.0, -0.0, 0.0],
+        [1.0, 3.0, -4.0, 1e-300, -1e-300],
+    ]
+    cases = [(f"soc-{i}", SecondOrder(5), np.array(x)) for i, x in enumerate(soc)]
+    cases += [(f"psd-{i}", c, x) for i, (c, x) in enumerate(linearize_kink_cases())
+              if isinstance(c, PsdCone)]
+    mixed = mixed_product_kink_points(np.random.default_rng(31))
+    cases += [(f"block-{i}", MIXED_PRODUCT, x) for i, x in enumerate(mixed)]
+    cases += [
+        ("block-soc-psd", Product((SecondOrder(3), PsdCone(2))),
+         np.array([0.0, 3.0, -0.0, 1.0, -0.0, 0.0])),
+        ("orthant", Orthant(5), np.array([0.0, -0.0, 1.0, -1.0, 2.0])),
+        ("free", FreeSpace(2), np.array([-0.0, 1.0])),
+    ]
+    return cases
+
+
 class TestAddTo:
+    """``JacobianElement.plus``: the element added to a matrix."""
+
     @settings(max_examples=200)
     @given(cone_points(), st.integers(0, 2**16))
     def test_matches_materialized_sum(self, case, seed):
@@ -486,13 +573,37 @@ class TestAddTo:
         element = cone.jacobian_element(x)
         t = signed_zero_matrix(np.random.default_rng(seed), cone.ambient_dim)
         reference = element.materialize() + t
-        out = element.add_to(t + 0.0)
+        out = element.plus(t)
         assert_kind(cone, x, element)
+        assert out.tobytes() == added_in_place(element, t + 0.0).tobytes()
         if isinstance(element, Diagonal):
             assert out.tobytes() == reference.tobytes()
         else:
             gap = np.linalg.norm(out - reference)
             assert gap <= 1e-15 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize(
+        "cone, x", [c[1:] for c in plus_kink_cases()], ids=[c[0] for c in plus_kink_cases()]
+    )
+    def test_equals_in_place_sum_at_kinks(self, cone, x):
+        # byte for byte, zeros' signs included: no entry is -0.0, as in T + 0.0
+        element = cone.jacobian_element(x)
+        t = signed_zero_matrix(np.random.default_rng(33), cone.ambient_dim)
+        t[0, :] = -0.0
+        t[:, -1] = -0.0
+        before = t.tobytes()
+        out = element.plus(t)
+        assert t.tobytes() == before
+        assert out.tobytes() == added_in_place(element, t + 0.0).tobytes()
+        assert not np.signbit(out[out == 0.0]).any()
+
+    def test_kink_cases_cover_every_kind(self):
+        kinds = {type(c.jacobian_element(x)) for _, c, x in plus_kink_cases()}
+        assert kinds == {Diagonal, SocBoundary, Spectral, Block}
+        blocks = [c.jacobian_element(x) for _, c, x in plus_kink_cases()
+                  if isinstance(c, Product)]
+        part_kinds = {type(p) for el in blocks if isinstance(el, Block) for p in el.parts}
+        assert {SocBoundary, Spectral} <= part_kinds
 
     @pytest.mark.parametrize("x", [[5.0, 1.0, 0.0], [-5.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
                              ids=["interior", "polar", "origin"])

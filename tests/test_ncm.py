@@ -265,6 +265,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol"):
             solver(NcmProblem(np.array([[1.0]])), tol=tol)
 
+    @pytest.mark.parametrize(
+        "solver", [solve_ncm, solve_ncm_diagonal, solve_ncm_baseline],
+        ids=["newton", "diagonal", "baseline"],
+    )
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_invalid_max_iter_raises(self, solver, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solver(NcmProblem(np.array([[1.0, 2.0], [2.0, 1.0]])), max_iter=max_iter)
+
     def test_identity_converges_immediately(self):
         report = solve_ncm(NcmProblem(np.eye(5)))
         assert report.iterations == 0
@@ -414,6 +423,11 @@ class TestProblem:
     def test_non_finite_symmetric_part_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             NcmProblem(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+    def test_empty_or_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="nonempty square"):
+            NcmProblem(np.zeros(shape))
 
 
 class TestBaseline:

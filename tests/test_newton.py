@@ -33,7 +33,14 @@ from conic_newton import (
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
 from conic_newton.cones import Block, Diagonal
-from conic_newton.newton import _PROBE_COLUMNS, _active_set_step, _newton_matrix
+from conic_newton.newton import (
+    _PROBE_COLUMNS,
+    _active_set_step,
+    _exact_rule,
+    _min_norm_active_part,
+    _newton_matrix,
+    _probe_gate,
+)
 from conftest import CONE_CASES, random_point
 
 
@@ -208,6 +215,25 @@ class TestNewtonMatrix:
         element = cone.jacobian_element(np.array([1.0, -1.0, 0.5, 2.0, 0.0]))
         assert isinstance(element, Block)
 
+    @pytest.mark.parametrize(
+        "cone, x",
+        [(SecondOrder(4), np.array([0.0, 3.0, -0.0, 4.0])),
+         (PsdCone(3), np.array([2.0, 0.0, -0.0, 0.0, 0.0, -1.0])),
+         (Product((Orthant(2), SecondOrder(3), PsdCone(2))),
+          np.array([0.0, -0.0, -1.0, 0.0, 1.0, 1.0, -0.0, 0.0])),
+         (Product((Orthant(3), FreeSpace(2))), np.array([0.0, -0.0, 1.0, 0.0, -0.0]))],
+        ids=["soc", "psd", "block", "diagonal"],
+    )
+    def test_projection_linear_matches_dense_formula_bit_for_bit(self, cone, x):
+        # I added in place equals T @ V + I, zeros' signs included
+        d = cone.ambient_dim
+        t_dense = np.random.default_rng(14).standard_normal((d, d))
+        t_dense[0, :] = -0.0
+        t_dense[:, 1] = -0.0
+        element = cone.jacobian_element(x)
+        matrix = _newton_matrix(t_dense, element, EquationForm.PROJECTION_LINEAR)
+        assert matrix.tobytes() == (t_dense @ element.materialize() + np.eye(d)).tobytes()
+
 
 def active_set_cases():
     """(label, diagonal element) pairs: every mask shape the reduced step sees."""
@@ -230,7 +256,64 @@ def step_rhs(b):
     return np.column_stack([b, probes]), np.linalg.norm(probes, axis=0)
 
 
+def ix_active_set_step(t_dense, element, rhs, probe_norms):
+    """The active-set step with boolean ``np.ix_`` gathers and an indexed
+    diagonal: the formulas the integer-gather step must equal bit for bit."""
+    active = element.diagonal != 0.0
+    weights = element.diagonal[active]
+    r = t_dense[np.ix_(active, active)]
+    c = t_dense[np.ix_(~active, active)]
+    if not np.all(weights == 1.0):
+        r *= weights
+        c *= weights
+    r[np.diag_indices_from(r)] += 1.0
+    x = rhs.copy()
+    try:
+        x[active] = np.linalg.solve(r, rhs[active])
+    except np.linalg.LinAlgError:
+        x = rhs[:, 0].copy()
+        x[active] = _min_norm_active_part(r, c, x[active], x[~active])
+        x[~active] -= c @ x[active]
+        return x, True
+    x[~active] -= c @ x[active]
+    matrix_norm = np.sqrt(np.count_nonzero(~active) + np.vdot(r, r) + np.vdot(c, c))
+    if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
+        return x[:, 0], False
+    matrix = t_dense * element.diagonal + np.eye(t_dense.shape[0])
+    return _exact_rule(matrix, rhs[:, 0], x[:, 0])
+
+
+def ix_gather_cases():
+    """``active_set_cases`` plus the first step of a program with 20
+    equality rows, large enough that LAPACK's rounding depends on the
+    layout of R and C."""
+    start = Product((Orthant(40), FreeSpace(20))).jacobian_element(np.zeros(60))
+    return active_set_cases() + [("constrained-start", start)]
+
+
 class TestActiveSetStep:
+    @pytest.mark.parametrize(
+        "element", [c[1] for c in ix_gather_cases()],
+        ids=[c[0] for c in ix_gather_cases()],
+    )
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    def test_equals_ix_gathers_bit_for_bit(self, element, singular):
+        rng = np.random.default_rng(24)
+        d = element.diagonal.size
+        weighted = Diagonal(element.pattern_key, element.diagonal * rng.uniform(0.5, 1.0, d))
+        t_dense = rng.standard_normal((d, d)) / np.sqrt(d)
+        if singular:
+            # R = 0 on the active block, as at the start of a constrained program
+            active = np.flatnonzero(element.diagonal)
+            t_dense[np.ix_(active, active)] = 0.0
+            t_dense[active, active] = -1.0
+        rhs, probe_norms = step_rhs(rng.standard_normal(d))
+        for el in (element, weighted):
+            x, used_lstsq = _active_set_step(t_dense, el, rhs, probe_norms)
+            x_ref, used_ref = ix_active_set_step(t_dense, el, rhs, probe_norms)
+            assert x.tobytes() == x_ref.tobytes()
+            assert used_lstsq == used_ref
+
     @pytest.mark.parametrize(
         "element", [c[1] for c in active_set_cases()],
         ids=[c[0] for c in active_set_cases()],
