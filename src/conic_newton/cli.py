@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
 1 input error, 2 iteration limit or pattern cycle, 3 numerical failure or
-singular system.
+singular system.  A usage error that argparse catches (an unknown option,
+a missing one, or a value it cannot convert, such as ``--tol abc``) is an
+input error too, so it exits 1 rather than argparse's 2.
 """
 
 from __future__ import annotations
@@ -242,8 +244,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit ``EXIT_INPUT``; the
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conic-newton",
         description="Semi-smooth Newton solver for conic projection equations.",
     )

@@ -191,14 +191,18 @@ class Spectral(JacobianElement):
         out = u @ (self.omega * (u.T @ smat(self._checked(vector)) @ u)) @ u.T
         return svec(0.5 * (out + out.T))
 
-    def materialize(self):
-        return _psd_jacobian_matrix(self.u, self.omega)
+    def materialize(self, out=None):
+        """Dense size x size matrix of the element, in a new array or in
+        ``out``."""
+        return _psd_jacobian_matrix(self.u, self.omega, out)
 
     def plus(self, base, out=None):
-        # base is added into the product; the product's zeros are +0.0 (its
-        # sums start from +0.0), so the sum has no negative zero
-        matrix = self.materialize()
-        return np.add(matrix, base, out=matrix if out is None else out)
+        # base is added onto the product written in place; the product's
+        # zeros are +0.0 (its sums start from +0.0), so the sum has no
+        # negative zero
+        out = self.materialize(out)
+        out += base
+        return out
 
 
 class Block(JacobianElement):
@@ -386,7 +390,9 @@ def _psd_part(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _psd_jacobian_matrix(
+    u: np.ndarray, omega: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Dense derivative element H -> U (omega o U^T H U) U^T in svec coordinates.
 
     The svec images of u_i u_i^T and (u_i u_j^T + u_j u_i^T)/sqrt(2), i < j,
@@ -397,6 +403,9 @@ def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
     formed: none at a point with no positive eigenvalue.  Entry
     ((p, q), (i, j)) of Q is s_pq s_ij (u_pi u_qj + u_pj u_qi) / 2, with
     s = sqrt(2) off the diagonal and 1 on it.
+
+    ``B B^T`` is written into ``out`` when given (zeros when no column is
+    kept); the product is the same bytes, and bitwise symmetric, either way.
     """
     rows, cols, scale = _svec_table(u.shape[0])
     weights = omega[rows, cols]
@@ -410,7 +419,7 @@ def _psd_jacobian_matrix(u: np.ndarray, omega: np.ndarray) -> np.ndarray:
     cross *= right[:, i]
     basis += cross
     basis *= 0.5 * scale[keep] * np.sqrt(weights[keep])
-    return basis @ basis.T
+    return np.matmul(basis, basis.T, out=out)
 
 
 def _psd_omega(lam: np.ndarray, rows=slice(None)) -> np.ndarray:

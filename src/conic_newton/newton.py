@@ -12,11 +12,14 @@ a repeated selection pattern (confirmed by a residual check) is a sound
 stopping rule alongside the plain residual tolerance.  A diagonal element
 is fixed by its pattern, so the step from an iterate depends only on that
 pattern: once a diagonal pattern recurs, the iteration repeats forever.
+For any element the step depends only on the iterate, so an iterate met
+again bit for bit repeats forever too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass, replace
 
@@ -127,19 +130,32 @@ def _scale_exponent(b):
     return int(np.frexp(peak)[1])
 
 
-def _newton_matrix(T_dense, element, form):
+def _newton_matrix(T_dense, element, form, out=None):
+    """``V + T`` or ``T V + I``, in a new array or in ``out``."""
     if form is EquationForm.POINT_LINEAR:
-        return element.plus(T_dense)
+        return element.plus(T_dense, out=out)
     if isinstance(element, Diagonal):
         # T @ Diag(v) bit for bit: each entry of the product sums one term
         # T_ij v_j and signed zeros
-        matrix = T_dense * element.diagonal
+        matrix = np.multiply(T_dense, element.diagonal, out=out)
     else:
-        matrix = T_dense @ element.materialize()
+        matrix = np.matmul(T_dense, element.materialize(), out=out)
     # + I in place: adding 0.0 clears the zeros' sign as adding I's zeros did
     matrix += 0.0
     _diagonal(matrix)[:] += 1.0
     return matrix
+
+
+@functools.lru_cache(maxsize=32)
+def _probes(d):
+    """``(G, column norms of G)``: the fixed Gaussian probe columns for
+    dimension d.  The arrays are read-only, so every solve of one dimension
+    shares them."""
+    probes = np.random.default_rng(_PROBE_SEED).standard_normal((d, _PROBE_COLUMNS))
+    norms = np.linalg.norm(probes, axis=0)
+    for table in (probes, norms):
+        table.flags.writeable = False
+    return probes, norms
 
 
 def _probe_gate(matrix_norm, solved_probes, probe_norms):
@@ -181,7 +197,7 @@ def _newton_step(matrix, rhs, probe_norms):
     return _exact_rule(matrix, rhs[:, 0], solved[:, 0])
 
 
-def _active_set_step(T_dense, element, rhs, probe_norms):
+def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
     """The projection-linear step ``(T D + I) x = rhs[:, 0]`` for a diagonal D.
 
     With A the coordinates where D is nonzero and I the rest, the matrix is
@@ -191,7 +207,8 @@ def _active_set_step(T_dense, element, rhs, probe_norms):
     matrix, with ``|M|_F^2 = |I| + |R|_F^2 + |C|_F^2``; a step that fails it
     takes the exact rule on the full matrix.  When the LU of R fails, R is
     exactly singular and the step is the minimum-norm least-squares
-    solution of the full system, flagged as lstsq.
+    solution of the full system, flagged as lstsq.  The full matrix goes
+    into ``workspace()`` when that is given.
     """
     active = np.flatnonzero(element.diagonal)
     inactive = np.flatnonzero(element.diagonal == 0.0)
@@ -216,7 +233,8 @@ def _active_set_step(T_dense, element, rhs, probe_norms):
     matrix_norm = np.sqrt(inactive.size + np.vdot(r, r) + np.vdot(c, c))
     if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
         return x[:, 0], False
-    matrix = _newton_matrix(T_dense, element, EquationForm.PROJECTION_LINEAR)
+    out = None if workspace is None else workspace()
+    matrix = _newton_matrix(T_dense, element, EquationForm.PROJECTION_LINEAR, out)
     return _exact_rule(matrix, rhs[:, 0], x[:, 0])
 
 
@@ -258,7 +276,13 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     NumericalFailureError.  When a diagonal derivative element (orthant,
     free and second-order interior or polar blocks) has a pattern already
     met since the last least-squares step, and no other stop fires, the
-    run ends PATTERN_CYCLE: its iterates would repeat without end.
+    run ends PATTERN_CYCLE: its iterates would repeat without end.  So
+    does a run that meets an iterate again, bit for bit, since the last
+    least-squares step, whatever its element.
+
+    The dense Newton matrix of every step is assembled into one d x d
+    array, made at the first dense assembly and reused; a run of
+    active-set steps never makes it.
 
     Each iterate is linearized once (``Cone.linearize``): its projection
     gives the residual, its element the next step, and the last projection
@@ -305,11 +329,10 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     norm_b = min(unscaled(np.linalg.norm(b)), largest)
     confirm_tol = max(config.tol, 1e-9 * (1.0 + norm_b))
     divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
-    probes = np.random.default_rng(_PROBE_SEED).standard_normal(
-        (cone.ambient_dim, _PROBE_COLUMNS)
-    )
+    probes, probe_norms = _probes(cone.ambient_dim)
     rhs = np.column_stack([b, probes])
-    probe_norms = np.linalg.norm(probes, axis=0)
+    # made at the first dense assembly, so active-set steps never make it
+    workspace = functools.cache(lambda: np.empty(T_dense.shape))
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
 
     projected, element = cone.linearize(x)
@@ -322,17 +345,21 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         termination = Termination.RESIDUAL_TOL
     else:
         prev_key = element.pattern_key
-        # diagonal patterns met since the last least-squares step
+        # diagonal patterns, and iterates, met since the last least-squares
+        # step
         seen = {prev_key} if isinstance(element, Diagonal) else set()
+        visited = {x.tobytes()}
         lstsq_fail_streak = 0
         for k in range(1, config.max_iter + 1):
             try:
                 if projection_linear and isinstance(element, Diagonal):
                     x_next, used_lstsq = _active_set_step(
-                        T_dense, element, rhs, probe_norms
+                        T_dense, element, rhs, probe_norms, workspace
                     )
                 else:
-                    matrix = _newton_matrix(T_dense, element, problem.form)
+                    matrix = _newton_matrix(
+                        T_dense, element, problem.form, workspace()
+                    )
                     x_next, used_lstsq = _newton_step(matrix, rhs, probe_norms)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailureError(
@@ -357,6 +384,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
 
             if used_lstsq:
                 seen.clear()
+                visited.clear()
                 if res >= residuals[-2]:
                     lstsq_fail_streak += 1
                     if lstsq_fail_streak >= _LSTSQ_FAIL_LIMIT:
@@ -385,6 +413,13 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
                     termination = Termination.PATTERN_CYCLE
                     break
                 seen.add(element.pattern_key)
+            # the step from an iterate depends on it alone, so an iterate
+            # met again, bit for bit, repeats the same steps without end
+            point = x.tobytes()
+            if point in visited:
+                termination = Termination.PATTERN_CYCLE
+                break
+            visited.add(point)
             prev_key = element.pattern_key
         else:
             termination = Termination.MAX_ITER

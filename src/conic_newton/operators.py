@@ -15,12 +15,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import Cone
+from .cones import Cone, _diagonal
 from .exceptions import DimensionMismatchError
 
 
 class LinearOperator:
-    """Square linear map with explicit apply and densification."""
+    """Square linear map with explicit apply and densification.
+
+    ``materialize`` may return a read-only array that shares memory with
+    the operator; a caller that writes to it copies it first.
+    """
 
     dim: int
 
@@ -61,7 +65,10 @@ class DenseOperator(LinearOperator):
         return self.matrix @ self._checked(x)
 
     def materialize(self):
-        return self.matrix.copy()
+        """A read-only view of ``matrix``: no copy."""
+        view = self.matrix.view()
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,10 @@ class ShiftedDense(LinearOperator):
         return self.q_matrix @ x - x
 
     def materialize(self):
-        return self.q_matrix - np.eye(self.dim)
+        # subtracting I's zeros changes no entry, not even a zero's sign
+        out = self.q_matrix.copy()
+        _diagonal(out)[:] -= 1.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -149,11 +159,14 @@ class AugmentedKkt(LinearOperator):
     def materialize(self):
         d = self.quadratic.dim
         m = self.constraint.shape[0]
-        out = np.zeros((d + m, d + m))
-        out[:d, :d] = self.quadratic.materialize() - np.eye(d)
+        out = np.empty((d + m, d + m))
+        out[:d, :d] = self.quadratic.materialize()
+        _diagonal(out[:d, :d])[:] -= 1.0
         out[:d, d:] = self.constraint.T
         out[d:, :d] = self.constraint
-        out[d:, d:] = -np.eye(m)
+        # -I, with the -0.0 that negating I puts off its diagonal
+        out[d:, d:] = -0.0
+        _diagonal(out[d:, d:])[:] = -1.0
         return out
 
 

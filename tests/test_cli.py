@@ -430,28 +430,30 @@ def drawn(valid, invalid=()):
     return values
 
 
-# Option values argparse accepts; the invalid ones are input errors the
-# command itself must catch.  Sizes stay tiny, so bench runs no real suite.
+# Option values; the invalid ones are input errors that the command itself
+# must catch, or values argparse cannot convert or does not offer ("abc",
+# "1.5" for an integer, "simplex" for --method).  Sizes stay tiny, so bench
+# runs no real suite.
 CLI_OPTIONS = {
     "solve-pe": {
         "--cone": drawn(["orthant:2", "soc:2"],
                         ["orthant:0", "soc:-1", "psd:x", "cube:2", "orthant", "psd:2"]),
         "--T": drawn(["matrix", "huge-matrix"], MALFORMED_FILES),
         "--b": drawn(["vector", "huge-vector"], MALFORMED_FILES),
-        "--tol": drawn(["1e-8"], ["0", "-1", "nan", "inf"]),
-        "--max-iter": drawn(["5"], ["0", "-3"]),
+        "--tol": drawn(["1e-8"], ["0", "-1", "nan", "inf", "abc"]),
+        "--max-iter": drawn(["5"], ["0", "-3", "x", "1.5"]),
     },
     "ncm": {
         "--input": drawn(["matrix", "huge-matrix"], MALFORMED_FILES),
-        "--tol": drawn(["1e-6", "0"], ["-1", "nan", "inf"]),
-        "--max-iter": drawn(["50"], ["0", "-3"]),
-        "--method": drawn(["newton", "diagonal", "baseline"]),
+        "--tol": drawn(["1e-6", "0"], ["-1", "nan", "inf", "abc"]),
+        "--max-iter": drawn(["50"], ["0", "-3", "x"]),
+        "--method": drawn(["newton", "diagonal", "baseline"], ["simplex"]),
     },
     "bench": {
-        "--experiment": drawn(["5.5", "5.6", "5.7", "5.8"]),
+        "--experiment": drawn(["5.5", "5.6", "5.7", "5.8"], ["5.9"]),
         "--n": drawn(["2"], ["0", "-2", "x", "", ","]),
-        "--replicates": drawn(["1"], ["0", "-1"]),
-        "--tol": drawn(["1e-6"], ["-1", "nan", "inf"]),
+        "--replicates": drawn(["1"], ["0", "-1", "x"]),
+        "--tol": drawn(["1e-6"], ["-1", "nan", "inf", "abc"]),
         "--solvers": drawn(["newton", "diagonal", "baseline"], ["", "simplex"]),
     },
 }
@@ -474,8 +476,35 @@ def run_cli(tmp, command, options):
     }[command]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error that argparse reports
+            code = exc.code
     return code, err.getvalue()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["ncm", "--input", "m.mtx", "--tol", "abc"],
+         ["solve-pe", "--cone", "orthant:2", "--T", "t", "--b", "b", "--max-iter", "x"],
+         ["bench", "--experiment", "5.6", "--replicates", "x"],
+         ["ncm"], ["simplex"], []],
+        ids=["tol", "max-iter", "replicates", "missing-option", "unknown-command", "empty"],
+    )
+    def test_exit_as_input_errors(self, argv, capsys):
+        # exit 2 means an iteration limit, so argparse's own code is not used
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["ncm", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestCliProperty:
@@ -489,9 +518,12 @@ class TestCliProperty:
                         "--solvers": ("newton", True)}))
     @example(("ncm", {"--input": ("zero-by-zero", False), "--tol": ("1e-6", True),
                       "--max-iter": ("50", True), "--method": ("newton", True)}))
+    @example(("ncm", {"--input": ("matrix", True), "--tol": ("abc", False),
+                      "--max-iter": ("50", True), "--method": ("newton", True)}))
     def test_every_input_has_a_documented_exit(self, case):
         # an input error exits 1; a well-formed input solves, hits a limit or
-        # fails numerically (0, 2, 3); nothing raises out of main
+        # fails numerically (0, 2, 3); nothing but argparse's exit on a usage
+        # error raises out of main
         command, options = case
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in CLI_FILES.items():

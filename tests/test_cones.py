@@ -597,6 +597,28 @@ class TestAddTo:
         assert out.tobytes() == added_in_place(element, t + 0.0).tobytes()
         assert not np.signbit(out[out == 0.0]).any()
 
+    @pytest.mark.parametrize(
+        "cone, x",
+        [c[1:] for c in plus_kink_cases()]
+        + [(PsdCone(3), -svec(np.eye(3))), (PsdCone(3), np.zeros(6))],
+        ids=[c[0] for c in plus_kink_cases()] + ["psd-negative", "psd-zero"],
+    )
+    def test_writes_every_entry_of_a_dirty_out(self, cone, x):
+        # NaN and -0.0 left in ``out`` must not reach the result
+        element = cone.jacobian_element(x)
+        t = signed_zero_matrix(np.random.default_rng(35), cone.ambient_dim)
+        dirty = np.full_like(t, np.nan)
+        dirty[::2] = -0.0
+        out = element.plus(t, out=dirty)
+        assert out is dirty
+        assert out.tobytes() == element.plus(t).tobytes()
+
+    def test_dirty_out_cases_include_a_point_with_no_positive_eigenvalue(self):
+        for x in (-svec(np.eye(3)), np.zeros(6)):
+            element = PsdCone(3).jacobian_element(x)
+            assert isinstance(element, Spectral)
+            assert not element.omega.any()
+
     def test_kink_cases_cover_every_kind(self):
         kinds = {type(c.jacobian_element(x)) for _, c, x in plus_kink_cases()}
         assert kinds == {Diagonal, SocBoundary, Spectral, Block}

@@ -9,13 +9,17 @@ from conic_newton import (
     DimensionMismatchError,
     EquationForm,
     Guarantee,
+    NewtonConfig,
     Orthant,
     ProjectionEquationProblem,
+    QcpProblem,
     ScaledIdentity,
     ShiftedDense,
     analyze,
     analyze_problem,
     analyze_qcp_operator,
+    solve,
+    solve_qcp,
 )
 
 
@@ -60,6 +64,66 @@ class TestApply:
         for _ in range(10):
             x = rng.standard_normal(op.dim)
             np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-10)
+
+
+def read_only(matrix):
+    matrix = np.array(matrix, dtype=float)
+    matrix.flags.writeable = False
+    return matrix
+
+
+class TestMaterialize:
+    def test_dense_is_a_read_only_view(self):
+        matrix = np.arange(9.0).reshape(3, 3)
+        op = DenseOperator(matrix)
+        view = op.materialize()
+        assert np.shares_memory(view, op.matrix)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+        assert op.matrix.flags.writeable
+        assert view.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "quadratic",
+        [DenseOperator, lambda q: ShiftedDense(q + 1.0), lambda q: ScaledIdentity(-0.5, 5)],
+        ids=["dense", "shifted", "scaled-identity"],
+    )
+    def test_shifted_and_augmented_equal_the_eye_formulas_bit_for_bit(self, quadratic):
+        # zeros' signs included: -0.0 in Q, and the -0.0 off the diagonal of -I
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal((5, 5))
+        q[0, :] = -0.0
+        q[:, 1] = 0.0
+        assert ShiftedDense(q).materialize().tobytes() == (q - np.eye(5)).tobytes()
+        a = rng.standard_normal((2, 5))
+        a[0, 0] = -0.0
+        op = AugmentedKkt(quadratic(q), a)
+        reference = np.zeros((7, 7))
+        reference[:5, :5] = op.quadratic.materialize() - np.eye(5)
+        reference[:5, 5:] = a.T
+        reference[5:, :5] = a
+        reference[5:, 5:] = -np.eye(2)
+        assert op.materialize().tobytes() == reference.tobytes()
+
+    def test_read_only_operator_passes_every_caller(self):
+        # nothing downstream of materialize writes to the operator's matrix
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 6))
+        t = read_only(a @ a.T / 6 + np.eye(6))
+        b = rng.standard_normal(6)
+        config = NewtonConfig(tol=1e-10)
+        for form in EquationForm:
+            problem = ProjectionEquationProblem(Orthant(6), DenseOperator(t), b, form)
+            assert solve(problem, config).residuals[-1] <= 1e-10
+            analyze_problem(problem)
+        analyze(DenseOperator(t))
+        analyze_qcp_operator(DenseOperator(t))
+        for equality in (None, (read_only(rng.standard_normal((2, 6))), np.ones(2))):
+            qcp = QcpProblem(Q=DenseOperator(t), q=b, cone=Orthant(6), equality=equality)
+            kkt, _ = solve_qcp(qcp, config)
+            assert kkt.verified
+        assert t.tobytes() == read_only(a @ a.T / 6 + np.eye(6)).tobytes()
 
 
 class TestAnalyze:
