@@ -39,8 +39,15 @@ unchanged without converging (X with no positive eigenvalue makes diag(V)
 zero, so the step is a no-op) restarts the recursion once from
 X = Ghat + I, whose trace n guarantees a positive eigenvalue.
 
-A Dykstra-corrected alternating-projections solver is included as a
-baseline for benchmarking.
+``solve_ncm_baseline``, kept for benchmarking, is Higham's (2002)
+Dykstra-corrected alternating projections between the semidefinite cone
+and the unit-diagonal set.  That set is affine, so the Dykstra correction
+on it cancels and each iteration changes only the diagonal,
+d <- d - F(d): the unit-step gradient method on theta (Malick 2004).  It
+converges linearly.
+
+All three solvers share one iteration driver and one ``NcmState``: each
+iterate is factored once, and every stop is measured by ``ncm_residual``.
 
 Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
 whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
@@ -95,7 +102,7 @@ class NcmProblem:
 
 @dataclass
 class NcmState:
-    """One iterate X = Ghat + Diag(D_diag) of either Newton method.
+    """One iterate X = Ghat + Diag(D_diag) of any of the solvers.
 
     The off-diagonal of X always equals the off-diagonal of G.  ``eig``
     is ``np.linalg.eigh(X)``, taken when the state is built, so the
@@ -289,6 +296,14 @@ def _step_diagonals(
     return 1.0 - np.einsum("ij,ij->i", u, u), -np.einsum("ij,ij->i", u, ghat @ u)
 
 
+def _gradient_step(state: NcmState) -> NcmState:
+    """One unit gradient step on theta, d <- d - F(d)."""
+    d = state.D_diag - _gradient(state)
+    if not np.all(np.isfinite(d)):
+        raise NumericalFailureError("non-finite iterate")
+    return _state_with_diagonal(state.Ghat, d)
+
+
 def _stalled(prev: NcmState, state: NcmState) -> bool:
     """Whether the step from ``prev`` to ``state`` made no progress.
 
@@ -320,7 +335,8 @@ def _iterate(
     ``tol``.
 
     A step that returns its input unchanged cannot make progress, which
-    raises ``NumericalFailureError``.
+    raises ``NumericalFailureError``; so does a failure inside a step, which
+    carries the iteration it happened in.
     """
     _check_limits(tol, max_iter)
     start = time.perf_counter()
@@ -333,7 +349,12 @@ def _iterate(
     else:
         for k in range(1, max_iter + 1):
             prev = state
-            state = step(state)
+            try:
+                state = step(state)
+            except NumericalFailureError as exc:
+                if exc.iteration is None:
+                    exc.iteration = k
+                raise
             if state is prev:
                 raise NumericalFailureError(
                     f"no step decreases the residual {state.residual:.3g}",
@@ -386,48 +407,12 @@ def solve_ncm_diagonal(
 def solve_ncm_baseline(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 5000
 ) -> SolveReport:
-    """Alternating projections between the unit-diagonal set and the
-    semidefinite cone, with Dykstra's correction on the cone projection.
+    """Alternating projections (``_gradient_step``) starting from X = G.
 
-    Stops when the projected iterate's diagonal defect drops below tol,
-    measured with the same residual as the Newton solver.  The report's
-    ``solution`` is the last matrix projected onto the cone.
+    The unit-step gradient method on the dual theta, d <- d - F(d), which
+    is Dykstra-corrected alternating projections between the semidefinite
+    cone and the unit-diagonal set: that set is affine, so the correction
+    on it cancels and only the diagonal moves.  The report's ``solution``
+    is the last matrix projected onto the cone.
     """
-    _check_limits(tol, max_iter)
-    start = time.perf_counter()
-    diag_idx = np.arange(problem.n)
-
-    r = problem.G.copy()
-    x = _psd_part(*np.linalg.eigh(r))
-    res = float(np.linalg.norm(np.diag(x) - 1.0))
-    residuals = [res]
-    iterations = 0
-    termination = Termination.MAX_ITER
-    if res <= tol:
-        termination = Termination.RESIDUAL_TOL
-    else:
-        correction = x - r
-        y = x.copy()
-        y[diag_idx, diag_idx] = 1.0
-        for k in range(1, max_iter + 1):
-            r = y - correction
-            x = _psd_part(*np.linalg.eigh(r))
-            if not np.all(np.isfinite(x)):
-                raise NumericalFailureError("non-finite iterate", iteration=k)
-            res = float(np.linalg.norm(np.diag(x) - 1.0))
-            residuals.append(res)
-            iterations = k
-            if res <= tol:
-                termination = Termination.RESIDUAL_TOL
-                break
-            correction = x - r
-            y = x.copy()
-            y[diag_idx, diag_idx] = 1.0
-    return SolveReport(
-        solution=r,
-        projected_solution=x,
-        iterations=iterations,
-        residuals=residuals,
-        termination=termination,
-        wall_time_seconds=time.perf_counter() - start,
-    )
+    return _iterate(problem, np.diag(problem.G).copy(), _gradient_step, tol, max_iter)

@@ -393,7 +393,7 @@ class TestReportContract:
                 report.projected_solution, _psd_part(*np.linalg.eigh(report.solution))
             )
 
-    @pytest.mark.parametrize("solver", NCM_SOLVERS[:2])
+    @pytest.mark.parametrize("solver", NCM_SOLVERS)
     def test_newton_solution_keeps_the_off_diagonal_of_g(self, solver):
         for g in report_contract_inputs():
             problem = NcmProblem(g)
@@ -420,6 +420,15 @@ class TestProblem:
                 continue
             assert isinstance(report.termination, Termination)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_failure_inside_a_step_carries_its_iteration(self):
+        # Step 1 moves the diagonal to -1e308 with residual sqrt(2); the
+        # residual after step 2 overflows.
+        problem = NcmProblem(np.array([[1.0, 1e308], [1e308, 1.0]]))
+        with pytest.raises(NumericalFailureError, match="after step") as info:
+            solve_ncm_diagonal(problem)
+        assert info.value.iteration == 2
+
     def test_non_finite_symmetric_part_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             NcmProblem(np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -430,7 +439,46 @@ class TestProblem:
             NcmProblem(np.zeros(shape))
 
 
+def dykstra_reference(g, tol, max_iter=5000):
+    """Higham's alternating projections with Dykstra's correction on the
+    semidefinite cone, as a loop over full matrices."""
+    r = g.copy()
+    x = _psd_part(*np.linalg.eigh(r))
+    residuals = [np.linalg.norm(np.diag(x) - 1.0)]
+    while residuals[-1] > tol and len(residuals) <= max_iter:
+        y = x.copy()
+        np.fill_diagonal(y, 1.0)
+        r = y - (x - r)
+        x = _psd_part(*np.linalg.eigh(r))
+        residuals.append(np.linalg.norm(np.diag(x) - 1.0))
+    converged = residuals[-1] <= tol
+    termination = Termination.RESIDUAL_TOL if converged else Termination.MAX_ITER
+    return len(residuals) - 1, termination, x
+
+
+def baseline_reference_inputs():
+    inputs = report_contract_inputs()
+    for experiment, kw in (("E56", {}), ("E57", {}), ("E58", dict(alpha=1e-3, ell=12))):
+        cfg = ExperimentConfig(experiment, n=24, seed=4, replicates=2, **kw)
+        inputs += [generate(cfg, rep).G for rep in range(2)]
+    return inputs
+
+
 class TestBaseline:
+    @pytest.mark.parametrize("tol", [1e-5, 1e-8])
+    def test_matches_dykstra_reference(self, tol):
+        for g in baseline_reference_inputs():
+            problem = NcmProblem(g)
+            report = solve_ncm_baseline(problem, tol=tol)
+            iterations, termination, x = dykstra_reference(problem.G, tol)
+            assert report.iterations == iterations
+            assert report.termination is termination
+            # The two forms round the diagonal differently, each step at the
+            # scale of G's largest entry; E58's diagonal reaches 2e4.
+            scale = np.abs(problem.G).max()
+            atol = max(1e-12, 100 * np.finfo(float).eps * scale)
+            np.testing.assert_allclose(report.projected_solution, x, rtol=0, atol=atol)
+
     def test_identity(self):
         report = solve_ncm_baseline(NcmProblem(np.eye(4)))
         assert report.iterations == 0
