@@ -30,7 +30,6 @@ from .operators import (
     LinearOperator,
     ProjectionEquationProblem,
     ScaledIdentity,
-    ShiftedDense,
     analyze,
     analyze_problem,
     analyze_qcp_operator,
@@ -71,7 +70,6 @@ __all__ = [
     "QcpProblem",
     "ScaledIdentity",
     "SecondOrder",
-    "ShiftedDense",
     "SolveReport",
     "Termination",
     "analyze",

@@ -8,8 +8,7 @@ Four instance families are supported, named E55 through E58:
 * E57: same with entries in [0, 2].
 * E58: a leading ell x ell block equal to (ell/(1-ell)) * (ones - I), plus a
   random diagonal with entries in [-20000, 20000], plus alpha times a random
-  symmetric perturbation.  The printed block factor is negative for ell >= 2;
-  set ``e58_alternative_factor`` to use ell/(ell-1) instead.
+  symmetric perturbation.  The printed block factor is negative for ell >= 2.
 
 Profiles follow the usual convention: for each problem, each solver's time
 is divided by the best time on that problem, and rho_s(tau) is the fraction
@@ -31,7 +30,7 @@ from .ncm import (
     solve_ncm_baseline,
     solve_ncm_diagonal,
 )
-from .newton import SolveReport, Termination
+from .newton import SolveReport
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
 
@@ -59,7 +58,6 @@ class ExperimentConfig:
     ell: int | None = None
     seed: int = 0
     replicates: int = 10
-    e58_alternative_factor: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -148,8 +146,7 @@ def generate(config: ExperimentConfig, replicate_index: int) -> NcmProblem:
         ell = config.ell
         g = np.zeros((n, n))
         if ell > 1:
-            factor = ell / (ell - 1.0) if config.e58_alternative_factor else ell / (1.0 - ell)
-            g[:ell, :ell] = factor * (np.ones((ell, ell)) - np.eye(ell))
+            g[:ell, :ell] = ell / (1.0 - ell) * (np.ones((ell, ell)) - np.eye(ell))
         g[np.arange(n), np.arange(n)] += rng.uniform(-20000.0, 20000.0, size=n)
         g += config.alpha * _symmetric_uniform(rng, n, -1.0, 1.0)
         g = 0.5 * (g + g.T)
@@ -270,7 +267,7 @@ def run_suite(
                 try:
                     report = run_solver(name, problem, tol)
                     iterations = report.iterations
-                    converged = report.termination is Termination.RESIDUAL_TOL
+                    converged = report.termination.converged
                 except NumericalFailureError as exc:
                     iterations, converged = exc.iteration or 0, False
                 elapsed = time.perf_counter() - begin

@@ -74,7 +74,7 @@ def _parse_cone(spec: str) -> Cone:
 
 
 def _termination_exit(termination: Termination) -> int:
-    if termination in (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT):
+    if termination.converged:
         return EXIT_OK
     if termination in (Termination.MAX_ITER, Termination.PATTERN_CYCLE):
         return EXIT_MAX_ITER

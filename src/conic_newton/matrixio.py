@@ -1,4 +1,4 @@
-"""Reading and writing dense matrices as MatrixMarket or CSV files.
+"""Reading dense matrices from MatrixMarket or CSV files; writing MatrixMarket.
 
 MatrixMarket is the primary interchange format: ASCII, widely supported,
 and exact for doubles when written with 17 significant digits.  Supported
@@ -238,16 +238,9 @@ def _parse_csv(path, lines):
     return np.array(rows)
 
 
-def write_matrix(path, matrix: np.ndarray, fmt: str = "matrixmarket") -> None:
-    """Write a dense matrix; format is 'matrixmarket' or 'csv'."""
+def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a dense matrix as a MatrixMarket ``array real general`` file."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return
-    if fmt != "matrixmarket":
-        raise ValueError(f"unknown format {fmt!r}")
     rows, cols = matrix.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
@@ -276,8 +269,8 @@ def _array_body(matrix):
     return "".join(np.array(lines, dtype=object)[slot.ravel()].tolist())
 
 
-def write_vector(path, vector: np.ndarray, fmt: str = "matrixmarket") -> None:
-    write_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1), fmt=fmt)
+def write_vector(path, vector: np.ndarray) -> None:
+    write_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1))
 
 
 def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:

@@ -49,6 +49,12 @@ class Termination(str, enum.Enum):
     PATTERN_CYCLE = "pattern-cycle"
     SINGULAR_SYSTEM = "singular-system"
 
+    @property
+    def converged(self) -> bool:
+        """Whether the run ended at a root: the residual tolerance, or a
+        repeated pattern confirmed by the residual."""
+        return self in (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT)
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
@@ -213,13 +219,14 @@ def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
     active = np.flatnonzero(element.diagonal)
     inactive = np.flatnonzero(element.diagonal == 0.0)
     weights = element.diagonal[active]
-    # take keeps R and C C-ordered; T[a][:, a] would be Fortran-ordered,
-    # and LAPACK rounds differently on the other layout
-    columns = T_dense.take(active, axis=1)
+    # np.ix_ gathers R and C C-ordered, with no d x |A| array between them;
+    # T[a][:, a] would be Fortran-ordered, and LAPACK rounds differently on
+    # the other layout
+    r = T_dense[np.ix_(active, active)]
+    c = T_dense[np.ix_(inactive, active)]
     if not np.all(weights == 1.0):
-        columns *= weights
-    r = columns.take(active, axis=0)
-    c = columns.take(inactive, axis=0)
+        r *= weights
+        c *= weights
     _diagonal(r)[:] += 1.0
     x = rhs.copy()
     try:

@@ -90,39 +90,11 @@ class ScaledIdentity(LinearOperator):
 
 
 @dataclass(frozen=True)
-class ShiftedDense(LinearOperator):
-    """Q - I for a dense square Q; applies x -> Qx - x."""
-
-    q_matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.q_matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("operator matrix contains non-finite entries")
-        object.__setattr__(self, "q_matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.q_matrix.shape[0]
-
-    def apply(self, x):
-        x = self._checked(x)
-        return self.q_matrix @ x - x
-
-    def materialize(self):
-        # subtracting I's zeros changes no entry, not even a zero's sign
-        out = self.q_matrix.copy()
-        _diagonal(out)[:] -= 1.0
-        return out
-
-
-@dataclass(frozen=True)
 class AugmentedKkt(LinearOperator):
     """Block operator [[Q, A^T], [A, 0]] - I on the primal-multiplier space.
 
     Applied to (x, lam) it returns (Qx + A^T lam - x, Ax - lam) blockwise.
+    With no rows (``constraint`` of shape (0, d)) it is Q - I.
     """
 
     quadratic: LinearOperator
@@ -342,8 +314,8 @@ def analyze_problem(problem: ProjectionEquationProblem) -> GuaranteeReport:
     """Dispatch to the analyzer matching the problem's equation form."""
     if problem.form is EquationForm.POINT_LINEAR:
         return analyze(problem.T)
-    if isinstance(problem.T, ShiftedDense):
-        return analyze_qcp_operator(DenseOperator(problem.T.q_matrix))
+    if isinstance(problem.T, AugmentedKkt) and problem.T.constraint.shape[0] == 0:
+        return analyze_qcp_operator(problem.T.quadratic)
     q_dense = problem.T.materialize() + np.eye(problem.T.dim)
     return analyze_qcp_operator(DenseOperator(q_dense))
 

@@ -3,7 +3,7 @@
 A program  min 0.5 <x, Qx> + <q, x>  over a cone (optionally with linear
 equality constraints Ax = b_eq) reduces to a projection-linear equation:
 
-* unconstrained:  (Q - I) P_K(x) + x = -q
+* unconstrained:  (Q - I) P_K(x) + x = -q, the form below with no rows
 * with equalities, on the product of the cone with a free block for the
   multipliers:  ([[Q, A^T], [A, 0]] - I) P(x, lam) + (x, lam) = (-q, b_eq)
 
@@ -26,7 +26,6 @@ from .operators import (
     EquationForm,
     LinearOperator,
     ProjectionEquationProblem,
-    ShiftedDense,
     as_operator,
 )
 
@@ -84,16 +83,14 @@ class KktPoint:
 
 
 def to_projection_equation(problem: QcpProblem) -> ProjectionEquationProblem:
-    """Reduce the program to its projection-linear equation."""
+    """Reduce the program to its projection-linear equation; a program
+    without equality constraints has no multiplier rows."""
     if problem.equality is None:
-        return ProjectionEquationProblem(
-            cone=problem.cone,
-            T=ShiftedDense(problem.Q.materialize()),
-            b=-problem.q,
-            form=EquationForm.PROJECTION_LINEAR,
-        )
-    a, b_eq = problem.equality
-    cone = Product((problem.cone, FreeSpace(a.shape[0])))
+        a, b_eq = np.empty((0, problem.cone.ambient_dim)), np.empty(0)
+        cone = problem.cone
+    else:
+        a, b_eq = problem.equality
+        cone = Product((problem.cone, FreeSpace(a.shape[0])))
     return ProjectionEquationProblem(
         cone=cone,
         T=AugmentedKkt(problem.Q, a),
@@ -107,26 +104,22 @@ def solve_qcp(
 ) -> tuple[KktPoint, newton.SolveReport]:
     """Solve the reduced equation and recover the KKT point from its root.
 
-    A run that stops at the iteration limit still returns a KktPoint, but
+    ``x`` is the cone part of the report's ``projected_solution``, the
+    projection the solver already took at its last iterate; ``lam`` is the
+    multiplier part of the root.  A run that stops at the iteration limit still returns a KktPoint, but
     flagged unverified so callers can record the failure.
     """
     reduced = to_projection_equation(problem)
     report = newton.solve(reduced, config)
-    raw = report.solution
     d = problem.cone.ambient_dim
-    if problem.equality is None:
-        lam = None
-        x = problem.cone.project(raw)
-        mu = problem.Q.apply(x) + problem.q
-    else:
+    x = report.projected_solution[:d].copy()
+    mu = problem.Q.apply(x) + problem.q
+    lam = None
+    if problem.equality is not None:
         a, _ = problem.equality
-        lam = raw[d:].copy()
-        x = problem.cone.project(raw[:d])
-        mu = problem.Q.apply(x) + problem.q + a.T @ lam
-    verified = report.termination in (
-        newton.Termination.RESIDUAL_TOL,
-        newton.Termination.PATTERN_REPEAT,
-    )
+        lam = report.solution[d:].copy()
+        mu += a.T @ lam
+    verified = report.termination.converged
     return KktPoint(x=x, lam=lam, mu=mu, verified=verified), report
 
 

@@ -63,14 +63,6 @@ class TestGenerate:
         np.testing.assert_array_equal(g[2:, :2], np.zeros((2, 2)))
         assert np.all(np.abs(np.diag(g)) <= 20000.0)
 
-    def test_e58_alternative_factor(self):
-        cfg = ExperimentConfig(
-            "E58", n=4, alpha=0.0, ell=2, seed=5, replicates=1,
-            e58_alternative_factor=True,
-        )
-        g = generate(cfg, 0).G
-        assert g[0, 1] == pytest.approx(2.0)
-
     def test_e55_composition(self):
         cfg = ExperimentConfig("E55", n=8, alpha=0.0, seed=6, replicates=1)
         g = generate(cfg, 0).G

@@ -197,6 +197,13 @@ class TestSolve:
         assert report.iterates[-1].tobytes() == report.solution.tobytes()
 
 
+def test_converged_terminations():
+    # the one definition the CLI exit code, solve_qcp and bench share
+    assert {t for t in Termination if t.converged} == {
+        Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT
+    }
+
+
 class TestNewtonMatrix:
     def test_diagonal_element_matches_gemm_bit_for_bit(self):
         cone = Product((Orthant(5), FreeSpace(3), Orthant(4)))
@@ -392,6 +399,27 @@ class TestActiveSetStep:
         reference = np.linalg.lstsq(matrix, b, rcond=None)[0]
         assert used_lstsq
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_gathers_make_no_d_by_active_array(self):
+        # R (|A| x |A|) and C (|I| x |A|) together hold d x |A| doubles; no
+        # d x |A| array of the columns of T is gathered before them
+        d, k = 400, 200
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal(d)
+        x[:k] = np.abs(x[:k]) + 0.1
+        x[k:] = -np.abs(x[k:]) - 0.1
+        element = Orthant(d).jacobian_element(x)
+        a = rng.standard_normal((d, d))
+        t_dense = a @ a.T / d + np.eye(d)
+        rhs, probe_norms = step_rhs(rng.standard_normal(d))
+        tracemalloc.start()
+        try:
+            _, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not used_lstsq
+        assert peak < 1.5 * d * k * 8
 
 
 class LinalgCalls(dict):

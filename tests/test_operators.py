@@ -14,13 +14,19 @@ from conic_newton import (
     ProjectionEquationProblem,
     QcpProblem,
     ScaledIdentity,
-    ShiftedDense,
     analyze,
     analyze_problem,
     analyze_qcp_operator,
     solve,
     solve_qcp,
 )
+
+
+def shifted(q):
+    """Q - I for a dense Q: the reduced operator of a program with no
+    equality rows."""
+    q = np.asarray(q, dtype=float)
+    return AugmentedKkt(DenseOperator(q), np.empty((0, q.shape[0])))
 
 
 class TestApply:
@@ -39,7 +45,7 @@ class TestApply:
         np.testing.assert_array_equal(out, [3.0, 0.0, -2.0])
 
     def test_shifted_dense(self):
-        op = ShiftedDense(np.diag([2.0, 3.0]))
+        op = shifted(np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(op.apply([1.0, 1.0]), [1.0, 2.0])
 
     def test_dimension_mismatch(self):
@@ -51,7 +57,7 @@ class TestApply:
         [
             ScaledIdentity(-1.7, 4),
             DenseOperator(np.arange(16.0).reshape(4, 4)),
-            ShiftedDense(np.arange(16.0).reshape(4, 4) / 7.0),
+            shifted(np.arange(16.0).reshape(4, 4) / 7.0),
             AugmentedKkt(
                 DenseOperator(np.array([[2.0, 0.5], [0.1, 3.0]])),
                 np.array([[1.0, 2.0], [0.0, -1.0]]),
@@ -86,7 +92,7 @@ class TestMaterialize:
 
     @pytest.mark.parametrize(
         "quadratic",
-        [DenseOperator, lambda q: ShiftedDense(q + 1.0), lambda q: ScaledIdentity(-0.5, 5)],
+        [DenseOperator, lambda q: shifted(q + 1.0), lambda q: ScaledIdentity(-0.5, 5)],
         ids=["dense", "shifted", "scaled-identity"],
     )
     def test_shifted_and_augmented_equal_the_eye_formulas_bit_for_bit(self, quadratic):
@@ -95,7 +101,7 @@ class TestMaterialize:
         q = rng.standard_normal((5, 5))
         q[0, :] = -0.0
         q[:, 1] = 0.0
-        assert ShiftedDense(q).materialize().tobytes() == (q - np.eye(5)).tobytes()
+        assert shifted(q).materialize().tobytes() == (q - np.eye(5)).tobytes()
         a = rng.standard_normal((2, 5))
         a[0, 0] = -0.0
         op = AugmentedKkt(quadratic(q), a)
@@ -164,7 +170,7 @@ class TestAnalyze:
     def test_materialization_consistency(self):
         ops = [
             ScaledIdentity(3.0, 4),
-            ShiftedDense(np.diag([2.5, 0.3])),
+            shifted(np.diag([2.5, 0.3])),
             AugmentedKkt(ScaledIdentity(2.0, 2), np.array([[1.0, 1.0]])),
         ]
         for op in ops:
@@ -190,7 +196,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_shifted_dense_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            ShiftedDense(np.array([[bad, 0.0], [0.0, 1.0]]))
+            shifted(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_augmented_kkt_rejects_non_finite_constraint(self, bad):
@@ -270,7 +276,7 @@ class TestAnalyzeProblem:
     def test_projection_linear_uses_qcp_analyzer(self):
         problem = ProjectionEquationProblem(
             Orthant(2),
-            ShiftedDense(1.5 * np.eye(2)),
+            shifted(1.5 * np.eye(2)),
             np.zeros(2),
             form=EquationForm.PROJECTION_LINEAR,
         )

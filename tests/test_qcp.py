@@ -1,9 +1,12 @@
 """Quadratic conic programming reduction, KKT recovery, and round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conic_newton import (
+    AugmentedKkt,
     EquationForm,
     KktPoint,
     NewtonConfig,
@@ -14,6 +17,8 @@ from conic_newton import (
     ScaledIdentity,
     SecondOrder,
     Termination,
+    analyze_problem,
+    analyze_qcp_operator,
     embed_kkt,
     kkt_residual,
     residual,
@@ -51,6 +56,16 @@ class TestReduction:
         assert pe.form is EquationForm.PROJECTION_LINEAR
         np.testing.assert_array_equal(pe.T.materialize(), np.eye(2))
         np.testing.assert_array_equal(pe.b, [2.0, -1.0])
+
+    def test_unconstrained_is_the_kkt_operator_with_no_rows(self):
+        p = QcpProblem(Q=2.0, q=np.array([-2.0, 1.0]), cone=Orthant(2))
+        pe = to_projection_equation(p)
+        assert isinstance(pe.T, AugmentedKkt)
+        assert pe.T.quadratic is p.Q
+        assert pe.T.constraint.shape == (0, 2)
+        assert pe.cone is p.cone
+        # the analysis reads Q's own operator, not a densified copy
+        assert analyze_problem(pe) == analyze_qcp_operator(p.Q)
 
     def test_unit_quadratic_with_equality_matches_diagonal_iteration(self):
         # Q = I zeroes the quadratic block, leaving only the multiplier term
@@ -102,6 +117,38 @@ class TestSolveQcp:
         kkt, report = solve_qcp(p, NewtonConfig(tol=1e-10))
         np.testing.assert_allclose(smat(kkt.x), np.ones((2, 2)), atol=1e-9)
         np.testing.assert_allclose(kkt.lam, [1.0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("with_equality", [False, True], ids=["plain", "equality"])
+    def test_one_eigh_per_iterate(self, monkeypatch, with_equality):
+        # the KKT point reuses the last iterate's projection
+        problem, _ = random_qcp(PsdCone(3), 30, with_equality)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        kkt, report = solve_qcp(problem, NewtonConfig(tol=1e-10))
+        assert kkt.verified
+        assert report.iterations >= 2
+        assert len(calls) == report.iterations + 1
+
+    @pytest.mark.parametrize("with_equality", [False, True], ids=["plain", "equality"])
+    def test_kkt_point_at_a_far_scale(self, with_equality):
+        # q 2^600 with tol 2^600 runs the steps of the unit program, scaled;
+        # projecting the root again in the caller's units overflowed here
+        problem, _ = random_qcp(SecondOrder(5), 31, with_equality)
+        config = NewtonConfig(tol=1e-10, use_pattern_stop=False)
+        base, _ = solve_qcp(problem, config)
+        equality = problem.equality
+        if equality is not None:
+            equality = (equality[0], np.ldexp(equality[1], 600))
+        scaled = QcpProblem(problem.Q, np.ldexp(problem.q, 600), problem.cone, equality)
+        kkt, _ = solve_qcp(scaled, replace(config, tol=np.ldexp(1e-10, 600)))
+        assert base.verified and kkt.verified
+        assert kkt.x.tobytes() == np.ldexp(base.x, 600).tobytes()
 
     def test_max_iter_flags_unverified(self):
         p = QcpProblem(Q=2.0, q=np.array([-2.0, 1.0]), cone=Orthant(2))
