@@ -7,10 +7,12 @@ Subcommands:
 * ``bench``: run a benchmark suite and emit raw.csv plus profile.csv.
 
 Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
-1 input error, 2 iteration limit or pattern cycle, 3 numerical failure or
-singular system.  A usage error that argparse catches (an unknown option,
-a missing one, or a value it cannot convert, such as ``--tol abc``) is an
-input error too, so it exits 1 rather than argparse's 2.
+1 input error, 2 iteration limit or pattern cycle, 3 numerical failure
+(numpy's ``LinAlgError`` included) or singular system.  Input errors include
+a path that cannot be read or written and a ``--x0`` of the wrong length or
+with non-finite entries.  A usage error that argparse catches (an unknown
+option, a missing one, or a value it cannot convert, such as ``--tol abc``)
+is an input error too, so it exits 1 rather than argparse's 2.
 """
 
 from __future__ import annotations
@@ -34,15 +36,9 @@ from .bench import (
     write_raw_csv,
 )
 from .cones import Cone, Orthant, PsdCone, SecondOrder
-from .exceptions import DimensionMismatchError, NumericalFailureError
-from .matrixio import (
-    MatrixFileError,
-    read_matrix,
-    read_vector,
-    symmetrize_checked,
-    write_matrix,
-)
-from .ncm import NcmProblem, _check_limits
+from .exceptions import NumericalFailureError
+from .matrixio import read_matrix, read_vector, symmetrize_checked, write_matrix
+from .ncm import NcmProblem
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
@@ -57,11 +53,10 @@ _EXPERIMENT_NAMES = {"5.5": "E55", "5.6": "E56", "5.7": "E57", "5.8": "E58"}
 
 
 def _parse_cone(spec: str) -> Cone:
-    try:
-        kind, _, size = spec.partition(":")
-        n = int(size)
-    except ValueError:
-        raise ValueError(f"malformed cone spec {spec!r}, expected kind:n") from None
+    kind, _, size = spec.partition(":")
+    if not size.removeprefix("-").isdecimal():
+        raise ValueError(f"malformed cone spec {spec!r}, expected kind:n")
+    n = int(size)
     if n < 1:
         raise ValueError(f"cone dimension must be positive, got {n}")
     if kind == "orthant":
@@ -88,26 +83,17 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_solve_pe(args) -> int:
-    try:
-        cone = _parse_cone(args.cone)
-        t_matrix = read_matrix(args.T)
-        b = read_vector(args.b)
-        x0 = None if args.x0 == "zero" else read_vector(args.x0)
-        operator = DenseOperator(t_matrix)
-        problem = ProjectionEquationProblem(cone=cone, T=operator, b=b)
-        config = NewtonConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
-    except (MatrixFileError, DimensionMismatchError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cone = _parse_cone(args.cone)
+    t_matrix = read_matrix(args.T)
+    b = read_vector(args.b)
+    x0 = None if args.x0 == "zero" else read_vector(args.x0)
+    operator = DenseOperator(t_matrix)
+    problem = ProjectionEquationProblem(cone=cone, T=operator, b=b)
+    config = NewtonConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
 
     guarantee = analyze(operator)
     print(guarantee.summary(), file=sys.stderr)
-
-    try:
-        report = solve(problem, config)
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = solve(problem, config)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -139,28 +125,17 @@ def cmd_solve_pe(args) -> int:
 
 
 def cmd_ncm(args) -> int:
-    try:
-        raw = read_matrix(args.input)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {raw.shape}")
-        g = symmetrize_checked(
-            raw, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
-        )
-        problem = NcmProblem(g)
-    except (MatrixFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    raw = read_matrix(args.input)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    g = symmetrize_checked(
+        raw, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
+    )
+    problem = NcmProblem(g)
 
     name = canonical_solver(args.method)
     max_iter = args.max_iter if args.max_iter is not None else default_max_iter(name)
-    try:
-        report = run_solver(name, problem, args.tol, max_iter)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = run_solver(name, problem, args.tol, max_iter)
 
     write_matrix(args.out_matrix, report.projected_solution)
     payload = {
@@ -188,47 +163,44 @@ def _parse_list(text, kind):
 
 
 def cmd_bench(args) -> int:
-    try:
-        experiment = _EXPERIMENT_NAMES[args.experiment]
-        default_n = "200,400" if experiment == "E58" else "100,200,300"
-        ns = _parse_list(args.n if args.n is not None else default_n, int)
-        solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
-        if not ns or not solvers:
-            raise ValueError("--n and --solvers each need at least one entry")
-        _check_limits(args.tol, max_iter=1)  # each solver runs to its own default limit
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("CONIC_NEWTON_SEED", "0"))
-        configs = []
-        for n in ns:
-            if experiment in ("E55", "E58"):
-                default_alpha = "0.001" if experiment == "E58" else "0.01,0.1,1,10"
-                alpha_arg = args.alpha if args.alpha is not None else default_alpha
-                alphas = _parse_list(alpha_arg, float)
-                if not alphas:
-                    raise ValueError(f"experiment {args.experiment} needs --alpha")
-            else:
-                alphas = [None]
-            for alpha in alphas:
-                ell = None
-                if experiment == "E58":
-                    ell = n // 2 if args.ell == "n/2" else int(args.ell)
-                configs.append(
-                    ExperimentConfig(
-                        experiment=experiment,
-                        n=n,
-                        alpha=alpha,
-                        ell=ell,
-                        seed=seed,
-                        replicates=args.replicates,
-                    )
+    experiment = _EXPERIMENT_NAMES[args.experiment]
+    default_n = "200,400" if experiment == "E58" else "100,200,300"
+    ns = _parse_list(args.n if args.n is not None else default_n, int)
+    solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
+    if not ns or not solvers:
+        raise ValueError("--n and --solvers each need at least one entry")
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("CONIC_NEWTON_SEED", "0"))
+    configs = []
+    for n in ns:
+        if experiment in ("E55", "E58"):
+            default_alpha = "0.001" if experiment == "E58" else "0.01,0.1,1,10"
+            alpha_arg = args.alpha if args.alpha is not None else default_alpha
+            alphas = _parse_list(alpha_arg, float)
+            if not alphas:
+                raise ValueError(f"experiment {args.experiment} needs --alpha")
+        else:
+            alphas = [None]
+        for alpha in alphas:
+            ell = None
+            if experiment == "E58":
+                ell = n // 2 if args.ell == "n/2" else int(args.ell)
+            configs.append(
+                ExperimentConfig(
+                    experiment=experiment,
+                    n=n,
+                    alpha=alpha,
+                    ell=ell,
+                    seed=seed,
+                    replicates=args.replicates,
                 )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+            )
 
-    table = run_suite(configs, solvers, tol=args.tol)
+    # made before the suite runs, so a directory that cannot be made costs
+    # no solves
     os.makedirs(args.out_dir, exist_ok=True)
+    table = run_suite(configs, solvers, tol=args.tol)
     write_raw_csv(table, os.path.join(args.out_dir, "raw.csv"))
     write_profile_csv(table, os.path.join(args.out_dir, "profile.csv"))
 
@@ -300,9 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the one place where the
+    package's exceptions become exit codes, for every command."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # numpy's LinAlgError is a ValueError, so this clause comes first
+    except (NumericalFailureError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry_point() -> None:

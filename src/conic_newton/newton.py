@@ -334,7 +334,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     # capped, no comparison against them reads inf <= inf
     largest = np.finfo(float).max
     norm_b = min(unscaled(np.linalg.norm(b)), largest)
-    confirm_tol = max(config.tol, 1e-9 * (1.0 + norm_b))
+    # relative to |b| alone: an absolute floor would lie above every
+    # residual once |b| is far below 1, and confirm any repeated pattern
+    confirm_tol = max(config.tol, 1e-9 * norm_b)
     divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
     probes, probe_norms = _probes(cone.ambient_dim)
     rhs = np.column_stack([b, probes])

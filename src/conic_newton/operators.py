@@ -5,7 +5,8 @@ Q-linear convergence of the semi-smooth Newton iteration and predicts the
 contraction ratio when one is available.  For the plain equation form the
 conditions are phrased in terms of the inverse norm of T (strict branch:
 norm(T^-1) < 1/2; positive definite branch: norm(T^-1) < 1).  For the
-quadratic-program form they are phrased in terms of norm(Q - I).
+quadratic-program form they are phrased in terms of norm(Q - I), and the
+positive definite branch needs Q - I positive definite.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ class GuaranteeReport:
     ``norm_T_inv`` holds norm(T^-1) when analyzing the plain form and
     norm(Q - I) when analyzing the quadratic-program form; it is the
     contraction modulus that the guarantee branches compare against.
+    ``is_positive_definite`` is that of T in the plain form and of Q - I in
+    the quadratic-program form; ``invertible`` is that of T, or of Q.
     """
 
     invertible: bool
@@ -283,23 +286,24 @@ def _guarantee_from_modulus(invertible, norm_inv, positive_definite):
 def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
     """Convergence guarantees for the form T P_K(x) + x = b with T = Q - I.
 
-    Mirrors :func:`analyze` with norm(Q - I) in place of norm(T^-1); where
-    that grants nothing, invertible Q with norm(Q^-1 - I) < 1 still gives
-    existence and uniqueness.
+    Mirrors :func:`analyze` with norm(Q - I) in place of norm(T^-1), and
+    with the definiteness of Q - I in place of that of T: the form is
+    P_K(x) + (Q - I)^-1 x = (Q - I)^-1 b rearranged, so the positive
+    definite branch needs Q - I positive definite, not Q.  Where that grants
+    nothing, invertible Q with norm(Q^-1 - I) < 1 still gives existence and
+    uniqueness.
     """
     if isinstance(Q, ScaledIdentity):
         c = float(Q.scale)
         dev = abs(c - 1.0)
         invertible = c != 0.0
-        positive_definite = c > 0.0
+        positive_definite = c > 1.0
         inv_dev = abs(1.0 / c - 1.0) if invertible else None
     else:
         mat = Q.materialize()
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("analysis requires finite operator entries")
         eye = np.eye(mat.shape[0])
-        dev = float(np.linalg.norm(mat - eye, 2))
-        invertible, _, positive_definite, _ = _dense_facts(mat)
+        invertible, _, _, _ = _dense_facts(mat)
+        _, _, positive_definite, dev = _dense_facts(mat - eye)
         inv_dev = None
         if invertible:
             inv_dev = float(np.linalg.norm(np.linalg.inv(mat) - eye, 2))

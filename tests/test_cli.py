@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conic_newton import cli
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
 from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS
@@ -51,6 +52,22 @@ class TestSolvePe:
             "--out", str(tmp_path / "r.json"),
         ])
         assert code == 2
+
+    def test_linalg_error_is_a_numerical_failure(
+        self, tmp_path, pe_files, monkeypatch, capsys
+    ):
+        # LinAlgError is a ValueError, yet it is no input error
+        def failing_solve(problem, config):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        t_path, b_path = pe_files
+        code = main([
+            "solve-pe", "--cone", "orthant:2", "--T", str(t_path),
+            "--b", str(b_path), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
     def test_malformed_matrix_names_line(self, tmp_path, pe_files, capsys):
         _, b_path = pe_files
@@ -394,6 +411,22 @@ class TestBenchCommand:
             assert code == 1, extra
         assert not (tmp_path / "raw.csv").exists()
 
+    def test_out_dir_that_cannot_be_made_fails_before_the_suite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", suite)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "bench", "--experiment", "5.6", "--n", "10", "--replicates", "1",
+            "--solvers", "newton", "--out-dir", str(blocker / "x"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONIC_NEWTON_SEED", "123")
         d1 = tmp_path / "env"
@@ -417,9 +450,12 @@ CLI_FILES = {
     "zero-by-zero": "%%MatrixMarket matrix array real general\n0 0\n",
     "non-numeric": "1,x\nx,1\n",
     "nan": "nan,1\n1,nan\n",
+    "vector3": "1\n-1\n2\n",
+    "nan-vector": "nan\n1\n",
 }
 MALFORMED_FILES = ["empty", "ragged", "zero-by-zero", "non-numeric", "nan"]
-FILE_OPTIONS = ("--T", "--b", "--input")
+OUTPUT_OPTIONS = ("--out", "--out-matrix", "--out-report", "--out-dir")
+PATH_OPTIONS = ("--T", "--b", "--input", "--x0") + OUTPUT_OPTIONS
 
 
 def drawn(valid, invalid=()):
@@ -430,10 +466,11 @@ def drawn(valid, invalid=()):
     return values
 
 
-# Option values; the invalid ones are input errors that the command itself
-# must catch, or values argparse cannot convert or does not offer ("abc",
-# "1.5" for an integer, "simplex" for --method).  Sizes stay tiny, so bench
-# runs no real suite.
+# Option values; the invalid ones are input errors that the CLI must catch,
+# or values argparse cannot convert or does not offer ("abc", "1.5" for an
+# integer, "simplex" for --method).  An invalid output path lies under a
+# directory that does not exist, or under or at a regular file.  Sizes stay
+# tiny, so bench runs no real suite.
 CLI_OPTIONS = {
     "solve-pe": {
         "--cone": drawn(["orthant:2", "soc:2"],
@@ -442,12 +479,16 @@ CLI_OPTIONS = {
         "--b": drawn(["vector", "huge-vector"], MALFORMED_FILES),
         "--tol": drawn(["1e-8"], ["0", "-1", "nan", "inf", "abc"]),
         "--max-iter": drawn(["5"], ["0", "-3", "x", "1.5"]),
+        "--x0": drawn(["zero", "vector"], ["vector3", "nan-vector"]),
+        "--out": drawn(["r.json"], ["missing/r.json"]),
     },
     "ncm": {
         "--input": drawn(["matrix", "huge-matrix"], MALFORMED_FILES),
         "--tol": drawn(["1e-6", "0"], ["-1", "nan", "inf", "abc"]),
         "--max-iter": drawn(["50"], ["0", "-3", "x"]),
         "--method": drawn(["newton", "diagonal", "baseline"], ["simplex"]),
+        "--out-matrix": drawn(["c.mtx"], ["missing/c.mtx"]),
+        "--out-report": drawn(["r.json"], ["missing/r.json"]),
     },
     "bench": {
         "--experiment": drawn(["5.5", "5.6", "5.7", "5.8"], ["5.9"]),
@@ -455,6 +496,7 @@ CLI_OPTIONS = {
         "--replicates": drawn(["1"], ["0", "-1", "x"]),
         "--tol": drawn(["1e-6"], ["-1", "nan", "inf", "abc"]),
         "--solvers": drawn(["newton", "diagonal", "baseline"], ["", "simplex"]),
+        "--out-dir": drawn(["bench", "new/bench"], ["matrix", "matrix/bench"]),
     },
 }
 
@@ -465,15 +507,11 @@ CLI_CASES = st.sampled_from(sorted(CLI_OPTIONS)).flatmap(
 
 def run_cli(tmp, command, options):
     """Exit code and stderr of one in-process CLI run in directory ``tmp``."""
-    argv = [command]
+    argv = [command] + (["--seed", "1"] if command == "bench" else [])
     for flag, (value, _) in options.items():
-        argv += [flag, os.path.join(tmp, value) if flag in FILE_OPTIONS else value]
-    argv += {
-        "solve-pe": ["--out", os.path.join(tmp, "r.json")],
-        "ncm": ["--out-matrix", os.path.join(tmp, "c.mtx"),
-                "--out-report", os.path.join(tmp, "r.json")],
-        "bench": ["--seed", "1", "--out-dir", os.path.join(tmp, "bench")],
-    }[command]
+        if flag in PATH_OPTIONS and value != "zero":
+            value = os.path.join(tmp, value)
+        argv += [flag, value]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -507,23 +545,42 @@ class TestUsageErrors:
         assert capsys.readouterr().out
 
 
+def case(command, changed):
+    """A property case: each option at a valid value, except those in
+    ``changed``."""
+    valid = {
+        "solve-pe": {"--cone": "orthant:2", "--T": "matrix", "--b": "vector",
+                     "--tol": "1e-8", "--max-iter": "5", "--x0": "zero",
+                     "--out": "r.json"},
+        "ncm": {"--input": "matrix", "--tol": "1e-6", "--max-iter": "50",
+                "--method": "newton", "--out-matrix": "c.mtx", "--out-report": "r.json"},
+        "bench": {"--experiment": "5.6", "--n": "2", "--replicates": "1",
+                  "--tol": "1e-6", "--solvers": "newton", "--out-dir": "bench"},
+    }[command]
+    return command, {flag: changed.get(flag, (value, True)) for flag, value in valid.items()}
+
+
 class TestCliProperty:
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @settings(max_examples=80, deadline=None)
     @given(CLI_CASES)
-    @example(("ncm", {"--input": ("matrix", True), "--tol": ("1e-6", True),
-                      "--max-iter": ("0", False), "--method": ("newton", True)}))
-    @example(("bench", {"--experiment": ("5.6", True), "--n": ("", False),
-                        "--replicates": ("1", True), "--tol": ("1e-6", True),
-                        "--solvers": ("newton", True)}))
-    @example(("ncm", {"--input": ("zero-by-zero", False), "--tol": ("1e-6", True),
-                      "--max-iter": ("50", True), "--method": ("newton", True)}))
-    @example(("ncm", {"--input": ("matrix", True), "--tol": ("abc", False),
-                      "--max-iter": ("50", True), "--method": ("newton", True)}))
+    @example(case("ncm", {"--max-iter": ("0", False)}))
+    @example(case("bench", {"--n": ("", False)}))
+    @example(case("ncm", {"--input": ("zero-by-zero", False)}))
+    @example(case("ncm", {"--tol": ("abc", False)}))
+    @example(case("solve-pe", {"--x0": ("vector3", False)}))
+    @example(case("solve-pe", {"--x0": ("nan-vector", False)}))
+    @example(case("solve-pe", {"--out": ("missing/r.json", False)}))
+    @example(case("ncm", {"--out-matrix": ("missing/c.mtx", False)}))
+    @example(case("ncm", {"--out-report": ("missing/r.json", False)}))
+    @example(case("bench", {"--out-dir": ("matrix", False)}))
+    @example(case("bench", {"--out-dir": ("matrix/bench", False)}))
     def test_every_input_has_a_documented_exit(self, case):
         # an input error exits 1; a well-formed input solves, hits a limit or
         # fails numerically (0, 2, 3); nothing but argparse's exit on a usage
-        # error raises out of main
+        # error raises out of main.  solve-pe and ncm write only after they
+        # solve, so a numerical failure (3) may come before a bad output path
+        # is found; bench makes its directory first.
         command, options = case
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in CLI_FILES.items():
@@ -531,7 +588,17 @@ class TestCliProperty:
                     fh.write(text)
             code, err = run_cli(tmp, command, options)
         assert "Traceback" not in err
-        if all(valid for _, valid in options.values()):
+        if code == 1:
+            assert err.count("error:") == 1, err
+        inputs_valid = all(
+            valid for flag, (_, valid) in options.items() if flag not in OUTPUT_OPTIONS
+        )
+        outputs_valid = all(
+            valid for flag, (_, valid) in options.items() if flag in OUTPUT_OPTIONS
+        )
+        if inputs_valid and outputs_valid:
             assert code in (0, 2, 3), (code, err)
+        elif inputs_valid and command != "bench":
+            assert code in (1, 3), (code, err)
         else:
             assert code == 1, (code, err)

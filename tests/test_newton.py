@@ -683,6 +683,31 @@ class TestScaleSafety:
         )
         assert scaled.residuals == [np.ldexp(r, power) for r in base.residuals]
 
+    @pytest.mark.parametrize(
+        "scale", [1.0, 1e-12, np.ldexp(1.0, -600)], ids=["1", "1e-12", "2^-600"]
+    )
+    def test_pattern_stop_is_scale_free(self, scale):
+        # b s with tol s stops where b with tol stops.  An absolute floor of
+        # 1e-9 on the repeated-pattern confirmation once stopped both small
+        # scales at iteration 2, at a relative residual of 1.8e-3; 1e-12 is
+        # inside the range where b is solved as given.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 5))
+        T = DenseOperator(a @ a.T / 5 + 0.5 * np.eye(5))
+        b = 3.0 * rng.standard_normal(5)
+        base = solve(
+            ProjectionEquationProblem(SecondOrder(5), T, b), NewtonConfig(tol=1e-10)
+        )
+        scaled = solve(
+            ProjectionEquationProblem(SecondOrder(5), T, b * scale),
+            NewtonConfig(tol=1e-10 * scale),
+        )
+        assert base.iterations == 4
+        assert scaled.iterations == base.iterations
+        assert scaled.termination is base.termination
+        if scale == np.ldexp(1.0, -600):
+            assert scaled.residuals == [np.ldexp(r, -600) for r in base.residuals]
+
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
         # iteration trips the divergence bound; it used to exit 0

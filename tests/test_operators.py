@@ -12,13 +12,17 @@ from conic_newton import (
     NewtonConfig,
     Orthant,
     ProjectionEquationProblem,
+    PsdCone,
     QcpProblem,
     ScaledIdentity,
+    SecondOrder,
     analyze,
     analyze_problem,
     analyze_qcp_operator,
+    measure_ratios,
     solve,
     solve_qcp,
+    to_projection_equation,
 )
 
 
@@ -243,9 +247,9 @@ class TestAnalyzeQcpOperator:
         ],
     )
     def test_matches_the_branch_rules(self, op):
-        # the rules of the docstring, stated in full: positive definite Q with
-        # dev < 1 gives ratio dev; dev < 1/2 gives dev / (1 - dev); dev < 1 or
-        # invertible Q with |Q^-1 - I| < 1 gives existence only
+        # the rules of the docstring, stated in full: positive definite
+        # Q - I with dev < 1 gives ratio dev; dev < 1/2 gives dev / (1 - dev);
+        # dev < 1 or invertible Q with |Q^-1 - I| < 1 gives existence only
         mat = op.materialize()
         eye = np.eye(mat.shape[0])
         dev = float(np.linalg.norm(mat - eye, 2))
@@ -283,6 +287,57 @@ class TestAnalyzeProblem:
         report = analyze_problem(problem)
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == pytest.approx(0.5, rel=1e-12)
+
+
+def planted_root(form, kind, spectrum, seed):
+    """A projection equation with a known root w, and w.
+
+    The program has Q = U diag(lam) U^T, lam uniform on ``spectrum``, and
+    q = (x - w) - Qx with x = P_K(w), so w solves its reduced equation
+    (Q - I) P_K(w) + w = -q.  "point-linear" is the same equation in the
+    other form, P_K(w) + (Q - I)^-1 w = (Q - I)^-1 (-q); "scaled" keeps Q
+    as the operator lam_0 I.
+    """
+    rng = np.random.default_rng([31, seed])
+    cone = {"orthant": Orthant, "soc": SecondOrder, "psd": PsdCone}[kind](
+        int(rng.integers(2, 4 if kind == "psd" else 8))
+    )
+    d = cone.ambient_dim
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam = rng.uniform(*spectrum, d)
+    w = rng.standard_normal(d)
+    x = cone.project(w)
+    if form == "point-linear":
+        t = (u / (lam - 1.0)) @ u.T
+        return ProjectionEquationProblem(cone, DenseOperator(t), x + t @ w), w
+    if form == "scaled":
+        q_op = ScaledIdentity(lam[0], d)
+    else:
+        q_op = DenseOperator((u * lam) @ u.T)
+    program = QcpProblem(Q=q_op, q=(x - w) - q_op.apply(x), cone=cone)
+    return to_projection_equation(program), w
+
+
+class TestGuaranteesHold:
+    @pytest.mark.parametrize("spectrum", [(1e-3, 1.0), (1.001, 1.999)],
+                             ids=["below-1", "above-1"])
+    @pytest.mark.parametrize("kind", ["orthant", "soc", "psd"])
+    @pytest.mark.parametrize("form", ["point-linear", "projection-linear", "scaled"])
+    def test_q_linear_claims_bound_every_ratio(self, form, kind, spectrum):
+        # a spectrum below 1 leaves Q positive definite but Q - I negative
+        # definite, so only the |Q - I| < 1/2 branch may claim a rate there;
+        # the draws are fixed, 30 per case
+        claims = 0
+        for seed in range(30):
+            problem, root = planted_root(form, kind, spectrum, seed)
+            report = analyze_problem(problem)
+            if report.guarantee is not Guarantee.Q_LINEAR:
+                continue
+            claims += 1
+            config = NewtonConfig(tol=1e-11, use_pattern_stop=False)
+            ratios = measure_ratios(problem, config, root)
+            assert max(ratios, default=0.0) <= report.predicted_ratio + 1e-9, seed
+        assert claims > 0
 
 
 class TestProblemContainer:
