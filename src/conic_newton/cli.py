@@ -10,9 +10,12 @@ Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
 1 input error, 2 iteration limit or pattern cycle, 3 numerical failure
 (numpy's ``LinAlgError`` included) or singular system.  Input errors include
 a path that cannot be read or written and a ``--x0`` of the wrong length or
-with non-finite entries.  A usage error that argparse catches (an unknown
-option, a missing one, or a value it cannot convert, such as ``--tol abc``)
-is an input error too, so it exits 1 rather than argparse's 2.
+with non-finite entries.  ``solve-pe`` and ``ncm`` check their output
+paths before they read or solve anything, and ``bench`` makes its output
+directory first, so a bad output path costs no solve.  A usage error that
+argparse catches (an unknown option, a missing one, or a value it cannot
+convert, such as ``--tol abc``) is an input error too, so it exits 1 rather
+than argparse's 2.
 """
 
 from __future__ import annotations
@@ -76,6 +79,22 @@ def _termination_exit(termination: Termination) -> int:
     return EXIT_NUMERICAL
 
 
+def _check_writable(path) -> None:
+    """Raise ``OSError`` unless ``path`` can be opened for writing: its
+    directory exists and is writable, and it is not a directory.  Nothing is
+    created, so a run that fails later leaves no file behind."""
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path!r}: it is a directory")
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {path!r}: no directory {directory!r}")
+    if not os.access(directory, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        raise PermissionError(f"cannot write {path!r}: permission denied")
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -83,6 +102,7 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_solve_pe(args) -> int:
+    _check_writable(args.out)
     cone = _parse_cone(args.cone)
     t_matrix = read_matrix(args.T)
     b = read_vector(args.b)
@@ -125,6 +145,8 @@ def cmd_solve_pe(args) -> int:
 
 
 def cmd_ncm(args) -> int:
+    _check_writable(args.out_matrix)
+    _check_writable(args.out_report)
     raw = read_matrix(args.input)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")

@@ -7,6 +7,11 @@ flavors are ``array real general``, ``array real symmetric``, and
 with the MatrixMarket banner is parsed as comma-separated numeric rows.
 
 Parse errors name the offending line.
+
+An ``array real general`` file of a square matrix whose mirrored entries
+are written alike (as ``write_matrix`` writes a symmetric matrix) is read
+with one float conversion per mirrored pair: equal text gives an equal
+double, so the matrix is bit for bit that of the per-entry read.
 """
 
 from __future__ import annotations
@@ -122,12 +127,20 @@ def _parse_array(path, lines, symmetric):
     """An ``array`` body: the size line, then one value per line in
     column-major order, the lower triangle only when ``symmetric``.
 
-    A body in the plain form costs one ``float`` per value; any other body
-    takes the checked parse, which also words every error.
+    A body in the plain form costs one ``float`` per value, or per mirrored
+    pair; any other body takes the checked parse, which also words every
+    error.
     """
-    rows, cols, values = _plain_array(lines, symmetric) or _checked_array(
-        path, lines, symmetric
-    )
+    matrix = _plain_array(lines, symmetric)
+    if matrix is None:
+        rows, cols, values = _checked_array(path, lines, symmetric)
+        matrix = _array_matrix(rows, cols, values, symmetric)
+    return matrix
+
+
+def _array_matrix(rows, cols, values, symmetric):
+    """The matrix of column-major ``values``: every entry, or the lower
+    triangle only when ``symmetric``."""
     if not symmetric:
         return values.reshape(cols, rows).T
     # lower triangle column by column = upper triangle row by row
@@ -139,12 +152,14 @@ def _parse_array(path, lines, symmetric):
 
 
 def _plain_array(lines, symmetric):
-    """``(rows, cols, values)`` of a body in the plain form, else None.
+    """The matrix of a body in the plain form, else None.
 
     The plain form is a size line of two unsigned decimal integers (after
     any header comments), then exactly the expected number of lines, each
     holding one number.  ``float(line)`` strips the same whitespace as
-    ``line.split()``, so the values are those of the checked parse.
+    ``line.split()``, so the values are those of the checked parse.  A
+    square ``general`` body whose every mirrored pair of lines has the same
+    text is read as its lower triangle: equal text is an equal double.
     """
     k = 1
     while k < len(lines) and not _is_data(lines[k]):
@@ -156,13 +171,44 @@ def _plain_array(lines, symmetric):
     expected = _array_count(rows, cols, symmetric)
     if (symmetric and rows != cols) or len(lines) - k - 1 != expected:
         return None
+    first = k + 1
     try:
+        if not symmetric and rows == cols and _mirrored(lines, first, cols):
+            return _mirrored_matrix(lines, first, cols)
         values = np.fromiter(
-            map(float, itertools.islice(lines, k + 1, None)), float, count=expected
+            map(float, itertools.islice(lines, first, None)), float, count=expected
         )
     except ValueError:
         return None
-    return rows, cols, values
+    return _array_matrix(rows, cols, values, symmetric)
+
+
+def _mirrored(lines, first, n):
+    """Whether each strict-lower line of the n x n column-major body that
+    starts at ``lines[first]`` has the text of its mirror; stops at the
+    first column that differs."""
+    end = first + n * n
+    for c in range(n):
+        col = first + c * n
+        if lines[col + c + 1 : col + n] != lines[col + n + c : end : n]:
+            return False
+    return True
+
+
+def _mirrored_matrix(lines, first, n):
+    """The matrix of a body that passed ``_mirrored``: one ``float`` per
+    line of the lower triangle, each column written to its row as well."""
+    out = np.empty((n, n))
+    for c in range(n):
+        out[c, c:] = np.fromiter(
+            map(float, lines[first + c * (n + 1) : first + (c + 1) * n]),
+            float,
+            count=n - c,
+        )
+        out[c:, c] = out[c, c:]
+    # out holds column c in row c; it is symmetric, and its transpose (a
+    # view) has the memory layout of the per-line read
+    return out.T
 
 
 def _checked_array(path, lines, symmetric):

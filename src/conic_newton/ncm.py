@@ -48,6 +48,8 @@ converges linearly.
 
 All three solvers share one iteration driver and one ``NcmState``: each
 iterate is factored once, and every stop is measured by ``ncm_residual``.
+The driver scales an off-diagonal beyond 2^128 down by a power of two,
+with the diagonal target alike, and reports in the caller's units.
 
 Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
 whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
@@ -63,7 +65,7 @@ import numpy as np
 
 from .cones import _positive_count, _psd_omega, _psd_part
 from .exceptions import DimensionMismatchError, NumericalFailureError
-from .newton import SolveReport, Termination
+from .newton import SolveReport, Termination, _scale_exponent
 
 _DIAG_PINV_TOL = 1e-12
 # A step that moves the diagonal by at most this, relative to its size, and
@@ -75,6 +77,9 @@ _REGULARIZATION = 1e-10
 _ARMIJO = 1e-4
 _MAX_FORCING = 1e-2
 _MAX_HALVINGS = 50
+# Norms in this range are taken directly: no square of an entry can have
+# under- or overflowed enough to matter.
+_SAFE_NORM_MIN, _SAFE_NORM_MAX = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,8 @@ class NcmState:
     The off-diagonal of X always equals the off-diagonal of G.  ``eig``
     is ``np.linalg.eigh(X)``, taken when the state is built, so the
     residual evaluation and the following step share one factorization.
+    ``target`` is the value of e's entries: 1, or 2^-k for a problem that
+    the iteration driver scales down by 2^k.
     """
 
     X: np.ndarray
@@ -114,6 +121,7 @@ class NcmState:
     Ghat: np.ndarray
     eig: tuple[np.ndarray, np.ndarray]
     residual: float
+    target: float = 1.0
 
 
 def _gradient(state: NcmState) -> np.ndarray:
@@ -121,14 +129,14 @@ def _gradient(state: NcmState) -> np.ndarray:
     vals, vecs = state.eig
     first = vals.shape[0] - _positive_count(vals)
     upos = vecs[:, first:]
-    return np.einsum("ij,j,ij->i", upos, vals[first:], upos) - 1.0
+    return np.einsum("ij,j,ij->i", upos, vals[first:], upos) - state.target
 
 
 def _dual_objective(state: NcmState) -> float:
     """theta(d) = 1/2 |P_psd(X)|_F^2 - e^T d."""
     vals, _ = state.eig
     positive = np.maximum(vals, 0.0)
-    return float(0.5 * (positive @ positive) - state.D_diag.sum())
+    return float(0.5 * (positive @ positive) - state.target * state.D_diag.sum())
 
 
 def _newton_operator(vals: np.ndarray, vecs: np.ndarray):
@@ -190,11 +198,13 @@ def _pcg(apply, precond, rhs, tol, max_iter):
     return x
 
 
-def _state_with_diagonal(ghat: np.ndarray, d: np.ndarray) -> NcmState:
-    """The iterate X = Ghat + Diag(d), its eigendecomposition and residual."""
+def _state_with_diagonal(ghat: np.ndarray, d: np.ndarray, target: float) -> NcmState:
+    """The iterate X = Ghat + Diag(d) for the diagonal target ``target``,
+    its eigendecomposition and residual."""
     x = ghat + np.diag(d)
     state = NcmState(
-        X=x, D_diag=d, Ghat=ghat, eig=np.linalg.eigh(x), residual=np.nan
+        X=x, D_diag=d, Ghat=ghat, eig=np.linalg.eigh(x), residual=np.nan,
+        target=target,
     )
     state.residual = ncm_residual(state)
     return state
@@ -202,7 +212,7 @@ def _state_with_diagonal(ghat: np.ndarray, d: np.ndarray) -> NcmState:
 
 def _state_of(problem: NcmProblem, d: np.ndarray) -> NcmState:
     """The iterate X = Ghat + Diag(d) of ``problem``."""
-    return _state_with_diagonal(problem.G - np.diag(np.diag(problem.G)), d)
+    return _state_with_diagonal(problem.G - np.diag(np.diag(problem.G)), d, 1.0)
 
 
 def initial_state(problem: NcmProblem) -> NcmState:
@@ -215,9 +225,18 @@ def ncm_residual(state: NcmState) -> float:
 
     The multiplier block of the optimality system holds exactly by
     construction (lambda is defined as diag(G) - diag(X)), so this is the
-    residual of the whole system.
+    residual of the whole system.  A norm outside [2^-500, 2^500] is taken
+    again of F over its largest entry, as the squares of F may have under-
+    or overflowed.
     """
-    return float(np.linalg.norm(_gradient(state)))
+    grad = _gradient(state)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+        if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
+            peak = float(np.max(np.abs(grad)))
+            if 0.0 < peak < np.inf:
+                norm = peak * float(np.linalg.norm(grad / peak))
+    return norm
 
 
 def ncm_step(state: NcmState) -> NcmState:
@@ -239,7 +258,7 @@ def ncm_step(state: NcmState) -> NcmState:
         lambda v: apply(v) + _REGULARIZATION * v,
         diagonal + _REGULARIZATION,
         -grad,
-        min(_MAX_FORCING, np.sqrt(norm)) * norm,
+        min(_MAX_FORCING, np.sqrt(norm / state.target)) * norm,
         max_iter=grad.shape[0],
     )
     if not np.all(np.isfinite(h)):
@@ -251,7 +270,7 @@ def ncm_step(state: NcmState) -> NcmState:
         d = state.D_diag + alpha * h
         if np.array_equal(d, state.D_diag):
             break
-        trial = _state_with_diagonal(state.Ghat, d)
+        trial = _state_with_diagonal(state.Ghat, d, state.target)
         if (
             trial.residual < (1.0 - _ARMIJO * alpha) * norm
             or _dual_objective(trial) < theta + _ARMIJO * alpha * slope
@@ -265,13 +284,13 @@ def diagonal_step(state: NcmState) -> NcmState:
     """One step of the diagonal Newton recursion."""
     vals, vecs = state.eig
     diag_v, diag_vg = _step_diagonals(vals, vecs, state.Ghat)
-    rhs = 1.0 - diag_vg
+    rhs = state.target - diag_vg
     usable = np.abs(diag_v) > _DIAG_PINV_TOL
     d_new = np.zeros_like(rhs)
     d_new[usable] = rhs[usable] / diag_v[usable]
     if not np.all(np.isfinite(d_new)):
         raise NumericalFailureError("non-finite diagonal update")
-    new_state = _state_with_diagonal(state.Ghat, d_new)
+    new_state = _state_with_diagonal(state.Ghat, d_new, state.target)
     if not np.isfinite(new_state.residual):
         raise NumericalFailureError("non-finite residual after step")
     return new_state
@@ -301,7 +320,7 @@ def _gradient_step(state: NcmState) -> NcmState:
     d = state.D_diag - _gradient(state)
     if not np.all(np.isfinite(d)):
         raise NumericalFailureError("non-finite iterate")
-    return _state_with_diagonal(state.Ghat, d)
+    return _state_with_diagonal(state.Ghat, d, state.target)
 
 
 def _stalled(prev: NcmState, state: NcmState) -> bool:
@@ -314,7 +333,7 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
     change = np.abs(state.D_diag - prev.D_diag).max()
     return bool(
         state.residual >= prev.residual
-        and change <= _STALL_TOL * (1.0 + np.abs(prev.D_diag).max())
+        and change <= _STALL_TOL * (prev.target + np.abs(prev.D_diag).max())
     )
 
 
@@ -334,17 +353,39 @@ def _iterate(
     """Apply ``step`` from X = Ghat + Diag(d0) until the residual is at most
     ``tol``.
 
+    The iterates never hold diag(G), and the problem is homogeneous in Ghat
+    and the diagonal target e together.  So a Ghat whose largest entry lies
+    beyond 2^128 is solved as Ghat 2^-k with target e 2^-k, 2^-k bringing
+    that entry into [1/2, 1); any other G is solved as given (k = 0).
+    Residuals and ``tol`` are in the caller's units.
+
     A step that returns its input unchanged cannot make progress, which
     raises ``NumericalFailureError``; so does a failure inside a step, which
     carries the iteration it happened in.
     """
     _check_limits(tol, max_iter)
     start = time.perf_counter()
-    state = _state_of(problem, d0)
-    residuals = [state.residual]
+    ghat = problem.G - np.diag(np.diag(problem.G))
+    # e's entries are 1, so (Ghat, e) is never scaled up
+    shift = max(_scale_exponent(ghat), 0)
+    largest = np.finfo(float).max
+
+    def unscaled(value):
+        if not shift:
+            return value
+        with np.errstate(over="ignore"):
+            return np.ldexp(value, shift)
+
+    def residual(state):
+        return min(float(unscaled(state.residual)), largest)
+
+    if shift:
+        ghat, d0 = np.ldexp(ghat, -shift), np.ldexp(d0, -shift)
+    state = _state_with_diagonal(ghat, d0, 2.0**-shift)
+    residuals = [residual(state)]
     iterations = 0
     termination = Termination.MAX_ITER
-    if state.residual <= tol:
+    if residuals[-1] <= tol:
         termination = Termination.RESIDUAL_TOL
     else:
         for k in range(1, max_iter + 1):
@@ -357,17 +398,17 @@ def _iterate(
                 raise
             if state is prev:
                 raise NumericalFailureError(
-                    f"no step decreases the residual {state.residual:.3g}",
+                    f"no step decreases the residual {residuals[-1]:.3g}",
                     iteration=k,
                 )
-            residuals.append(state.residual)
+            residuals.append(residual(state))
             iterations = k
-            if state.residual <= tol:
+            if residuals[-1] <= tol:
                 termination = Termination.RESIDUAL_TOL
                 break
     return SolveReport(
-        solution=state.X,
-        projected_solution=_psd_part(*state.eig),
+        solution=unscaled(state.X),
+        projected_solution=unscaled(_psd_part(*state.eig)),
         iterations=iterations,
         residuals=residuals,
         termination=termination,
@@ -398,7 +439,9 @@ def solve_ncm_diagonal(
         new_state = diagonal_step(state)
         if not restarted and _stalled(state, new_state):
             restarted = True
-            new_state = _state_with_diagonal(new_state.Ghat, np.ones(problem.n))
+            new_state = _state_with_diagonal(
+                new_state.Ghat, np.full(problem.n, new_state.target), new_state.target
+            )
         return new_state
 
     return _iterate(problem, np.diag(problem.G).copy(), step, tol, max_iter)

@@ -229,10 +229,13 @@ class GuaranteeReport:
 
 
 _SINGULARITY_RTOL = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 def _dense_facts(matrix: np.ndarray):
-    """(invertible, norm_inverse, positive_definite, norm) for a dense matrix."""
+    """(invertible, norm_inverse, positive_definite, norm, rounding) for a
+    dense matrix, where ``rounding`` bounds the error of each computed
+    singular value."""
     if not np.all(np.isfinite(matrix)):
         raise ValueError("analysis requires finite operator entries")
     sigma = np.linalg.svd(matrix, compute_uv=False)
@@ -243,7 +246,10 @@ def _dense_facts(matrix: np.ndarray):
     sym = 0.5 * (matrix + matrix.T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     positive_definite = min_eig > 1e-10 * (1.0 + sig_max)
-    return invertible, norm_inv, positive_definite, sig_max
+    # |computed sigma_i - sigma_i| <= p(d) eps sigma_max for a backward
+    # stable SVD; p(d) = d, the dimension, is taken for the modest p
+    rounding = max(matrix.shape, default=0) * _EPS * sig_max
+    return invertible, norm_inv, positive_definite, sig_max, rounding
 
 
 def analyze(T: LinearOperator) -> GuaranteeReport:
@@ -252,27 +258,44 @@ def analyze(T: LinearOperator) -> GuaranteeReport:
     Branches, in order: positive definite T with norm(T^-1) < 1 gives a
     q-linear ratio of norm(T^-1); norm(T^-1) < 1/2 gives a q-linear ratio
     of norm(T^-1)/(1 - norm(T^-1)); norm(T^-1) < 1 gives existence and
-    uniqueness only; otherwise nothing is claimed.
+    uniqueness only; otherwise nothing is claimed.  For a dense T each test
+    is passed by the largest norm(T^-1) that the computed singular values
+    allow, 1 / (sigma_min - rounding), not by the computed 1 / sigma_min.
     """
     if isinstance(T, ScaledIdentity):
         c = float(T.scale)
         invertible = c != 0.0
         norm_inv = 1.0 / abs(c) if invertible else None
         positive_definite = c > 0.0
-    else:
-        invertible, norm_inv, positive_definite, _ = _dense_facts(T.materialize())
-    return _guarantee_from_modulus(invertible, norm_inv, positive_definite)
+        return _guarantee_from_modulus(invertible, norm_inv, positive_definite)
+    invertible, norm_inv, positive_definite, _, rounding = _dense_facts(T.materialize())
+    upper = None
+    if invertible:
+        # 1 / (sigma_min - rounding), with sigma_min = 1 / norm_inv
+        shrink = 1.0 - rounding * norm_inv
+        upper = norm_inv / shrink if shrink > 0.0 else np.inf
+    return _guarantee_from_modulus(invertible, norm_inv, positive_definite, upper)
 
 
-def _guarantee_from_modulus(invertible, norm_inv, positive_definite):
+def _guarantee_from_modulus(invertible, norm_inv, positive_definite, upper=None):
+    """The report for a computed contraction modulus ``norm_inv``; each
+    branch is granted only when ``upper``, the largest the exact modulus can
+    be, is below the branch's threshold.
+
+    ``upper`` defaults to ``norm_inv``: a scalar operator's modulus is one
+    correctly rounded operation, which is monotone, and the thresholds 1 and
+    1/2 are doubles, so a computed modulus below one has an exact one below
+    it too.
+    """
+    upper = norm_inv if upper is None else upper
     guarantee = Guarantee.NONE
     ratio = None
     if norm_inv is not None:
-        if positive_definite and norm_inv < 1.0:
+        if positive_definite and upper < 1.0:
             guarantee, ratio = Guarantee.Q_LINEAR, norm_inv
-        elif norm_inv < 0.5:
+        elif upper < 0.5:
             guarantee, ratio = Guarantee.Q_LINEAR, norm_inv / (1.0 - norm_inv)
-        elif norm_inv < 1.0:
+        elif upper < 1.0:
             guarantee = Guarantee.EXISTENCE_UNIQUENESS
     return GuaranteeReport(
         invertible=invertible,
@@ -291,7 +314,8 @@ def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
     P_K(x) + (Q - I)^-1 x = (Q - I)^-1 b rearranged, so the positive
     definite branch needs Q - I positive definite, not Q.  Where that grants
     nothing, invertible Q with norm(Q^-1 - I) < 1 still gives existence and
-    uniqueness.
+    uniqueness.  For a dense Q each branch is tested at norm(Q - I) plus the
+    singular values' rounding bound.
     """
     if isinstance(Q, ScaledIdentity):
         c = float(Q.scale)
@@ -299,16 +323,18 @@ def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
         invertible = c != 0.0
         positive_definite = c > 1.0
         inv_dev = abs(1.0 / c - 1.0) if invertible else None
+        upper = None
     else:
         mat = Q.materialize()
         eye = np.eye(mat.shape[0])
-        invertible, _, _, _ = _dense_facts(mat)
-        _, _, positive_definite, dev = _dense_facts(mat - eye)
+        invertible = _dense_facts(mat)[0]
+        _, _, positive_definite, dev, rounding = _dense_facts(mat - eye)
+        upper = dev + rounding
         inv_dev = None
         if invertible:
             inv_dev = float(np.linalg.norm(np.linalg.inv(mat) - eye, 2))
 
-    report = _guarantee_from_modulus(invertible, dev, positive_definite)
+    report = _guarantee_from_modulus(invertible, dev, positive_definite, upper)
     if report.guarantee is Guarantee.NONE and inv_dev is not None and inv_dev < 1.0:
         report = replace(report, guarantee=Guarantee.EXISTENCE_UNIQUENESS)
     return report

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from conic_newton import cli
 from conic_newton.cli import main
-from conic_newton.matrixio import write_matrix, write_vector
+from conic_newton.exceptions import NumericalFailureError
+from conic_newton.matrixio import read_matrix, write_matrix, write_vector
 from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS
 
 
@@ -150,6 +152,70 @@ class TestSolvePe:
         replay = json.loads(out2.read_text())
         assert replay["termination"] == report["termination"]
         assert replay["solution"] == report["solution"]
+
+
+class TestOutputPathsCheckedFirst:
+    """solve-pe and ncm find a bad output path before they read or solve,
+    and a run that fails leaves no file behind."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    @pytest.mark.parametrize("bad", ["missing/r.json", "dir"], ids=["missing-dir", "is-dir"])
+    def test_ncm_report_path(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.setattr(cli, "run_solver", self.refuse)
+        (tmp_path / "dir").mkdir()
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1,0.5\n0.5,1\n")
+        code = main([
+            "ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c2.mtx"),
+            "--out-report", str(tmp_path / bad),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "c2.mtx").exists()
+
+    def test_ncm_matrix_path_under_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_solver", self.refuse)
+        (tmp_path / "file").write_text("")
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1,0.5\n0.5,1\n")
+        code = main([
+            "ncm", "--input", str(g_path),
+            "--out-matrix", str(tmp_path / "file" / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_solve_pe_out_path(self, tmp_path, pe_files, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve", self.refuse)
+        t_path, b_path = pe_files
+        code = main([
+            "solve-pe", "--cone", "orthant:2", "--T", str(t_path), "--b", str(b_path),
+            "--out", str(tmp_path / "missing" / "r.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "q-linear" not in err  # nothing read or analyzed
+        assert not (tmp_path / "missing").exists()
+
+    def test_numerical_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalFailureError("no step decreases the residual")
+
+        monkeypatch.setattr(cli, "run_solver", failing)
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1,0.5\n0.5,1\n")
+        code = main([
+            "ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
 
 class TestNcmCommand:
@@ -331,6 +397,39 @@ class TestNcmCommand:
         ])
         assert code in (0, 2, 3)
         assert "non-finite" not in capsys.readouterr().err
+
+    def test_diagonal_near_the_largest_double_solves(self, tmp_path):
+        # diag(G) never enters the answer; the diagonal method starts from
+        # X = G, and its first residual is finite
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1e308,0.5\n0.5,1e308\n")
+        out_matrix, out_report = tmp_path / "c.mtx", tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "ncm", "--input", str(g_path), "--tol", "1e-10", "--method", "diagonal",
+                "--out-matrix", str(out_matrix), "--out-report", str(out_report),
+            ])
+        assert code == 0
+        report = json.loads(out_report.read_text())
+        assert np.all(np.isfinite(report["residuals"]))
+        np.testing.assert_allclose(
+            read_matrix(out_matrix), [[1.0, 0.5], [0.5, 1.0]], atol=1e-10
+        )
+
+    def test_off_diagonal_near_the_largest_double_fails_cleanly(self, tmp_path, capsys):
+        # no iterate holds the answer (see test_ncm); the failure is classified
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1,1e308\n1e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c.mtx"),
+                "--out-report", str(tmp_path / "r.json"),
+            ])
+        assert code == 3
+        assert "residual 1.41" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
     def test_missing_file(self, tmp_path):
         code = main([
@@ -578,9 +677,8 @@ class TestCliProperty:
     def test_every_input_has_a_documented_exit(self, case):
         # an input error exits 1; a well-formed input solves, hits a limit or
         # fails numerically (0, 2, 3); nothing but argparse's exit on a usage
-        # error raises out of main.  solve-pe and ncm write only after they
-        # solve, so a numerical failure (3) may come before a bad output path
-        # is found; bench makes its directory first.
+        # error raises out of main.  Every command checks its output paths
+        # (or makes its directory) before it solves, so a bad one exits 1.
         command, options = case
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in CLI_FILES.items():
@@ -598,7 +696,5 @@ class TestCliProperty:
         )
         if inputs_valid and outputs_valid:
             assert code in (0, 2, 3), (code, err)
-        elif inputs_valid and command != "bench":
-            assert code in (1, 3), (code, err)
         else:
             assert code == 1, (code, err)

@@ -1,5 +1,7 @@
 """Matrix file round trips and parse diagnostics."""
 
+import itertools
+import tracemalloc
 import warnings as np_warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conic_newton import matrixio
 from conic_newton.matrixio import (
     MatrixFileError,
     read_matrix,
@@ -252,7 +255,8 @@ GENERAL = "%%MatrixMarket matrix array real general\n"
 SYMMETRIC = "%%MatrixMarket matrix array real symmetric\n"
 
 # Files off the plain form (size line, then exactly one number per line),
-# with the values or the error their checked parse gives.
+# and square files on it that the mirrored read may take, with the values or
+# the error their checked parse gives.
 ARRAY_FILES = [
     pytest.param(
         GENERAL + "2 2\n1.0\n% c\n\n2.0\n   \n\t\n3.0\n  % indented\n4.0\n",
@@ -311,6 +315,31 @@ ARRAY_FILES = [
     pytest.param(
         GENERAL + "% only a comment\n\n", r":3: missing size line$", id="missing-size"
     ),
+    pytest.param(
+        GENERAL + "2 2\n1\nx\n2\n3\n",
+        r":4: expected a number, got 'x'$",
+        id="square-bad-lower-line-valid-mirror",
+    ),
+    pytest.param(
+        GENERAL + "2 2\n1\nbad\nbad\n3\n",
+        r":4: expected a number, got 'bad'$",
+        id="square-bad-mirrored-pair",
+    ),
+    pytest.param(
+        GENERAL + "3 3\n1\n2\n3\n2\n4\n5\n3\n5\nsix\n",
+        r":11: expected a number, got 'six'$",
+        id="square-bad-diagonal-otherwise-symmetric",
+    ),
+    pytest.param(
+        GENERAL + "2 2\r\n1\r\n0.5\r\n0.5\r\n2\r\n",
+        [[1.0, 0.5], [0.5, 2.0]],
+        id="square-crlf-symmetric",
+    ),
+    pytest.param(
+        GENERAL + "2 2\r\n1\r\n0.5\r\n0.5\r\n2x\r\n",
+        r":6: expected a number, got '2x'$",
+        id="square-crlf-bad-diagonal",
+    ),
 ]
 
 
@@ -326,6 +355,23 @@ class TestPlainFormEquivalence:
                 read_matrix(path)
         else:
             np.testing.assert_array_equal(read_matrix(path), expected)
+
+    @pytest.mark.parametrize("text, expected", ARRAY_FILES)
+    def test_checked_parse_agrees(self, tmp_path, monkeypatch, text, expected):
+        # the same file read with the plain form turned off
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        try:
+            fast = read_matrix(path)
+        except MatrixFileError as exc:
+            fast = str(exc)
+        monkeypatch.setattr(matrixio, "_plain_array", lambda lines, symmetric: None)
+        try:
+            checked = read_matrix(path)
+        except MatrixFileError as exc:
+            assert fast == str(exc)
+        else:
+            assert fast.tobytes() == checked.tobytes()
 
     def test_special_values(self, tmp_path):
         path = tmp_path / "s.mtx"
@@ -370,3 +416,71 @@ class TestWriteProperty:
             + "".join("%.17g\n" % v for v in mat.T.ravel().tolist())
         )
         assert path.read_bytes() == reference.encode()
+
+
+# Ways to write one value: the writer's own, Python's shortest repr (1.0 for
+# 1, -0.0 for -0), and capitals (NaN, Infinity, 1E-05)
+SPELLINGS = [
+    lambda v: "%.17g" % v,
+    repr,
+    lambda v: ("%.17g" % v).replace("nan", "NaN").replace("inf", "Infinity")
+    .replace("e", "E"),
+]
+
+
+class TestMirroredRead:
+    """A square general file whose mirrored lines have equal text is read
+    from one triangle; every file reads as one ``float`` per line would."""
+
+    @settings(max_examples=150)
+    @given(nearly_symmetric(), st.data())
+    def test_bitwise_equal_to_per_line_float(self, tmp_path_factory, mat, data):
+        n = mat.shape[0]
+        uniform = data.draw(st.booleans())
+        texts = [
+            SPELLINGS[0](v) if uniform else data.draw(st.sampled_from(SPELLINGS))(v)
+            for v in mat.T.ravel().tolist()
+        ]
+        path = tmp_path_factory.mktemp("m") / "m.mtx"
+        path.write_text(GENERAL + f"{n} {n}\n" + "".join(t + "\n" for t in texts))
+        reference = np.array([float(t) for t in texts]).reshape(n, n).T
+        assert read_matrix(path).tobytes() == reference.tobytes()
+
+    def test_mirror_check_stops_at_a_differing_spelling(self):
+        lines = ["1", "2", "3", "2", "4", "5", "3", "5", "6"]
+        assert matrixio._mirrored(lines, 0, 3)
+        assert not matrixio._mirrored(lines[:7] + ["5.0"] + lines[8:], 0, 3)
+
+    def test_peak_memory_no_higher_than_the_per_line_read(self, tmp_path):
+        n = 200
+        rng = np.random.default_rng(63)
+        mat = rng.standard_normal((n, n))
+        path = tmp_path / "s.mtx"
+        write_matrix(path, mat + mat.T)
+
+        def split():
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read().splitlines()
+
+        def per_line(lines):
+            source = itertools.islice(lines, 2, None)
+            return np.fromiter(map(float, source), float, count=n * n)
+
+        def peak(read):
+            read()
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 16 kB for the reader's own frames and slices, far below the n^2
+        # pointers (320 kB) of an object array of the lines
+        slack = 16 * 1024
+        assert peak(lambda: read_matrix(path)) <= peak(lambda: per_line(split())) + slack
+        # the text and its lines make the larger part of both peaks above,
+        # so the parse is also measured on its own, from the lines
+        lines = split()
+        parse = peak(lambda: matrixio._parse_matrix_market(path, lines))
+        assert parse <= peak(lambda: per_line(lines)) + slack

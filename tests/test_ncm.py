@@ -1,5 +1,7 @@
 """Nearest-correlation solvers: Newton-CG, the diagonal Newton recursion and the baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from conic_newton import (
     smat,
     svec,
 )
+from conic_newton import ncm as ncm_module
 from conic_newton.bench import ExperimentConfig, generate
 from conic_newton.cones import _psd_omega, _psd_part
 from conic_newton.ncm import (
@@ -420,14 +423,54 @@ class TestProblem:
                 continue
             assert isinstance(report.termination, Termination)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
-    def test_failure_inside_a_step_carries_its_iteration(self):
-        # Step 1 moves the diagonal to -1e308 with residual sqrt(2); the
-        # residual after step 2 overflows.
-        problem = NcmProblem(np.array([[1.0, 1e308], [1e308, 1.0]]))
+    def test_failure_inside_a_step_carries_its_iteration(self, monkeypatch):
+        # the second step fails with no iteration of its own
+        calls = []
+
+        def failing_second_step(state):
+            calls.append(state)
+            if len(calls) == 2:
+                raise NumericalFailureError("non-finite residual after step")
+            return diagonal_step(state)
+
+        monkeypatch.setattr(ncm_module, "diagonal_step", failing_second_step)
+        problem = NcmProblem(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                                       [0.0, -1.0, 2.0]]))
         with pytest.raises(NumericalFailureError, match="after step") as info:
-            solve_ncm_diagonal(problem)
+            solve_ncm_diagonal(problem, tol=1e-14)
         assert info.value.iteration == 2
+
+    def test_off_diagonal_near_the_largest_double_ends_classified(self):
+        # The answer [[1, 1], [1, 1]] needs X's positive eigenvalue d + g
+        # to be 2, but d + g is 0 or at least an ulp of g = 1e308: no
+        # iterate X = Ghat + Diag(d) holds it.  Each solver ends in a
+        # classified outcome with finite residuals, and without warnings.
+        problem = NcmProblem(np.array([[1.0, 1e308], [1e308, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="residual 1.41"):
+                solve_ncm(problem, tol=1e-8)
+            for solver in (solve_ncm_diagonal, solve_ncm_baseline):
+                report = solver(problem, tol=1e-8)
+                assert report.termination is Termination.MAX_ITER
+                assert np.all(np.isfinite(report.residuals))
+
+    @pytest.mark.parametrize("peak", [1e308, 2.0**129, 1e-300])
+    @pytest.mark.parametrize("solver", [solve_ncm, solve_ncm_diagonal])
+    def test_diagonal_at_any_scale(self, solver, peak):
+        # diag(G) never enters the answer, so it is that of a unit diagonal.
+        # (The baseline is left out: its first unit step from X = G leaves
+        # entries of about eps |G|, which it then moves by about 1 a step.)
+        g = np.array([[peak, 0.5, 0.25], [0.5, peak, -0.3], [0.25, -0.3, peak]])
+        unit = solve_ncm(NcmProblem(g - np.diag(np.diag(g)) + np.eye(3)), tol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solver(NcmProblem(g), tol=1e-10)
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert np.all(np.isfinite(report.residuals))
+        np.testing.assert_allclose(
+            report.projected_solution, unit.projected_solution, atol=1e-9
+        )
 
     def test_non_finite_symmetric_part_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -161,6 +161,15 @@ class TestAnalyze:
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == pytest.approx(0.5, rel=1e-12)
 
+    def test_modulus_within_rounding_of_a_threshold_gets_no_claim(self):
+        # the exact |T^-1| is 1, the SVD's 0.9999999999999998 lies within
+        # its rounding bound of 1, so neither q-linear branch nor existence
+        # and uniqueness is granted
+        report = analyze(DenseOperator(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        assert report.norm_T_inv < 1.0
+        assert report.guarantee is Guarantee.NONE
+        assert report.predicted_ratio is None
+
     def test_singular_operator(self):
         report = analyze(DenseOperator(np.zeros((3, 3))))
         assert not report.invertible
