@@ -47,9 +47,10 @@ d <- d - F(d): the unit-step gradient method on theta (Malick 2004).  It
 converges linearly.
 
 All three solvers share one iteration driver and one ``NcmState``: each
-iterate is factored once, and every stop is measured by ``ncm_residual``.
-The driver scales an off-diagonal beyond 2^128 down by a power of two,
-with the diagonal target alike, and reports in the caller's units.
+iterate is factored once, the tolerance is checked on ``ncm_residual``, and
+a diagonal met again bit for bit ends the run PATTERN_CYCLE.  The driver
+scales an off-diagonal beyond 2^128 down by a power of two, with the
+diagonal target alike, and reports in the caller's units.
 
 Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
 whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
@@ -210,16 +211,6 @@ def _state_with_diagonal(ghat: np.ndarray, d: np.ndarray, target: float) -> NcmS
     return state
 
 
-def _state_of(problem: NcmProblem, d: np.ndarray) -> NcmState:
-    """The iterate X = Ghat + Diag(d) of ``problem``."""
-    return _state_with_diagonal(problem.G - np.diag(np.diag(problem.G)), d, 1.0)
-
-
-def initial_state(problem: NcmProblem) -> NcmState:
-    """Start at X = G, which pins the off-diagonal and zeroes the multiplier."""
-    return _state_of(problem, np.diag(problem.G).copy())
-
-
 def ncm_residual(state: NcmState) -> float:
     """|F(d)| = |diag(P_psd(X)) - e|.
 
@@ -348,7 +339,8 @@ def _check_limits(tol: float, max_iter: int) -> None:
 
 
 def _iterate(
-    problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int
+    problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int,
+    restart: bool = False,
 ) -> SolveReport:
     """Apply ``step`` from X = Ghat + Diag(d0) until the residual is at most
     ``tol``.
@@ -359,9 +351,11 @@ def _iterate(
     that entry into [1/2, 1); any other G is solved as given (k = 0).
     Residuals and ``tol`` are in the caller's units.
 
-    A step that returns its input unchanged cannot make progress, which
-    raises ``NumericalFailureError``; so does a failure inside a step, which
-    carries the iteration it happened in.
+    ``restart`` replaces the first step that makes no progress
+    (``_stalled``) by a restart from X = Ghat + I, after which only the
+    diagonals met since count as a cycle.  A step that returns its input
+    unchanged raises ``NumericalFailureError``; so does a failure inside a
+    step, which carries the iteration it happened in.
     """
     _check_limits(tol, max_iter)
     start = time.perf_counter()
@@ -388,6 +382,7 @@ def _iterate(
     if residuals[-1] <= tol:
         termination = Termination.RESIDUAL_TOL
     else:
+        visited = {state.D_diag.tobytes()}
         for k in range(1, max_iter + 1):
             prev = state
             try:
@@ -396,6 +391,12 @@ def _iterate(
                 if exc.iteration is None:
                     exc.iteration = k
                 raise
+            if restart and _stalled(prev, state):
+                restart = False
+                visited.clear()
+                state = _state_with_diagonal(
+                    ghat, np.full(problem.n, state.target), state.target
+                )
             if state is prev:
                 raise NumericalFailureError(
                     f"no step decreases the residual {residuals[-1]:.3g}",
@@ -406,6 +407,11 @@ def _iterate(
             if residuals[-1] <= tol:
                 termination = Termination.RESIDUAL_TOL
                 break
+            point = state.D_diag.tobytes()
+            if point in visited:
+                termination = Termination.PATTERN_CYCLE
+                break
+            visited.add(point)
     return SolveReport(
         solution=unscaled(state.X),
         projected_solution=unscaled(_psd_part(*state.eig)),
@@ -426,25 +432,11 @@ def solve_ncm(
 def solve_ncm_diagonal(
     problem: NcmProblem, tol: float = 1e-5, max_iter: int = 200
 ) -> SolveReport:
-    """Diagonal Newton recursion (``diagonal_step``) starting from X = G.
-
-    The first step that leaves the diagonal unchanged (up to rounding) and
-    the residual above ``tol`` is replaced by a restart from X = Ghat + I;
-    a later one is kept.
-    """
-    restarted = False
-
-    def step(state):
-        nonlocal restarted
-        new_state = diagonal_step(state)
-        if not restarted and _stalled(state, new_state):
-            restarted = True
-            new_state = _state_with_diagonal(
-                new_state.Ghat, np.full(problem.n, new_state.target), new_state.target
-            )
-        return new_state
-
-    return _iterate(problem, np.diag(problem.G).copy(), step, tol, max_iter)
+    """Diagonal Newton recursion (``diagonal_step``) starting from X = G,
+    restarted once from X = Ghat + I if a step makes no progress."""
+    return _iterate(
+        problem, np.diag(problem.G).copy(), diagonal_step, tol, max_iter, restart=True
+    )
 
 
 def solve_ncm_baseline(

@@ -7,13 +7,12 @@ projection at the current iterate and solves a dense linear system:
 * projection-linear form:  (T V + I) x_next = b
 
 Because V(x) x equals the projection of x, the residual of either form at
-the new iterate vanishes exactly when the derivative selection repeats, so
-a repeated selection pattern (confirmed by a residual check) is a sound
-stopping rule alongside the plain residual tolerance.  A diagonal element
-is fixed by its pattern, so the step from an iterate depends only on that
-pattern: once a diagonal pattern recurs, the iteration repeats forever.
-For any element the step depends only on the iterate, so an iterate met
-again bit for bit repeats forever too.
+the new iterate vanishes exactly when the derivative selection repeats and
+fixes the element, as a diagonal element's pattern does.  So a repeated
+diagonal pattern (confirmed by a residual check) is a sound stopping rule
+beside the residual tolerance, and once one recurs the iteration repeats
+forever.  The step from any iterate depends on it alone, so an iterate met
+again bit for bit repeats forever too, and a run replays one step at a time.
 """
 
 from __future__ import annotations
@@ -52,19 +51,18 @@ class Termination(str, enum.Enum):
     @property
     def converged(self) -> bool:
         """Whether the run ended at a root: the residual tolerance, or a
-        repeated pattern confirmed by the residual."""
+        repeated diagonal pattern confirmed by the residual."""
         return self in (Termination.RESIDUAL_TOL, Termination.PATTERN_REPEAT)
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Solver knobs; ``x0 = None`` means the zero starting point."""
+    """The residual tolerance, the iteration limit and the starting point;
+    ``x0 = None`` means the zero starting point."""
 
     tol: float = 1e-5
     max_iter: int = 200
     x0: np.ndarray | None = None
-    use_pattern_stop: bool = True
-    record_history: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
@@ -81,7 +79,6 @@ class SolveReport:
     residuals: list[float]
     termination: Termination
     wall_time_seconds: float
-    iterates: list[np.ndarray] | None = None
 
 
 def residual(
@@ -278,14 +275,15 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     condition number above 1e14, or whose active block is exactly
     singular, falls back to a least-squares solution; three consecutive
     least-squares steps without residual reduction terminate with
-    SINGULAR_SYSTEM.  Non-finite iterates,
-    iterate norms above 1e12*(1+|b|), or a failed factorization raise
-    NumericalFailureError.  When a diagonal derivative element (orthant,
-    free and second-order interior or polar blocks) has a pattern already
-    met since the last least-squares step, and no other stop fires, the
-    run ends PATTERN_CYCLE: its iterates would repeat without end.  So
-    does a run that meets an iterate again, bit for bit, since the last
-    least-squares step, whatever its element.
+    SINGULAR_SYSTEM.  Non-finite iterates, iterate norms above
+    1e12*(1+|b|), or a failed factorization raise NumericalFailureError.
+    A diagonal derivative element (orthant, free and second-order interior
+    or polar blocks) with the previous iterate's pattern, at a residual
+    within max(tol, 1e-9 |b|), ends the run PATTERN_REPEAT.  One with a
+    pattern met since the last least-squares step, when no other stop
+    fires, ends it PATTERN_CYCLE: its iterates would repeat without end.
+    So does an iterate met again, bit for bit, since the last least-squares
+    step, whatever its element.
 
     The dense Newton matrix of every step is assembled into one d x d
     array, made at the first dense assembly and reused; a run of
@@ -346,7 +344,6 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
 
     projected, element = cone.linearize(x)
     residuals = [unscaled(residual(problem, x, projected=projected))]
-    iterates = [np.ldexp(x, shift)] if config.record_history else None
     iterations = 0
     termination = None
 
@@ -388,8 +385,6 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             projected, element = cone.linearize(x)
             res = unscaled(_residual_norm(problem, x, projected))
             residuals.append(res)
-            if config.record_history:
-                iterates.append(np.ldexp(x, shift))
 
             if used_lstsq:
                 seen.clear()
@@ -404,17 +399,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             else:
                 lstsq_fail_streak = 0
 
-            if (
-                config.use_pattern_stop
-                and element.pattern_key == prev_key
-                and res <= confirm_tol
-            ):
+            diagonal = isinstance(element, Diagonal)
+            if diagonal and element.pattern_key == prev_key and res <= confirm_tol:
                 termination = Termination.PATTERN_REPEAT
                 break
             if res <= config.tol:
                 termination = Termination.RESIDUAL_TOL
                 break
-            if isinstance(element, Diagonal):
+            if diagonal:
                 # the step from here repeats the one from the earlier visit,
                 # so the iterates since then repeat without end; none of
                 # them stopped, and none was a least-squares step
@@ -441,8 +433,21 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         residuals=residuals,
         termination=termination,
         wall_time_seconds=elapsed,
-        iterates=iterates,
     )
+
+
+def _replayed_iterates(problem, config, report):
+    """The iterates of ``report``, the run of ``solve(problem, config)``,
+    rebuilt by one-step solves: a step depends on its iterate alone.  Raises
+    ``ValueError`` unless the last is ``report.solution`` bit for bit."""
+    start = np.zeros(problem.cone.ambient_dim) if config.x0 is None else config.x0
+    iterates = [np.asarray(start, dtype=float)]
+    for _ in range(report.iterations):
+        step = solve(problem, replace(config, x0=iterates[-1], max_iter=1))
+        iterates.append(step.solution)
+    if iterates[-1].tobytes() != report.solution.tobytes():
+        raise ValueError("the replayed iterates do not end at the report's solution")
+    return iterates
 
 
 def measure_ratios(
@@ -453,7 +458,8 @@ def measure_ratios(
     """Per-step error contraction ratios against a verified root.
 
     The reference must satisfy the equation to residual 1e-10; ratios are
-    |x_{k+1} - ref| / |x_k - ref| over the recorded iterate sequence.
+    |x_{k+1} - ref| / |x_k - ref| over the iterates of ``solve(problem,
+    config)``, replayed one step at a time from its starting point.
     """
     reference = np.asarray(reference, dtype=float)
     ref_res = residual(problem, reference)
@@ -461,6 +467,6 @@ def measure_ratios(
         raise ValueError(
             f"reference point is not a root (residual {ref_res:.3e} > 1e-10)"
         )
-    report = solve(problem, replace(config, record_history=True))
-    errors = [float(np.linalg.norm(it - reference)) for it in report.iterates]
+    iterates = _replayed_iterates(problem, config, solve(problem, config))
+    errors = [float(np.linalg.norm(it - reference)) for it in iterates]
     return [curr / prev for prev, curr in zip(errors, errors[1:]) if prev > 0.0]

@@ -156,9 +156,10 @@ def test_kkt_round_trip():
                 x0 = np.concatenate([strict, np.zeros(m)]) if with_equality else strict
                 point, report = solve_qcp(
                     problem,
-                    NewtonConfig(tol=1e-11, max_iter=300, use_pattern_stop=False, x0=x0),
+                    NewtonConfig(tol=1e-11, max_iter=300, x0=x0),
                 )
-                assert report.termination is Termination.RESIDUAL_TOL, (name, i)
+                assert report.termination.converged, (name, i)
+                assert report.residuals[-1] <= 1e-11, (name, i)
                 assert kkt_residual(problem, point) <= 1e-6, (name, i)
                 root = embed_kkt(problem, point)
                 back = residual(to_projection_equation(problem), root)

@@ -34,8 +34,7 @@ from conic_newton.ncm import (
     _dual_objective,
     _gradient,
     _newton_operator,
-    _state_of,
-    initial_state,
+    _state_with_diagonal,
 )
 from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS, random_symmetric
 
@@ -54,6 +53,14 @@ def assert_correlation_output(report, tol):
     if report.termination is Termination.RESIDUAL_TOL:
         # the residual sums the same eigenpairs in another order
         assert np.linalg.norm(np.diag(c) - 1.0) <= tol + 1e-14
+
+
+def state_of(problem, d=None):
+    """The iterate X = Ghat + Diag(d) of ``problem``; X = G by default."""
+    g = problem.G
+    if d is None:
+        d = np.diag(g).copy()
+    return _state_with_diagonal(g - np.diag(np.diag(g)), d, 1.0)
 
 
 def step_matrix_reference(x):
@@ -93,7 +100,7 @@ def ncm_as_qcp(g):
 
 class TestStep:
     def test_identity_is_fixed_point(self):
-        state = initial_state(NcmProblem(np.eye(4)))
+        state = state_of(NcmProblem(np.eye(4)))
         assert state.residual == 0.0
         nxt = ncm_step(state)
         np.testing.assert_allclose(nxt.X, np.eye(4), atol=1e-12)
@@ -101,7 +108,7 @@ class TestStep:
 
     def test_hand_computed_two_by_two(self):
         g = np.array([[1.0, 2.0], [2.0, 1.0]])
-        state = initial_state(NcmProblem(g))
+        state = state_of(NcmProblem(g))
         nxt = diagonal_step(state)
         np.testing.assert_allclose(nxt.X, np.array([[0.0, 2.0], [2.0, 0.0]]), atol=1e-12)
         np.testing.assert_allclose(np.diag(g) - nxt.D_diag, [1.0, 1.0], atol=1e-12)
@@ -111,7 +118,7 @@ class TestStep:
         # a state whose step matrix has a zero diagonal entry leaves that
         # coordinate's update at zero instead of dividing by zero
         g = np.diag([1.0, -1.0])
-        state = initial_state(NcmProblem(g))
+        state = state_of(NcmProblem(g))
         v = step_matrix_reference(state.X)
         assert abs(v[1, 1]) <= 1e-12
         nxt = diagonal_step(state)
@@ -125,7 +132,7 @@ class TestStep:
         # than half, so both ways of forming the diagonals are compared
         rng = np.random.default_rng(44 + n)
         g = random_symmetric(rng, n, scale=1.0 / np.sqrt(n)) + shift * np.eye(n)
-        state = initial_state(NcmProblem(g))
+        state = state_of(NcmProblem(g))
         positive = int(np.count_nonzero(np.linalg.eigvalsh(state.X) > 0.0))
         assert (2 * positive <= n) == (shift < 0)
         reference = dense_step_reference(state)
@@ -181,11 +188,11 @@ class TestNewtonOperator:
         rng = np.random.default_rng(47)
         problem = NcmProblem(random_symmetric(rng, 7))
         d = shift + rng.uniform(-0.5, 0.5, 7)
-        grad = _gradient(_state_of(problem, d))
+        grad = _gradient(state_of(problem, d))
         step = 1e-6
         central = np.array([
-            (_dual_objective(_state_of(problem, d + step * e))
-             - _dual_objective(_state_of(problem, d - step * e))) / (2.0 * step)
+            (_dual_objective(state_of(problem, d + step * e))
+             - _dual_objective(state_of(problem, d - step * e))) / (2.0 * step)
             for e in np.eye(7)
         ])
         assert np.abs(grad - central).max() <= 1e-7
@@ -245,16 +252,16 @@ class TestNewtonCg:
 
 class TestResidual:
     def test_identity(self):
-        assert ncm_residual(initial_state(NcmProblem(np.eye(3)))) == 0.0
+        assert ncm_residual(state_of(NcmProblem(np.eye(3)))) == 0.0
 
     def test_off_diagonal_root(self):
         g = np.array([[0.0, 2.0], [2.0, 0.0]])
-        state = initial_state(NcmProblem(g))
+        state = state_of(NcmProblem(g))
         # diag(G)=0 so X = G itself; its projection is the all-ones matrix
         assert state.residual <= 1e-12
 
     def test_scaled_identity(self):
-        state = initial_state(NcmProblem(np.diag([4.0, 4.0])))
+        state = state_of(NcmProblem(np.diag([4.0, 4.0])))
         assert state.residual == pytest.approx(3.0 * np.sqrt(2.0))
 
 
@@ -334,7 +341,7 @@ class TestSolve:
         rng = np.random.default_rng(40)
         g = random_symmetric(rng, 8, scale=2.0)
         problem = NcmProblem(g)
-        state = initial_state(problem)
+        state = state_of(problem)
         off_mask = ~np.eye(8, dtype=bool)
         for _ in range(5):
             state = ncm_step(state)
@@ -445,15 +452,23 @@ class TestProblem:
         # to be 2, but d + g is 0 or at least an ulp of g = 1e308: no
         # iterate X = Ghat + Diag(d) holds it.  Each solver ends in a
         # classified outcome with finite residuals, and without warnings.
+        # The diagonal recursion alternates between two diagonals, bit for
+        # bit, and ends at its first revisit.  The baseline halves its
+        # residual until d - F(d) rounds back to a diagonal met before; it
+        # used to spend all 5,000 iterations there.
         problem = NcmProblem(np.array([[1.0, 1e308], [1e308, 1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="residual 1.41"):
                 solve_ncm(problem, tol=1e-8)
-            for solver in (solve_ncm_diagonal, solve_ncm_baseline):
-                report = solver(problem, tol=1e-8)
-                assert report.termination is Termination.MAX_ITER
-                assert np.all(np.isfinite(report.residuals))
+            diagonal = solve_ncm_diagonal(problem, tol=1e-8)
+            baseline = solve_ncm_baseline(problem, tol=1e-8)
+        assert diagonal.termination is Termination.PATTERN_CYCLE
+        assert diagonal.iterations <= 3
+        assert baseline.termination is Termination.PATTERN_CYCLE
+        assert baseline.iterations <= 60
+        for report in (diagonal, baseline):
+            assert np.all(np.isfinite(report.residuals))
 
     @pytest.mark.parametrize("peak", [1e308, 2.0**129, 1e-300])
     @pytest.mark.parametrize("solver", [solve_ncm, solve_ncm_diagonal])
@@ -532,6 +547,15 @@ class TestBaseline:
             NcmProblem(np.array([[1.0, 2.0], [2.0, 1.0]])), tol=1e-8
         )
         np.testing.assert_allclose(report.projected_solution, np.ones((2, 2)), atol=1e-6)
+
+    def test_step_below_the_diagonal_ulp_ends_as_a_cycle(self):
+        # the first step cancels a 1e308 diagonal to leftovers near 1e250,
+        # which a gradient of order 1 no longer moves: d - F(d) rounds back
+        # to a diagonal met before, where all 5,000 iterations used to go
+        g = np.array([[1e308, 0.5, 0.25], [0.5, 1e308, -0.3], [0.25, -0.3, 1e308]])
+        report = solve_ncm_baseline(NcmProblem(g), tol=1e-8)
+        assert report.termination is Termination.PATTERN_CYCLE
+        assert report.iterations <= 10
 
     def test_agreement_with_newton(self):
         cfg = ExperimentConfig("E56", n=30, seed=5, replicates=20)

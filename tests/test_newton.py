@@ -4,6 +4,7 @@ import collections
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from conic_newton.newton import (
     _min_norm_active_part,
     _newton_matrix,
     _probe_gate,
+    _replayed_iterates,
+    _scale_exponent,
 )
 from conftest import CONE_CASES, random_point
 
@@ -142,6 +145,19 @@ class TestSolve:
                     bound = max(1e-5, 1e-9 * (1 + np.linalg.norm(b)))
                     assert report.residuals[-1] <= bound
 
+    def test_repeated_boundary_pattern_is_no_stop(self):
+        # a second-order boundary element varies within one pattern, so a
+        # repeat of it proves nothing: this run repeated one at iteration 4,
+        # residual 4.3e-5 > tol, and used to end PATTERN_REPEAT there
+        T = np.array([[2.64, 1.28, -0.2], [1.28, 3.13, -0.26], [-0.2, -0.26, 1.4]])
+        b = np.array([-36491.0, -15236.0, 24238.0])
+        problem = ProjectionEquationProblem(SecondOrder(3), DenseOperator(T), b)
+        report = solve(problem, NewtonConfig())
+        assert report.termination is Termination.RESIDUAL_TOL
+        assert report.iterations == 5
+        assert report.residuals[-2] > 1e-5
+        assert report.residuals[-1] <= 1e-11
+
     def test_fixed_point_consistency(self):
         rng = np.random.default_rng(15)
         for cone in (Orthant(4), SecondOrder(4)):
@@ -158,21 +174,12 @@ class TestSolve:
         d = cone.ambient_dim
         b = random_point(cone, rng)
         problem = ProjectionEquationProblem(cone, ScaledIdentity(2.0, d), b)
-        report = solve(
-            problem,
-            NewtonConfig(tol=1e-14, max_iter=300, use_pattern_stop=False,
-                         record_history=True),
-        )
-        steps = [
-            np.linalg.norm(b_ - a_)
-            for a_, b_ in zip(report.iterates, report.iterates[1:])
-        ]
+        config = NewtonConfig(tol=1e-14, max_iter=300)
+        report = solve(problem, config)
+        iterates = _replayed_iterates(problem, config, report)
+        steps = [np.linalg.norm(b_ - a_) for a_, b_ in zip(iterates, iterates[1:])]
         if steps and steps[-1] < 1e-12:
             assert report.residuals[-1] <= 1e-8 * (1 + np.linalg.norm(b))
-
-    def test_history_off_keeps_no_iterates(self):
-        report = solve(orthant_problem(), NewtonConfig())
-        assert report.iterates is None
 
     def test_failed_factorization_raises_numerical_failure(self):
         class NanOperator(LinearOperator):
@@ -190,11 +197,16 @@ class TestSolve:
         assert exc_info.value.iteration == 1
         assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_record_history_keeps_every_iterate(self):
-        report = solve(orthant_problem(), NewtonConfig(record_history=True))
-        assert report.iterates is not None
-        assert len(report.iterates) == report.iterations + 1
-        assert report.iterates[-1].tobytes() == report.solution.tobytes()
+    def test_replay_rebuilds_every_iterate(self):
+        problem, config = orthant_problem(), NewtonConfig()
+        report = solve(problem, config)
+        iterates = _replayed_iterates(problem, config, report)
+        assert len(iterates) == report.iterations + 1
+        assert iterates[-1].tobytes() == report.solution.tobytes()
+        # a report of another run does not replay
+        other = replace(report, solution=report.solution + 1.0)
+        with pytest.raises(ValueError, match="replayed"):
+            _replayed_iterates(problem, config, other)
 
 
 def test_converged_terminations():
@@ -603,6 +615,11 @@ def assert_claim_holds(problem, report, tol):
         assert np.isfinite(report.residuals[-1])
         bound = tol
         if report.termination is Termination.PATTERN_REPEAT:
+            # the stop that a diagonal element's fixed pattern justifies, at
+            # the scale of the run (b / 2^k): far from it the second-order
+            # cone's norms under- or overflow and select another element
+            scaled = np.ldexp(report.solution, -_scale_exponent(problem.b))
+            assert isinstance(problem.cone.jacobian_element(scaled), Diagonal)
             bound = max(tol, 1e-9 * (1.0 + scale_safe_norm(problem.b)))
         assert scale_safe_residual(problem, report.solution) <= 1.01 * bound
 
@@ -668,11 +685,11 @@ class TestScaleSafety:
         b = 3.0 * rng.standard_normal(7)
         base = solve(
             ProjectionEquationProblem(cone, T, b),
-            NewtonConfig(tol=1e-10, use_pattern_stop=False),
+            NewtonConfig(tol=1e-10),
         )
         scaled = solve(
             ProjectionEquationProblem(cone, T, np.ldexp(b, power)),
-            NewtonConfig(tol=np.ldexp(1e-10, power), use_pattern_stop=False),
+            NewtonConfig(tol=np.ldexp(1e-10, power)),
         )
         assert base.termination is Termination.RESIDUAL_TOL
         assert scaled.iterations == base.iterations
@@ -744,31 +761,32 @@ def cycle_fuzz_cases(count=3000):
         yield ProjectionEquationProblem(cone, DenseOperator(t), b, form)
 
 
-def assert_real_cycle(problem, report):
+def assert_real_cycle(problem, config, report):
     """The last iterate repeats an earlier one: its diagonal pattern, or, when
     its element is not diagonal, the iterate itself bit for bit.  One more
     step from it lands exactly on that earlier iterate's successor."""
     cone = problem.cone
+    iterates = _replayed_iterates(problem, config, report)
     if isinstance(cone.jacobian_element(report.solution), Diagonal):
-        marks = [cone.jacobian_element(x).pattern_key for x in report.iterates]
+        marks = [cone.jacobian_element(x).pattern_key for x in iterates]
     else:
-        marks = [x.tobytes() for x in report.iterates]
+        marks = [x.tobytes() for x in iterates]
     earlier = marks.index(marks[-1])
     assert earlier < len(marks) - 1
     step = solve(problem, NewtonConfig(tol=1e-8, x0=report.solution, max_iter=1))
-    assert step.solution.tobytes() == report.iterates[earlier + 1].tobytes()
+    assert step.solution.tobytes() == iterates[earlier + 1].tobytes()
 
 
 class TestPatternCycle:
     def test_orthant_stalls_end_as_cycles(self):
-        config = NewtonConfig(tol=1e-8, record_history=True)
+        config = NewtonConfig(tol=1e-8)
         ends = {}
         for problem in cycle_fuzz_cases():
             report = solve(problem, config)
             kind = type(problem.cone).__name__
             ends.setdefault((kind, report.termination), []).append(report.iterations)
             if report.termination is Termination.PATTERN_CYCLE:
-                assert_real_cycle(problem, report)
+                assert_real_cycle(problem, config, report)
         assert len(ends[("Orthant", Termination.PATTERN_CYCLE)]) == 441
         assert max(ends[("Orthant", Termination.PATTERN_CYCLE)]) <= 12
         assert len(ends[("Orthant", Termination.PATTERN_REPEAT)]) == 1059
@@ -778,7 +796,7 @@ class TestPatternCycle:
         # a boundary element is not fixed by its pattern, so these stalls
         # end only when an iterate comes back bit for bit; 136 of the 210
         # runs that went to the iteration limit do
-        config = NewtonConfig(tol=1e-8, record_history=True)
+        config = NewtonConfig(tol=1e-8)
         ends = collections.Counter()
         for problem in cycle_fuzz_cases():
             if not isinstance(problem.cone, SecondOrder):
@@ -787,7 +805,7 @@ class TestPatternCycle:
             last = problem.cone.jacobian_element(report.solution)
             ends[report.termination, type(last).__name__] += 1
             if report.termination is Termination.PATTERN_CYCLE:
-                assert_real_cycle(problem, report)
+                assert_real_cycle(problem, config, report)
         assert ends[Termination.PATTERN_CYCLE, "SocBoundary"] == 136
         assert ends[Termination.PATTERN_CYCLE, "Diagonal"] == 252
         assert sum(n for (end, _), n in ends.items() if end is Termination.MAX_ITER) == 74

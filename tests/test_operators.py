@@ -343,7 +343,7 @@ class TestGuaranteesHold:
             if report.guarantee is not Guarantee.Q_LINEAR:
                 continue
             claims += 1
-            config = NewtonConfig(tol=1e-11, use_pattern_stop=False)
+            config = NewtonConfig(tol=1e-11)
             ratios = measure_ratios(problem, config, root)
             assert max(ratios, default=0.0) <= report.predicted_ratio + 1e-9, seed
         assert claims > 0

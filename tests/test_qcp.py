@@ -140,7 +140,7 @@ class TestSolveQcp:
         # q 2^600 with tol 2^600 runs the steps of the unit program, scaled;
         # projecting the root again in the caller's units overflowed here
         problem, _ = random_qcp(SecondOrder(5), 31, with_equality)
-        config = NewtonConfig(tol=1e-10, use_pattern_stop=False)
+        config = NewtonConfig(tol=1e-10)
         base, _ = solve_qcp(problem, config)
         equality = problem.equality
         if equality is not None:
@@ -214,9 +214,10 @@ class TestRoundTrip:
             m = p.equality[0].shape[0] if p.equality else 0
             x0 = np.concatenate([strict, np.zeros(m)]) if with_equality else strict
             kkt, report = solve_qcp(
-                p, NewtonConfig(tol=1e-11, max_iter=300, use_pattern_stop=False, x0=x0)
+                p, NewtonConfig(tol=1e-11, max_iter=300, x0=x0)
             )
-            assert report.termination is Termination.RESIDUAL_TOL
+            assert report.termination.converged
+            assert report.residuals[-1] <= 1e-11
             assert kkt_residual(p, kkt) <= 1e-8
             root = embed_kkt(p, kkt)
             assert residual(to_projection_equation(p), root) <= 1e-8
