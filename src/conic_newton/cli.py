@@ -302,7 +302,9 @@ def main(argv=None) -> int:
         return args.func(args)
     # numpy's LinAlgError is a ValueError, so this clause comes first
     except (NumericalFailureError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        at = getattr(exc, "iteration", None)
+        where = "" if at is None else f" at iteration {at}"
+        print(f"numerical failure{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

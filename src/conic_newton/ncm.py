@@ -46,11 +46,12 @@ on it cancels and each iteration changes only the diagonal,
 d <- d - F(d): the unit-step gradient method on theta (Malick 2004).  It
 converges linearly.
 
-All three solvers share one iteration driver and one ``NcmState``: each
-iterate is factored once, the tolerance is checked on ``ncm_residual``, and
-a diagonal met again bit for bit ends the run PATTERN_CYCLE.  The driver
-scales an off-diagonal beyond 2^128 down by a power of two, with the
-diagonal target alike, and reports in the caller's units.
+All three solvers share one ``NcmState`` and, through ``_iterate``, the
+iteration driver of ``newton.solve``: each iterate is factored once, the
+tolerance is checked on ``ncm_residual``, and a diagonal met again bit for
+bit ends the run PATTERN_CYCLE.  ``_iterate`` scales an off-diagonal beyond
+2^128 down by a power of two, with the diagonal target alike; the report is
+in the caller's units.
 
 Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
 whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
@@ -59,14 +60,13 @@ the multiplier is lambda = diag(G) - diag(solution).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import _positive_count, _psd_omega, _psd_part
 from .exceptions import DimensionMismatchError, NumericalFailureError
-from .newton import SolveReport, Termination, _scale_exponent
+from .newton import SolveReport, _drive, _scale_exponent
 
 _DIAG_PINV_TOL = 1e-12
 # A step that moves the diagonal by at most this, relative to its size, and
@@ -342,8 +342,8 @@ def _iterate(
     problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int,
     restart: bool = False,
 ) -> SolveReport:
-    """Apply ``step`` from X = Ghat + Diag(d0) until the residual is at most
-    ``tol``.
+    """Apply ``step`` from X = Ghat + Diag(d0), on ``newton._drive``, until
+    the residual is at most ``tol``.
 
     The iterates never hold diag(G), and the problem is homogeneous in Ghat
     and the diagonal target e together.  So a Ghat whose largest entry lies
@@ -358,67 +358,25 @@ def _iterate(
     step, which carries the iteration it happened in.
     """
     _check_limits(tol, max_iter)
-    start = time.perf_counter()
     ghat = problem.G - np.diag(np.diag(problem.G))
     # e's entries are 1, so (Ghat, e) is never scaled up
     shift = max(_scale_exponent(ghat), 0)
-    largest = np.finfo(float).max
-
-    def unscaled(value):
-        if not shift:
-            return value
-        with np.errstate(over="ignore"):
-            return np.ldexp(value, shift)
-
-    def residual(state):
-        return min(float(unscaled(state.residual)), largest)
-
     if shift:
         ghat, d0 = np.ldexp(ghat, -shift), np.ldexp(d0, -shift)
-    state = _state_with_diagonal(ghat, d0, 2.0**-shift)
-    residuals = [residual(state)]
-    iterations = 0
-    termination = Termination.MAX_ITER
-    if residuals[-1] <= tol:
-        termination = Termination.RESIDUAL_TOL
-    else:
-        visited = {state.D_diag.tobytes()}
-        for k in range(1, max_iter + 1):
-            prev = state
-            try:
-                state = step(state)
-            except NumericalFailureError as exc:
-                if exc.iteration is None:
-                    exc.iteration = k
-                raise
-            if restart and _stalled(prev, state):
-                restart = False
-                visited.clear()
-                state = _state_with_diagonal(
-                    ghat, np.full(problem.n, state.target), state.target
-                )
-            if state is prev:
-                raise NumericalFailureError(
-                    f"no step decreases the residual {residuals[-1]:.3g}",
-                    iteration=k,
-                )
-            residuals.append(residual(state))
-            iterations = k
-            if residuals[-1] <= tol:
-                termination = Termination.RESIDUAL_TOL
-                break
-            point = state.D_diag.tobytes()
-            if point in visited:
-                termination = Termination.PATTERN_CYCLE
-                break
-            visited.add(point)
-    return SolveReport(
-        solution=unscaled(state.X),
-        projected_solution=unscaled(_psd_part(*state.eig)),
-        iterations=iterations,
-        residuals=residuals,
-        termination=termination,
-        wall_time_seconds=time.perf_counter() - start,
+    target = 2.0**-shift
+
+    def advance(state):
+        nonlocal restart
+        new = step(state)
+        if restart and _stalled(state, new):
+            restart = False
+            return _state_with_diagonal(ghat, np.full(problem.n, target), target), True
+        return new, False
+
+    return _drive(
+        lambda: _state_with_diagonal(ghat, d0, target), advance,
+        lambda state: (state.residual, state.D_diag.tobytes()),
+        lambda state: (state.X, _psd_part(*state.eig)), tol, max_iter, shift,
     )
 
 

@@ -13,6 +13,11 @@ diagonal pattern (confirmed by a residual check) is a sound stopping rule
 beside the residual tolerance, and once one recurs the iteration repeats
 forever.  The step from any iterate depends on it alone, so an iterate met
 again bit for bit repeats forever too, and a run replays one step at a time.
+
+One driver, ``_drive``, runs the iterations of ``solve`` and of the three
+nearest-correlation solvers.  After each step the stops are tried in one
+order: the solver's own (in ``solve``, SINGULAR_SYSTEM, then PATTERN_REPEAT),
+RESIDUAL_TOL, then PATTERN_CYCLE; MAX_ITER ends a run at its iteration limit.
 """
 
 from __future__ import annotations
@@ -73,6 +78,11 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
+    """The last iterate and its projection, the steps taken, the residual of
+    every iterate, the stop, and the wall time from building the first
+    iterate.  A residual past the largest double is reported as the largest
+    double."""
+
     solution: np.ndarray
     projected_solution: np.ndarray
     iterations: int
@@ -109,10 +119,7 @@ def residual(
     if projected is None:
         projected = problem.cone.project(x)
     norm = _residual_norm(problem, x, projected)
-    if shift:
-        with np.errstate(over="ignore"):
-            return min(float(np.ldexp(norm, shift)), np.finfo(float).max)
-    return norm
+    return min(float(_unscaled(norm, shift)), np.finfo(float).max) if shift else norm
 
 
 def _residual_norm(problem, x, projected):
@@ -131,6 +138,15 @@ def _scale_exponent(b):
     if peak == 0.0 or 2.0**-_SCALE_RANGE <= peak <= 2.0**_SCALE_RANGE:
         return 0
     return int(np.frexp(peak)[1])
+
+
+def _unscaled(value, shift):
+    """``value 2^shift``: a norm or point of a run on ``b / 2^shift`` in the
+    caller's units, inf where it passes the largest double."""
+    if not shift:
+        return value
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, shift)
 
 
 def _newton_matrix(T_dense, element, form, out=None):
@@ -195,7 +211,12 @@ def _newton_step(matrix, rhs, probe_norms):
         solved = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         return _exact_rule(matrix, rhs[:, 0], None)
-    if _probe_gate(np.linalg.norm(matrix), solved[:, 1:], probe_norms):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(matrix)
+        if norm == np.inf:  # the squares overflowed: take it over the peak entry
+            peak = np.max(np.abs(matrix))
+            norm = peak * np.linalg.norm(matrix / peak)
+    if _probe_gate(norm, solved[:, 1:], probe_norms):
         return solved[:, 0], False
     return _exact_rule(matrix, rhs[:, 0], solved[:, 0])
 
@@ -273,17 +294,16 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     projection-linear form with a diagonal derivative element only the
     block of active coordinates is factored.  A step whose matrix has
     condition number above 1e14, or whose active block is exactly
-    singular, falls back to a least-squares solution; three consecutive
-    least-squares steps without residual reduction terminate with
-    SINGULAR_SYSTEM.  Non-finite iterates, iterate norms above
-    1e12*(1+|b|), or a failed factorization raise NumericalFailureError.
-    A diagonal derivative element (orthant, free and second-order interior
-    or polar blocks) with the previous iterate's pattern, at a residual
-    within max(tol, 1e-9 |b|), ends the run PATTERN_REPEAT.  One with a
-    pattern met since the last least-squares step, when no other stop
-    fires, ends it PATTERN_CYCLE: its iterates would repeat without end.
-    So does an iterate met again, bit for bit, since the last least-squares
-    step, whatever its element.
+    singular, falls back to a least-squares solution.  Non-finite
+    iterates, iterate norms above 1e12*(1+|b|), or a failed factorization
+    raise NumericalFailureError.  Three consecutive least-squares steps
+    without residual reduction end the run SINGULAR_SYSTEM.  A diagonal
+    derivative element (orthant, free and second-order interior or polar
+    blocks) with the previous iterate's pattern, at a residual within
+    max(tol, 1e-9 |b|), ends it PATTERN_REPEAT.  A state met again since
+    the last least-squares step ends it PATTERN_CYCLE (see ``_drive``): a
+    diagonal element's state is its pattern, which alone fixes the step;
+    any other's is the iterate, bit for bit.
 
     The dense Newton matrix of every step is assembled into one d x d
     array, made at the first dense assembly and reused; a run of
@@ -303,7 +323,6 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     if config is None:
         config = NewtonConfig()
     cone = problem.cone
-    start = time.perf_counter()
 
     if config.x0 is None:
         x = np.zeros(cone.ambient_dim)
@@ -323,15 +342,12 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         problem = replace(problem, b=np.ldexp(problem.b, -shift))
         x = np.ldexp(x, -shift)
 
-    def unscaled(norm):
-        return float(np.ldexp(norm, shift)) if shift else norm
-
     T_dense = problem.T.materialize()
     b = problem.b
     # in the caller's units |b| and the bound can pass the largest double;
     # capped, no comparison against them reads inf <= inf
     largest = np.finfo(float).max
-    norm_b = min(unscaled(np.linalg.norm(b)), largest)
+    norm_b = min(float(_unscaled(np.linalg.norm(b), shift)), largest)
     # relative to |b| alone: an absolute floor would lie above every
     # residual once |b| is far below 1, and confirm any repeated pattern
     confirm_tol = max(config.tol, 1e-9 * norm_b)
@@ -341,98 +357,120 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     # made at the first dense assembly, so active-set steps never make it
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
+    # a state is (x, P_K(x), element, residual)
 
-    projected, element = cone.linearize(x)
-    residuals = [unscaled(residual(problem, x, projected=projected))]
+    def first():
+        projected, element = cone.linearize(x)
+        return x, projected, element, residual(problem, x, projected=projected)
+
+    def step(state):
+        x, _, element, _ = state
+        try:
+            if projection_linear and isinstance(element, Diagonal):
+                x, lstsq = _active_set_step(
+                    T_dense, element, rhs, probe_norms, workspace
+                )
+            else:
+                matrix = _newton_matrix(T_dense, element, problem.form, workspace())
+                x, lstsq = _newton_step(matrix, rhs, probe_norms)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailureError("non-finite iterate")
+        if _unscaled(np.linalg.norm(x), shift) > divergence_bound:
+            raise NumericalFailureError("iterate norm exceeded divergence bound")
+        projected, element = cone.linearize(x)
+        res = _residual_norm(problem, x, projected)
+        return (x, projected, element, res), lstsq
+
+    def measure(state):
+        # a diagonal element alone fixes the step; an iterate met again bit
+        # for bit has the same element
+        x, _, element, res = state
+        return res, (element.pattern_key if isinstance(element, Diagonal)
+                     else x.tobytes())
+
+    streak = 0  # least-squares steps in a row that did not lower the residual
+
+    def stop(prev, state, lstsq, residuals):
+        nonlocal streak
+        streak = streak + 1 if lstsq and residuals[-1] >= residuals[-2] else 0
+        if streak >= _LSTSQ_FAIL_LIMIT:
+            return Termination.SINGULAR_SYSTEM
+        element = state[2]
+        if isinstance(element, Diagonal) and residuals[-1] <= confirm_tol:
+            if element.pattern_key == prev[2].pattern_key:
+                return Termination.PATTERN_REPEAT
+        return None
+
+    return _drive(first, step, measure, lambda state: state[:2], config.tol,
+                  config.max_iter, shift, stop)
+
+
+def _drive(first, step, measure, answer, tol, max_iter, shift, stop=None):
+    """Step from ``first()`` until a stop fires and report the run: the one
+    iteration loop of every solver.
+
+    ``step(state)`` is ``(next state, fresh)``; a fresh state (after a
+    least-squares step or a restart) forgets the states met before it.
+    ``measure(state)`` is ``(residual, key)``, equal keys meaning equal
+    steps, and ``answer(state)`` is ``(solution, projected_solution)``, both
+    in the run's units, the caller's over ``2^shift``.  ``tol`` and the
+    report are in the caller's, each residual capped at the largest double.
+
+    After each step ``stop(prev, state, fresh, residuals)``, when given,
+    may return a Termination; then come RESIDUAL_TOL and PATTERN_CYCLE, for
+    a key met since the last fresh state: the steps since would repeat
+    without end.  A NumericalFailureError inside a step is tagged with its
+    iteration, and a step that returns its input raises one.
+    """
+    start = time.perf_counter()
+    largest = float(np.finfo(float).max)
+    state = first()
+    res, key = measure(state)
+    residuals = [min(float(_unscaled(res, shift)), largest)]
     iterations = 0
-    termination = None
-
-    if residuals[-1] <= config.tol:
+    if residuals[-1] <= tol:
         termination = Termination.RESIDUAL_TOL
     else:
-        prev_key = element.pattern_key
-        # diagonal patterns, and iterates, met since the last least-squares
-        # step
-        seen = {prev_key} if isinstance(element, Diagonal) else set()
-        visited = {x.tobytes()}
-        lstsq_fail_streak = 0
-        for k in range(1, config.max_iter + 1):
+        seen = {key}
+        for iterations in range(1, max_iter + 1):
+            prev = state
             try:
-                if projection_linear and isinstance(element, Diagonal):
-                    x_next, used_lstsq = _active_set_step(
-                        T_dense, element, rhs, probe_norms, workspace
-                    )
-                else:
-                    matrix = _newton_matrix(
-                        T_dense, element, problem.form, workspace()
-                    )
-                    x_next, used_lstsq = _newton_step(matrix, rhs, probe_norms)
-            except np.linalg.LinAlgError as exc:
+                state, fresh = step(state)
+            except NumericalFailureError as exc:
+                if exc.iteration is None:
+                    exc.iteration = iterations
+                raise
+            if state is prev:
                 raise NumericalFailureError(
-                    f"linear solve failed at iteration {k}: {exc}", iteration=k
-                ) from exc
-            if not np.all(np.isfinite(x_next)):
-                raise NumericalFailureError(
-                    f"non-finite iterate at iteration {k}", iteration=k
+                    f"no step decreases the residual {residuals[-1]:.3g}",
+                    iteration=iterations,
                 )
-            x = x_next
-            iterations = k
-            if unscaled(np.linalg.norm(x)) > divergence_bound:
-                raise NumericalFailureError(
-                    f"iterate norm exceeded divergence bound at iteration {k}",
-                    iteration=k,
-                )
-            projected, element = cone.linearize(x)
-            res = unscaled(_residual_norm(problem, x, projected))
-            residuals.append(res)
-
-            if used_lstsq:
+            res, key = measure(state)
+            residuals.append(min(float(_unscaled(res, shift)), largest))
+            if fresh:
                 seen.clear()
-                visited.clear()
-                if res >= residuals[-2]:
-                    lstsq_fail_streak += 1
-                    if lstsq_fail_streak >= _LSTSQ_FAIL_LIMIT:
-                        termination = Termination.SINGULAR_SYSTEM
-                        break
-                else:
-                    lstsq_fail_streak = 0
-            else:
-                lstsq_fail_streak = 0
-
-            diagonal = isinstance(element, Diagonal)
-            if diagonal and element.pattern_key == prev_key and res <= confirm_tol:
-                termination = Termination.PATTERN_REPEAT
+            termination = None if stop is None else stop(prev, state, fresh, residuals)
+            if termination is not None:
                 break
-            if res <= config.tol:
+            if residuals[-1] <= tol:
                 termination = Termination.RESIDUAL_TOL
                 break
-            if diagonal:
-                # the step from here repeats the one from the earlier visit,
-                # so the iterates since then repeat without end; none of
-                # them stopped, and none was a least-squares step
-                if element.pattern_key in seen:
-                    termination = Termination.PATTERN_CYCLE
-                    break
-                seen.add(element.pattern_key)
-            # the step from an iterate depends on it alone, so an iterate
-            # met again, bit for bit, repeats the same steps without end
-            point = x.tobytes()
-            if point in visited:
+            if key in seen:
                 termination = Termination.PATTERN_CYCLE
                 break
-            visited.add(point)
-            prev_key = element.pattern_key
+            seen.add(key)
         else:
             termination = Termination.MAX_ITER
-
-    elapsed = time.perf_counter() - start
+    solution, projected = answer(state)
     return SolveReport(
-        solution=np.ldexp(x, shift),
-        projected_solution=np.ldexp(projected, shift),
+        solution=_unscaled(solution, shift),
+        projected_solution=_unscaled(projected, shift),
         iterations=iterations,
         residuals=residuals,
         termination=termination,
-        wall_time_seconds=elapsed,
+        wall_time_seconds=time.perf_counter() - start,
     )
 
 

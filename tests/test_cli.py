@@ -428,7 +428,8 @@ class TestNcmCommand:
                 "--out-report", str(tmp_path / "r.json"),
             ])
         assert code == 3
-        assert "residual 1.41" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failure at iteration 3: no step decreases the residual 1.41" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
     def test_missing_file(self, tmp_path):

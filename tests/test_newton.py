@@ -33,6 +33,7 @@ from conic_newton import (
     solve,
     solve_qcp,
 )
+import conic_newton.newton as newton_module
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
 from conic_newton.cones import Block, Diagonal
@@ -42,6 +43,7 @@ from conic_newton.newton import (
     _exact_rule,
     _min_norm_active_part,
     _newton_matrix,
+    _newton_step,
     _probe_gate,
     _replayed_iterates,
     _scale_exponent,
@@ -195,6 +197,22 @@ class TestSolve:
         with pytest.raises(NumericalFailureError) as exc_info:
             solve(problem, NewtonConfig())
         assert exc_info.value.iteration == 1
+        assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_failure_in_a_later_step_carries_its_iteration(self, monkeypatch):
+        # the second linear solve fails; the driver tags the failure
+        calls = []
+
+        def failing_second_step(matrix, rhs, probe_norms):
+            calls.append(matrix)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _newton_step(matrix, rhs, probe_norms)
+
+        monkeypatch.setattr(newton_module, "_newton_step", failing_second_step)
+        with pytest.raises(NumericalFailureError) as exc_info:
+            solve(orthant_problem(), NewtonConfig())
+        assert exc_info.value.iteration == 2
         assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
 
     def test_replay_rebuilds_every_iterate(self):
@@ -442,21 +460,22 @@ class LinalgCalls(dict):
         self.shapes = {name: [] for name in names}
 
 
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    counts = LinalgCalls(("svd", "lstsq"))
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            counts.shapes[_name].append(np.shape(args[0]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 class TestConditioningGate:
-    @pytest.fixture()
-    def linalg_calls(self, monkeypatch):
-        counts = LinalgCalls(("svd", "lstsq"))
-        for name in counts:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                counts.shapes[_name].append(np.shape(args[0]))
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return counts
-
     @pytest.mark.parametrize(
         "cone", [Orthant(40), SecondOrder(40), PsdCone(6)], ids=["orthant", "soc", "psd"]
     )
@@ -611,6 +630,8 @@ def assert_claim_holds(problem, report, tol):
     """A success claim holds for the returned solution; any report is finite."""
     assert isinstance(report.termination, Termination)
     assert np.all(np.isfinite(report.solution))
+    # a residual past the largest double is reported as the largest double
+    assert np.all(np.isfinite(report.residuals))
     if report.termination in SUCCESS:
         assert np.isfinite(report.residuals[-1])
         bound = tol
@@ -724,6 +745,20 @@ class TestScaleSafety:
         assert scaled.termination is base.termination
         if scale == np.ldexp(1.0, -600):
             assert scaled.residuals == [np.ldexp(r, -600) for r in base.residuals]
+
+    def test_newton_matrix_norm_past_the_largest_double(self, linalg_calls):
+        # |V + T|_F overflows as a sum of squares at T ~ 1e301; the probe
+        # gate read it as inf and took an SVD, with warnings, on both steps
+        T = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]) * 1e301
+        b = np.array([3.0, -2.0, 5.0]) * 1e301
+        problem = ProjectionEquationProblem(Orthant(3), DenseOperator(T), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert linalg_calls == {"svd": 0, "lstsq": 0}
+        assert report.termination is Termination.PATTERN_REPEAT
+        assert report.iterations == 2
+        assert_claim_holds(problem, report, NewtonConfig().tol)
 
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
