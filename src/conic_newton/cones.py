@@ -30,6 +30,22 @@ import numpy as np
 from .exceptions import DimensionMismatchError
 
 _SQRT2 = float(np.sqrt(2.0))
+_SAFE_NORM_MIN, _SAFE_NORM_MAX = 2.0**-500, 2.0**500
+
+
+def _norm(values) -> float:
+    """Euclidean (Frobenius) norm at any scale: ``np.linalg.norm``'s bits
+    inside [2^-500, 2^500], else, as the squares may have under- or
+    overflowed, taken again over the peak entry when it is finite and
+    nonzero."""
+    flat = np.ravel(values, order="K")
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(flat @ flat))
+    if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
+        peak = float(np.max(np.abs(flat), initial=0.0))
+        if 0.0 < peak < np.inf:
+            norm = peak * _norm(flat / peak)
+    return norm
 
 
 def svec(matrix: np.ndarray) -> np.ndarray:
@@ -262,8 +278,7 @@ class Cone:
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         """Membership test: distance to the cone within tol*(1 + |x|)."""
         x = self._checked(x)
-        gap = np.linalg.norm(x - self.project(x))
-        return bool(gap <= tol * (1.0 + np.linalg.norm(x)))
+        return _norm(x - self.project(x)) <= tol * (1.0 + _norm(x))
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -316,7 +331,7 @@ class SecondOrder(Cone):
     def project(self, x):
         x = self._checked(x)
         head, tail = x[0], x[1:]
-        tail_norm = np.linalg.norm(tail)
+        tail_norm = _norm(tail)
         if tail_norm <= head:
             return x.copy()
         if tail_norm <= -head:
@@ -330,7 +345,7 @@ class SecondOrder(Cone):
     def jacobian_element(self, x):
         x = self._checked(x)
         head, tail = x[0], x[1:]
-        tail_norm = np.linalg.norm(tail)
+        tail_norm = _norm(tail)
         if tail_norm < head:
             return Diagonal(("soc", "interior"), np.ones(self.n))
         if tail_norm < -head:

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _positive_count, _psd_omega, _psd_part
+from .cones import _norm, _positive_count, _psd_omega, _psd_part
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .newton import SolveReport, _drive, _scale_exponent
 
@@ -78,9 +78,6 @@ _REGULARIZATION = 1e-10
 _ARMIJO = 1e-4
 _MAX_FORCING = 1e-2
 _MAX_HALVINGS = 50
-# Norms in this range are taken directly: no square of an entry can have
-# under- or overflowed enough to matter.
-_SAFE_NORM_MIN, _SAFE_NORM_MAX = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True)
@@ -216,18 +213,10 @@ def ncm_residual(state: NcmState) -> float:
 
     The multiplier block of the optimality system holds exactly by
     construction (lambda is defined as diag(G) - diag(X)), so this is the
-    residual of the whole system.  A norm outside [2^-500, 2^500] is taken
-    again of F over its largest entry, as the squares of F may have under-
-    or overflowed.
+    residual of the whole system.  The norm is :func:`cones._norm`'s, read
+    at any scale.
     """
-    grad = _gradient(state)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(grad))
-        if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
-            peak = float(np.max(np.abs(grad)))
-            if 0.0 < peak < np.inf:
-                norm = peak * float(np.linalg.norm(grad / peak))
-    return norm
+    return _norm(_gradient(state))
 
 
 def ncm_step(state: NcmState) -> NcmState:

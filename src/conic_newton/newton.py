@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import Diagonal, _diagonal
+from .cones import Diagonal, _diagonal, _norm
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
@@ -128,7 +128,7 @@ def _residual_norm(problem, x, projected):
         value = projected + problem.T.apply(x) - problem.b
     else:
         value = problem.T.apply(projected) + x - problem.b
-    return float(np.linalg.norm(value))
+    return _norm(value)
 
 
 def _scale_exponent(b):
@@ -211,12 +211,7 @@ def _newton_step(matrix, rhs, probe_norms):
         solved = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         return _exact_rule(matrix, rhs[:, 0], None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(matrix)
-        if norm == np.inf:  # the squares overflowed: take it over the peak entry
-            peak = np.max(np.abs(matrix))
-            norm = peak * np.linalg.norm(matrix / peak)
-    if _probe_gate(norm, solved[:, 1:], probe_norms):
+    if _probe_gate(_norm(matrix), solved[:, 1:], probe_norms):
         return solved[:, 0], False
     return _exact_rule(matrix, rhs[:, 0], solved[:, 0])
 
@@ -228,8 +223,8 @@ def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
     ``[[R, 0], [C, I]]`` after reordering, with ``R = I + T_AA D_A`` and
     ``C = T_IA D_A``.  One LU solve of R against ``[b_A | G_A]`` gives
     ``x_A``, and ``x_I = b_I - C x_A``.  The probe gate is that of the full
-    matrix, with ``|M|_F^2 = |I| + |R|_F^2 + |C|_F^2``; a step that fails it
-    takes the exact rule on the full matrix.  When the LU of R fails, R is
+    matrix, with ``|M|_F = hypot(sqrt|I|, |R|_F, |C|_F)``; a step that fails
+    it takes the exact rule on the full matrix.  When the LU of R fails, R is
     exactly singular and the step is the minimum-norm least-squares
     solution of the full system, flagged as lstsq.  The full matrix goes
     into ``workspace()`` when that is given.
@@ -255,7 +250,7 @@ def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
         x[inactive] -= c @ x[active]
         return x, True
     x[inactive] -= c @ x[active]
-    matrix_norm = np.sqrt(inactive.size + np.vdot(r, r) + np.vdot(c, c))
+    matrix_norm = _norm([np.sqrt(inactive.size), _norm(r), _norm(c)])
     if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
         return x[:, 0], False
     out = None if workspace is None else workspace()

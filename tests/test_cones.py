@@ -1,5 +1,8 @@
 """Projections, dual projections, derivative elements, and their invariants."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from conic_newton.cones import (
     Diagonal,
     SocBoundary,
     Spectral,
+    _norm,
     _psd_jacobian_matrix,
     _psd_omega,
     _psd_part,
@@ -51,7 +55,7 @@ def assert_kind(cone, x, element):
     elif isinstance(cone, PsdCone):
         assert isinstance(element, Spectral)
     elif isinstance(cone, SecondOrder):
-        tail_norm = np.linalg.norm(x[1:])
+        tail_norm = math.hypot(*x[1:])
         on_boundary = tail_norm > 0.0 and -tail_norm <= x[0] <= tail_norm
         assert isinstance(element, SocBoundary if on_boundary else Diagonal)
     else:
@@ -354,6 +358,51 @@ class TestMembership:
 
     def test_soc_boundary(self):
         assert SecondOrder(3).contains([5.0, 3.0, 4.0], tol=1e-9)
+
+
+# zeros, subnormals, and normal floats with exponents across 2^-1000..2^1000
+WIDE_FLOATS = st.one_of(
+    st.just(0.0),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    st.builds(
+        math.ldexp, st.floats(-1.0, 1.0).filter(lambda m: abs(m) >= 0.5),
+        st.integers(-1000, 1000),
+    ),
+)
+
+
+class TestAtAnyScale:
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+    def test_second_order_cone(self, s):
+        # the tail norm |u| once under- or overflowed as a sum of squares:
+        # the small points read as interior and were returned unchanged,
+        # the large ones projected to [inf, nan, nan]
+        cone = SecondOrder(3)
+        x = s * np.array([0.5, 0.6, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            element = cone.jacobian_element(x)
+            projected = cone.project(x)
+            on_cone = cone.contains(s * np.array([1.0, 0.6, 0.8]))
+        assert isinstance(element, SocBoundary)
+        np.testing.assert_allclose(element.w, [0.6, 0.8], rtol=4e-16)
+        np.testing.assert_allclose(projected / s, [0.75, 0.45, 0.6], rtol=4e-16)
+        assert on_cone
+
+    @settings(max_examples=300)
+    @given(st.lists(WIDE_FLOATS, min_size=1, max_size=8))
+    def test_norm_matches_hypot(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _norm(np.array(entries))
+            with_inf = _norm(np.array(entries + [-np.inf]))
+            with_nan = _norm(np.array(entries + [np.nan]))
+        # a subnormal norm rounds to the subnormal grid
+        assert math.isclose(
+            norm, math.hypot(*entries), rel_tol=1e-13, abs_tol=2 * math.ulp(0.0)
+        )
+        assert with_inf == np.inf
+        assert math.isnan(with_nan)
 
 
 class TestJacobianElement:

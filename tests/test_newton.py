@@ -760,6 +760,24 @@ class TestScaleSafety:
         assert report.iterations == 2
         assert_claim_holds(problem, report, NewtonConfig().tol)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["b2", "b-2"])
+    def test_active_set_path_past_the_largest_double(self, sign):
+        # projection-linear, so every step takes the active-set path, whose
+        # gate norm sqrt(|I| + vdot(r, r) + vdot(c, c)) and the residual
+        # overflowed in dot with a warning.  Only b is rescaled, so T D + I
+        # keeps a condition number near |T| and the run still ends singular.
+        T = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]) * 1e301
+        b = np.array([3.0, 2.0 * sign, 5.0]) * 1e301
+        problem = ProjectionEquationProblem(
+            Orthant(3), DenseOperator(T), b, EquationForm.PROJECTION_LINEAR
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert report.termination is Termination.SINGULAR_SYSTEM
+        assert report.iterations == (6 if sign > 0 else 5)
+        assert_claim_holds(problem, report, NewtonConfig().tol)
+
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
         # iteration trips the divergence bound; it used to exit 0
