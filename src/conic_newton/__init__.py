@@ -4,48 +4,28 @@ Solves P_K(x) + Tx = b over closed convex cones (orthant, second-order,
 positive semidefinite, and their products), with a quadratic conic
 programming frontend, a specialized nearest-correlation-matrix solver, and
 a benchmark harness with performance profiles.
+
+The package exports what a caller of the solvers needs; internals such as
+the NCM steps or the KKT residual are imported from their modules.
 """
 
 __version__ = "0.1.0"
 
-from .cones import (
-    Cone,
-    FreeSpace,
-    JacobianElement,
-    Orthant,
-    Product,
-    PsdCone,
-    SecondOrder,
-    smat,
-    svec,
-)
+from .cones import Cone, FreeSpace, Orthant, Product, PsdCone, SecondOrder, smat, svec
 from .exceptions import DimensionMismatchError, NumericalFailureError
-from .newton import NewtonConfig, SolveReport, Termination, measure_ratios, residual, solve
+from .newton import NewtonConfig, SolveReport, Termination, residual, solve
 from .operators import (
     AugmentedKkt,
     DenseOperator,
     EquationForm,
     Guarantee,
-    GuaranteeReport,
     LinearOperator,
     ProjectionEquationProblem,
     ScaledIdentity,
     analyze,
-    analyze_problem,
-    analyze_qcp_operator,
-    as_operator,
 )
-from .ncm import (
-    NcmProblem,
-    NcmState,
-    diagonal_step,
-    ncm_residual,
-    ncm_step,
-    solve_ncm,
-    solve_ncm_baseline,
-    solve_ncm_diagonal,
-)
-from .qcp import KktPoint, QcpProblem, embed_kkt, kkt_residual, solve_qcp, to_projection_equation
+from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline, solve_ncm_diagonal
+from .qcp import KktPoint, QcpProblem, solve_qcp
 
 __all__ = [
     "AugmentedKkt",
@@ -55,12 +35,9 @@ __all__ = [
     "EquationForm",
     "FreeSpace",
     "Guarantee",
-    "GuaranteeReport",
-    "JacobianElement",
     "KktPoint",
     "LinearOperator",
     "NcmProblem",
-    "NcmState",
     "NewtonConfig",
     "NumericalFailureError",
     "Orthant",
@@ -73,15 +50,6 @@ __all__ = [
     "SolveReport",
     "Termination",
     "analyze",
-    "analyze_problem",
-    "analyze_qcp_operator",
-    "as_operator",
-    "diagonal_step",
-    "embed_kkt",
-    "kkt_residual",
-    "measure_ratios",
-    "ncm_residual",
-    "ncm_step",
     "residual",
     "smat",
     "solve",
@@ -90,5 +58,4 @@ __all__ = [
     "solve_ncm_diagonal",
     "solve_qcp",
     "svec",
-    "to_projection_equation",
 ]

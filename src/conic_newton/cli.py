@@ -95,7 +95,19 @@ def _check_writable(path) -> None:
         raise PermissionError(f"cannot write {path!r}: permission denied")
 
 
-def _write_json(path, payload) -> None:
+def _write_report(path, solver, config, report, extra) -> None:
+    """Write a command's JSON report: the keys every command shares, in
+    order, then the command's own ``extra`` keys."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "solver": solver,
+        "config": config,
+        "termination": report.termination.value,
+        "iterations": report.iterations,
+        "residuals": report.residuals,
+        "wall_time_seconds": report.wall_time_seconds,
+        **extra,
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -107,29 +119,22 @@ def cmd_solve_pe(args) -> int:
     t_matrix = read_matrix(args.T)
     b = read_vector(args.b)
     x0 = None if args.x0 == "zero" else read_vector(args.x0)
-    operator = DenseOperator(t_matrix)
-    problem = ProjectionEquationProblem(cone=cone, T=operator, b=b)
+    problem = ProjectionEquationProblem(cone=cone, T=DenseOperator(t_matrix), b=b)
     config = NewtonConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
 
-    guarantee = analyze(operator)
+    guarantee = analyze(problem)
     print(guarantee.summary(), file=sys.stderr)
     report = solve(problem, config)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "solver": "semi-smooth-newton",
-        "config": {
-            "cone": args.cone,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "x0": args.x0,
-            "T": os.fspath(args.T),
-            "b": os.fspath(args.b),
-        },
-        "termination": report.termination.value,
-        "iterations": report.iterations,
-        "residuals": report.residuals,
-        "wall_time_seconds": report.wall_time_seconds,
+    config_keys = {
+        "cone": args.cone,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
+        "x0": args.x0,
+        "T": os.fspath(args.T),
+        "b": os.fspath(args.b),
+    }
+    _write_report(args.out, "semi-smooth-newton", config_keys, report, {
         "guarantee": {
             "invertible": guarantee.invertible,
             "norm_T_inv": guarantee.norm_T_inv,
@@ -139,8 +144,7 @@ def cmd_solve_pe(args) -> int:
         },
         "solution": report.solution.tolist(),
         "projected_solution": report.projected_solution.tolist(),
-    }
-    _write_json(args.out, payload)
+    })
     return _termination_exit(report.termination)
 
 
@@ -160,23 +164,16 @@ def cmd_ncm(args) -> int:
     report = run_solver(name, problem, args.tol, max_iter)
 
     write_matrix(args.out_matrix, report.projected_solution)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "solver": args.method,
-        "config": {
-            "input": os.fspath(args.input),
-            "tol": args.tol,
-            "max_iter": max_iter,
-            "method": args.method,
-        },
-        "termination": report.termination.value,
-        "iterations": report.iterations,
-        "residuals": report.residuals,
-        "wall_time_seconds": report.wall_time_seconds,
+    config_keys = {
+        "input": os.fspath(args.input),
+        "tol": args.tol,
+        "max_iter": max_iter,
+        "method": args.method,
+    }
+    _write_report(args.out_report, args.method, config_keys, report, {
         "lambda": (np.diag(problem.G) - np.diag(report.solution)).tolist(),
         "matrix_path": os.fspath(args.out_matrix),
-    }
-    _write_json(args.out_report, payload)
+    })
     return _termination_exit(report.termination)
 
 

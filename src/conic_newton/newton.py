@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import Diagonal, _diagonal, _norm
+from .cones import _SAFE_NORM_MAX, _SAFE_NORM_MIN, Diagonal, _diagonal, _norm
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
@@ -184,7 +184,14 @@ def _probe_gate(matrix_norm, solved_probes, probe_norms):
     falls short of it only when every probe misses the smallest singular
     direction; the gate sits ``_PROBE_MARGIN`` below ``_MAX_CONDITION``.
     """
-    growth = np.max(np.linalg.norm(solved_probes, axis=0) / probe_norms)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(solved_probes, axis=0)
+    # a norm outside _norm's safe range may have squares that under- or
+    # overflowed; only those columns are taken again
+    for j, norm in enumerate(norms.tolist()):
+        if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
+            norms[j] = _norm(solved_probes[:, j])
+    growth = np.max(norms / probe_norms)
     return matrix_norm * growth < _MAX_CONDITION / _PROBE_MARGIN
 
 

@@ -12,7 +12,7 @@ positive definite branch needs Q - I positive definite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,17 +143,6 @@ class AugmentedKkt(LinearOperator):
         return out
 
 
-def as_operator(value, dim: int | None = None) -> LinearOperator:
-    """Coerce a matrix or scalar into a LinearOperator."""
-    if isinstance(value, LinearOperator):
-        return value
-    if np.isscalar(value):
-        if dim is None:
-            raise ValueError("scalar operator needs an explicit dimension")
-        return ScaledIdentity(float(value), dim)
-    return DenseOperator(np.asarray(value, dtype=float))
-
-
 class EquationForm(str, enum.Enum):
     """Which side of the projection equation carries the linear operator.
 
@@ -252,7 +241,24 @@ def _dense_facts(matrix: np.ndarray):
     return invertible, norm_inv, positive_definite, sig_max, rounding
 
 
-def analyze(T: LinearOperator) -> GuaranteeReport:
+def analyze(problem: ProjectionEquationProblem) -> GuaranteeReport:
+    """Convergence guarantees for the problem's projection equation, any cone K.
+
+    The point-linear form P_K(x) + Tx = b is read through T; the
+    projection-linear form T P_K(x) + x = b through Q = T + I.  A
+    projection-linear operator that is a zero-row ``AugmentedKkt`` is read
+    through its own ``quadratic``, so a ``ScaledIdentity`` Q is analyzed
+    exactly, without a densified copy.
+    """
+    T = problem.T
+    if problem.form is EquationForm.POINT_LINEAR:
+        return _analyze_point_linear(T)
+    if isinstance(T, AugmentedKkt) and T.constraint.shape[0] == 0:
+        return _analyze_projection_linear(T.quadratic)
+    return _analyze_projection_linear(DenseOperator(T.materialize() + np.eye(T.dim)))
+
+
+def _analyze_point_linear(T: LinearOperator) -> GuaranteeReport:
     """Convergence guarantees for P_K(x) + Tx = b, any cone K.
 
     Branches, in order: positive definite T with norm(T^-1) < 1 gives a
@@ -306,16 +312,16 @@ def _guarantee_from_modulus(invertible, norm_inv, positive_definite, upper=None)
     )
 
 
-def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
+def _analyze_projection_linear(Q: LinearOperator) -> GuaranteeReport:
     """Convergence guarantees for the form T P_K(x) + x = b with T = Q - I.
 
-    Mirrors :func:`analyze` with norm(Q - I) in place of norm(T^-1), and
-    with the definiteness of Q - I in place of that of T: the form is
-    P_K(x) + (Q - I)^-1 x = (Q - I)^-1 b rearranged, so the positive
-    definite branch needs Q - I positive definite, not Q.  Where that grants
-    nothing, invertible Q with norm(Q^-1 - I) < 1 still gives existence and
-    uniqueness.  For a dense Q each branch is tested at norm(Q - I) plus the
-    singular values' rounding bound.
+    Mirrors :func:`_analyze_point_linear` with norm(Q - I) in place of
+    norm(T^-1), and with the definiteness of Q - I in place of that of T:
+    the form is P_K(x) + (Q - I)^-1 x = (Q - I)^-1 b rearranged, so the
+    positive definite branch needs Q - I positive definite, not Q.  Where
+    that grants nothing, invertible Q with norm(Q^-1 - I) < 1 still gives
+    existence and uniqueness.  For a dense Q each branch is tested at
+    norm(Q - I) plus the singular values' rounding bound.
     """
     if isinstance(Q, ScaledIdentity):
         c = float(Q.scale)
@@ -338,14 +344,4 @@ def analyze_qcp_operator(Q: LinearOperator) -> GuaranteeReport:
     if report.guarantee is Guarantee.NONE and inv_dev is not None and inv_dev < 1.0:
         report = replace(report, guarantee=Guarantee.EXISTENCE_UNIQUENESS)
     return report
-
-
-def analyze_problem(problem: ProjectionEquationProblem) -> GuaranteeReport:
-    """Dispatch to the analyzer matching the problem's equation form."""
-    if problem.form is EquationForm.POINT_LINEAR:
-        return analyze(problem.T)
-    if isinstance(problem.T, AugmentedKkt) and problem.T.constraint.shape[0] == 0:
-        return analyze_qcp_operator(problem.T.quadratic)
-    q_dense = problem.T.materialize() + np.eye(problem.T.dim)
-    return analyze_qcp_operator(DenseOperator(q_dense))
 

@@ -23,16 +23,18 @@ from .cones import Cone, FreeSpace, Product
 from .exceptions import DimensionMismatchError
 from .operators import (
     AugmentedKkt,
+    DenseOperator,
     EquationForm,
     LinearOperator,
     ProjectionEquationProblem,
-    as_operator,
+    ScaledIdentity,
 )
 
 
 @dataclass(frozen=True)
 class QcpProblem:
-    """Quadratic conic program data; ``equality`` is an optional (A, b_eq) pair."""
+    """Quadratic conic program data.  ``Q`` may be given as a matrix or as a
+    scalar c, meaning c I; ``equality`` is an optional (A, b_eq) pair."""
 
     Q: LinearOperator
     q: np.ndarray
@@ -40,9 +42,12 @@ class QcpProblem:
     equality: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", as_operator(self.Q, dim=self.cone.ambient_dim))
-        q = np.asarray(self.q, dtype=float)
         d = self.cone.ambient_dim
+        if np.isscalar(self.Q):
+            object.__setattr__(self, "Q", ScaledIdentity(float(self.Q), d))
+        elif not isinstance(self.Q, LinearOperator):
+            object.__setattr__(self, "Q", DenseOperator(self.Q))
+        q = np.asarray(self.q, dtype=float)
         if self.Q.dim != d:
             raise DimensionMismatchError(
                 f"quadratic operator dimension {self.Q.dim} does not match cone "

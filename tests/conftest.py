@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from conic_newton import Orthant, Product, PsdCone, SecondOrder, smat, svec
+from conic_newton import (
+    Orthant,
+    Product,
+    ProjectionEquationProblem,
+    PsdCone,
+    QcpProblem,
+    SecondOrder,
+    smat,
+    svec,
+)
+from conic_newton.qcp import to_projection_equation
 
 # One profile for every property test: no per-example deadline (first calls
 # pay numpy's warm-up), and the same examples on every run.
@@ -32,6 +42,17 @@ STALLING_NCM_INPUTS = [
 RANK_DEFICIENT_NCM_INPUT = np.array(
     [[1.0, 1.987, -0.536], [1.987, 1.0, -1.939], [-0.536, -1.939, 1.0]]
 )
+
+
+def point_linear(T):
+    """P_K(x) + Tx = 0 over an orthant: ``analyze`` reads T of it."""
+    return ProjectionEquationProblem(Orthant(T.dim), T, np.zeros(T.dim))
+
+
+def projection_linear(Q):
+    """The reduced equation of a program with quadratic Q and no equality
+    rows: ``analyze`` reads Q of it."""
+    return to_projection_equation(QcpProblem(Q=Q, q=np.zeros(Q.dim), cone=Orthant(Q.dim)))
 
 
 def random_point(cone, rng, scale=2.0):

@@ -23,20 +23,29 @@ from conic_newton import (
     SecondOrder,
     Termination,
     analyze,
-    embed_kkt,
-    kkt_residual,
-    measure_ratios,
     residual,
     smat,
     solve_ncm,
     solve_ncm_baseline,
     solve_qcp,
     svec,
-    to_projection_equation,
 )
 from conic_newton.bench import ExperimentConfig, generate, profile, run_suite
-from conic_newton.qcp import KktPoint, ProjectionEquationProblem
-from conftest import interior_point, random_point, random_symmetric, well_separated_point
+from conic_newton.newton import measure_ratios
+from conic_newton.qcp import (
+    KktPoint,
+    ProjectionEquationProblem,
+    embed_kkt,
+    kkt_residual,
+    to_projection_equation,
+)
+from conftest import (
+    interior_point,
+    point_linear,
+    random_point,
+    random_symmetric,
+    well_separated_point,
+)
 
 JACOBIAN_CONES = [
     ("orthant", Orthant(6)),
@@ -252,13 +261,13 @@ def test_profile_pipeline():
 
 def test_guarantee_analyzer():
     with criterion("guarantee analyzer fixed quadruple", 1):
-        report = analyze(ScaledIdentity(3.0, 4))
+        report = analyze(point_linear(ScaledIdentity(3.0, 4)))
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == 1.0 / 3.0
-        report = analyze(ScaledIdentity(2.0, 4))
+        report = analyze(point_linear(ScaledIdentity(2.0, 4)))
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == 0.5
-        report = analyze(DenseOperator(np.diag([2.0, -2.0])))
+        report = analyze(point_linear(DenseOperator(np.diag([2.0, -2.0]))))
         assert report.guarantee is Guarantee.EXISTENCE_UNIQUENESS
-        report = analyze(ScaledIdentity(0.5, 4))
+        report = analyze(point_linear(ScaledIdentity(0.5, 4)))
         assert report.guarantee is Guarantee.NONE

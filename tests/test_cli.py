@@ -28,6 +28,30 @@ def pe_files(tmp_path):
     return t_path, b_path
 
 
+SHARED_REPORT_KEYS = [
+    "schema_version", "solver", "config", "termination", "iterations",
+    "residuals", "wall_time_seconds",
+]
+
+
+def test_reports_open_with_the_shared_keys(tmp_path, pe_files):
+    t_path, b_path = pe_files
+    pe_out = tmp_path / "pe.json"
+    main(["solve-pe", "--cone", "orthant:2", "--T", str(t_path),
+          "--b", str(b_path), "--out", str(pe_out)])
+    g_path = tmp_path / "g.csv"
+    g_path.write_text("1,0.5\n0.5,1\n")
+    ncm_out = tmp_path / "ncm.json"
+    main(["ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c.mtx"),
+          "--out-report", str(ncm_out)])
+    assert list(json.loads(pe_out.read_text())) == SHARED_REPORT_KEYS + [
+        "guarantee", "solution", "projected_solution",
+    ]
+    assert list(json.loads(ncm_out.read_text())) == SHARED_REPORT_KEYS + [
+        "lambda", "matrix_path",
+    ]
+
+
 class TestSolvePe:
     def test_happy_path(self, tmp_path, pe_files, capsys):
         t_path, b_path = pe_files

@@ -16,10 +16,6 @@ from conic_newton import (
     PsdCone,
     QcpProblem,
     Termination,
-    diagonal_step,
-    kkt_residual,
-    ncm_residual,
-    ncm_step,
     solve_ncm,
     solve_ncm_baseline,
     solve_ncm_diagonal,
@@ -35,7 +31,11 @@ from conic_newton.ncm import (
     _gradient,
     _newton_operator,
     _state_with_diagonal,
+    diagonal_step,
+    ncm_residual,
+    ncm_step,
 )
+from conic_newton.qcp import kkt_residual
 from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS, random_symmetric
 
 

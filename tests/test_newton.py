@@ -28,7 +28,6 @@ from conic_newton import (
     Termination,
     analyze,
     Guarantee,
-    measure_ratios,
     residual,
     solve,
     solve_qcp,
@@ -47,8 +46,9 @@ from conic_newton.newton import (
     _probe_gate,
     _replayed_iterates,
     _scale_exponent,
+    measure_ratios,
 )
-from conftest import CONE_CASES, random_point
+from conftest import CONE_CASES, point_linear, random_point
 
 
 def orthant_problem():
@@ -529,6 +529,28 @@ class TestConditioningGate:
         assert linalg_calls.shapes == {"svd": [(6, 6)], "lstsq": []}
         np.testing.assert_allclose(report.solution, root, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1000, 2.0**-900],
+                             ids=["1", "2^1000", "2^-900"])
+    def test_gate_reads_the_probes_at_any_scale(self, scale):
+        # condition number 1.5e20 at every scale: the solved probes are
+        # near 1e-285 at 2^1000, whose squares underflow, and near 1e287 at
+        # 2^-900, whose squares overflow; a gate that read their norms as 0
+        # would take the LU answer
+        m = scale * np.array([[1.0, 0.0, 0.5], [0.0, 1e-20, 0.0], [0.5, 0.0, 1.0]])
+        probes, probe_norms = newton_module._probes(3)
+        rhs = np.column_stack([[1.0, 2.0, 3.0], probes])
+        assert _newton_step(m, rhs, probe_norms)[1]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1000], ids=["1", "2^1000"])
+    def test_active_set_gate_reads_the_probes_at_any_scale(self, scale):
+        # T D + I with D = I is scale [[1, 1], [1, 1 + 2^-52]] exactly, of
+        # condition number 1.6e16
+        t = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]) - np.eye(2)
+        probes, probe_norms = newton_module._probes(2)
+        rhs = np.column_stack([[1.0, 2.0], probes])
+        element = Diagonal("all-active", np.ones(2))
+        assert _active_set_step(t, element, rhs, probe_norms)[1]
+
     def test_equality_program_makes_no_full_size_least_squares(self, linalg_calls):
         # from x0 = 0 the active block is the m x m zero block of the
         # multipliers: the step takes an m x m SVD and least squares in m
@@ -579,7 +601,7 @@ class TestMeasureRatios:
         rng = np.random.default_rng(18)
         cone = SecondOrder(4)
         T = ScaledIdentity(2.0, 4)
-        report = analyze(T)
+        report = analyze(point_linear(T))
         assert report.guarantee is Guarantee.Q_LINEAR
         for _ in range(20):
             x_hat = random_point(cone, rng)

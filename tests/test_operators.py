@@ -17,13 +17,12 @@ from conic_newton import (
     ScaledIdentity,
     SecondOrder,
     analyze,
-    analyze_problem,
-    analyze_qcp_operator,
-    measure_ratios,
     solve,
     solve_qcp,
-    to_projection_equation,
 )
+from conic_newton.newton import measure_ratios
+from conic_newton.qcp import to_projection_equation
+from conftest import point_linear, projection_linear
 
 
 def shifted(q):
@@ -126,9 +125,9 @@ class TestMaterialize:
         for form in EquationForm:
             problem = ProjectionEquationProblem(Orthant(6), DenseOperator(t), b, form)
             assert solve(problem, config).residuals[-1] <= 1e-10
-            analyze_problem(problem)
-        analyze(DenseOperator(t))
-        analyze_qcp_operator(DenseOperator(t))
+            analyze(problem)
+        analyze(point_linear(DenseOperator(t)))
+        analyze(projection_linear(DenseOperator(t)))
         for equality in (None, (read_only(rng.standard_normal((2, 6))), np.ones(2))):
             qcp = QcpProblem(Q=DenseOperator(t), q=b, cone=Orthant(6), equality=equality)
             kkt, _ = solve_qcp(qcp, config)
@@ -138,24 +137,24 @@ class TestMaterialize:
 
 class TestAnalyze:
     def test_acceptance_quadruple(self):
-        r1 = analyze(ScaledIdentity(3.0, 4))
+        r1 = analyze(point_linear(ScaledIdentity(3.0, 4)))
         assert r1.guarantee is Guarantee.Q_LINEAR
         assert r1.predicted_ratio == pytest.approx(1.0 / 3.0, abs=0)
-        r2 = analyze(ScaledIdentity(2.0, 4))
+        r2 = analyze(point_linear(ScaledIdentity(2.0, 4)))
         assert r2.guarantee is Guarantee.Q_LINEAR
         assert r2.predicted_ratio == 0.5
-        r3 = analyze(DenseOperator(np.diag([2.0, -2.0])))
+        r3 = analyze(point_linear(DenseOperator(np.diag([2.0, -2.0]))))
         assert r3.guarantee is Guarantee.EXISTENCE_UNIQUENESS
         assert r3.norm_T_inv == pytest.approx(0.5, rel=1e-14)
         assert not r3.is_positive_definite
-        r4 = analyze(ScaledIdentity(0.5, 3))
+        r4 = analyze(point_linear(ScaledIdentity(0.5, 3)))
         assert r4.guarantee is Guarantee.NONE
         assert r4.norm_T_inv == 2.0
 
     def test_strict_branch_without_definiteness(self):
         # an orthogonal-but-indefinite operator with small inverse norm
         mat = 3.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        report = analyze(DenseOperator(mat))
+        report = analyze(point_linear(DenseOperator(mat)))
         assert not report.is_positive_definite
         assert report.norm_T_inv == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert report.guarantee is Guarantee.Q_LINEAR
@@ -165,20 +164,20 @@ class TestAnalyze:
         # the exact |T^-1| is 1, the SVD's 0.9999999999999998 lies within
         # its rounding bound of 1, so neither q-linear branch nor existence
         # and uniqueness is granted
-        report = analyze(DenseOperator(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        report = analyze(point_linear(DenseOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))))
         assert report.norm_T_inv < 1.0
         assert report.guarantee is Guarantee.NONE
         assert report.predicted_ratio is None
 
     def test_singular_operator(self):
-        report = analyze(DenseOperator(np.zeros((3, 3))))
+        report = analyze(point_linear(DenseOperator(np.zeros((3, 3)))))
         assert not report.invertible
         assert report.norm_T_inv is None
         assert report.guarantee is Guarantee.NONE
 
     def test_scale_consistency_exact(self):
         for c in (0.3, -2.0, 7.5):
-            assert analyze(ScaledIdentity(c, 5)).norm_T_inv == 1.0 / abs(c)
+            assert analyze(point_linear(ScaledIdentity(c, 5))).norm_T_inv == 1.0 / abs(c)
 
     def test_materialization_consistency(self):
         ops = [
@@ -187,8 +186,8 @@ class TestAnalyze:
             AugmentedKkt(ScaledIdentity(2.0, 2), np.array([[1.0, 1.0]])),
         ]
         for op in ops:
-            structured = analyze(op)
-            densified = analyze(DenseOperator(op.materialize()))
+            structured = analyze(point_linear(op))
+            densified = analyze(point_linear(DenseOperator(op.materialize())))
             assert structured.guarantee is densified.guarantee
             if structured.predicted_ratio is None:
                 assert densified.predicted_ratio is None
@@ -219,23 +218,23 @@ class TestAnalyze:
 
 class TestAnalyzeQcpOperator:
     def test_scaled_pd(self):
-        report = analyze_qcp_operator(ScaledIdentity(1.5, 3))
+        report = analyze(projection_linear(ScaledIdentity(1.5, 3)))
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == 0.5
 
     def test_identity(self):
-        report = analyze_qcp_operator(ScaledIdentity(1.0, 3))
+        report = analyze(projection_linear(ScaledIdentity(1.0, 3)))
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == 0.0
 
     def test_far_from_identity(self):
-        report = analyze_qcp_operator(DenseOperator(np.diag([3.0, 0.2])))
+        report = analyze(projection_linear(DenseOperator(np.diag([3.0, 0.2]))))
         assert report.norm_T_inv == pytest.approx(2.0, rel=1e-14)
         assert report.guarantee is Guarantee.NONE
 
     def test_inverse_deviation_branch(self):
         # Q = diag(3, 2): dev = 2, but Q^-1 deviates by only 2/3 < 1
-        report = analyze_qcp_operator(DenseOperator(np.diag([3.0, 2.0])))
+        report = analyze(projection_linear(DenseOperator(np.diag([3.0, 2.0]))))
         assert report.guarantee is Guarantee.EXISTENCE_UNIQUENESS
 
     @pytest.mark.parametrize(
@@ -262,7 +261,7 @@ class TestAnalyzeQcpOperator:
         mat = op.materialize()
         eye = np.eye(mat.shape[0])
         dev = float(np.linalg.norm(mat - eye, 2))
-        report = analyze_qcp_operator(op)
+        report = analyze(projection_linear(op))
         inv_dev = None
         if report.invertible:
             inv_dev = float(np.linalg.norm(np.linalg.inv(mat) - eye, 2))
@@ -283,7 +282,7 @@ class TestAnalyzeProblem:
         problem = ProjectionEquationProblem(
             Orthant(2), ScaledIdentity(3.0, 2), np.zeros(2)
         )
-        report = analyze_problem(problem)
+        report = analyze(problem)
         assert report.predicted_ratio == pytest.approx(1.0 / 3.0)
 
     def test_projection_linear_uses_qcp_analyzer(self):
@@ -293,7 +292,7 @@ class TestAnalyzeProblem:
             np.zeros(2),
             form=EquationForm.PROJECTION_LINEAR,
         )
-        report = analyze_problem(problem)
+        report = analyze(problem)
         assert report.guarantee is Guarantee.Q_LINEAR
         assert report.predicted_ratio == pytest.approx(0.5, rel=1e-12)
 
@@ -339,7 +338,7 @@ class TestGuaranteesHold:
         claims = 0
         for seed in range(30):
             problem, root = planted_root(form, kind, spectrum, seed)
-            report = analyze_problem(problem)
+            report = analyze(problem)
             if report.guarantee is not Guarantee.Q_LINEAR:
                 continue
             claims += 1

@@ -17,16 +17,14 @@ from conic_newton import (
     ScaledIdentity,
     SecondOrder,
     Termination,
-    analyze_problem,
-    analyze_qcp_operator,
-    embed_kkt,
-    kkt_residual,
+    analyze,
     residual,
     smat,
     solve_qcp,
     svec,
-    to_projection_equation,
 )
+from conic_newton.operators import _analyze_projection_linear
+from conic_newton.qcp import embed_kkt, kkt_residual, to_projection_equation
 from conftest import CONE_CASES, interior_point, random_point, random_symmetric
 
 
@@ -57,7 +55,7 @@ class TestReduction:
         np.testing.assert_array_equal(pe.T.materialize(), np.eye(2))
         np.testing.assert_array_equal(pe.b, [2.0, -1.0])
 
-    def test_unconstrained_is_the_kkt_operator_with_no_rows(self):
+    def test_unconstrained_is_the_kkt_operator_with_no_rows(self, monkeypatch):
         p = QcpProblem(Q=2.0, q=np.array([-2.0, 1.0]), cone=Orthant(2))
         pe = to_projection_equation(p)
         assert isinstance(pe.T, AugmentedKkt)
@@ -65,7 +63,12 @@ class TestReduction:
         assert pe.T.constraint.shape == (0, 2)
         assert pe.cone is p.cone
         # the analysis reads Q's own operator, not a densified copy
-        assert analyze_problem(pe) == analyze_qcp_operator(p.Q)
+        def densified(self):
+            raise AssertionError("the analysis densified Q")
+
+        monkeypatch.setattr(ScaledIdentity, "materialize", densified)
+        monkeypatch.setattr(AugmentedKkt, "materialize", densified)
+        assert analyze(pe) == _analyze_projection_linear(p.Q)
 
     def test_unit_quadratic_with_equality_matches_diagonal_iteration(self):
         # Q = I zeroes the quadratic block, leaving only the multiplier term
