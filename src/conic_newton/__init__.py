@@ -6,8 +6,13 @@ programming frontend, a specialized nearest-correlation-matrix solver, and
 a benchmark harness with performance profiles.
 
 The package exports what a caller of the solvers needs; internals such as
-the NCM steps or the KKT residual are imported from their modules.
+the NCM steps or the KKT residual are imported from their modules.  The
+``ncm``, ``matrixio``, ``bench`` and ``cli`` modules load on first use (an
+attribute access or ``from conic_newton import ...``), so a projection
+equation or QCP solve does not pay for them.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -24,7 +29,6 @@ from .operators import (
     ScaledIdentity,
     analyze,
 )
-from .ncm import NcmProblem, solve_ncm, solve_ncm_baseline, solve_ncm_diagonal
 from .qcp import KktPoint, QcpProblem, solve_qcp
 
 __all__ = [
@@ -59,3 +63,19 @@ __all__ = [
     "solve_qcp",
     "svec",
 ]
+
+# submodules, and the exports of one of them, that load on first access
+_LAZY_MODULES = ("bench", "cli", "matrixio", "ncm")
+_NCM_NAMES = ("NcmProblem", "solve_ncm", "solve_ncm_baseline", "solve_ncm_diagonal")
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _NCM_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.ncm"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY_MODULES})

@@ -16,6 +16,9 @@ directory first, so a bad output path costs no solve.  A usage error that
 argparse catches (an unknown option, a missing one, or a value it cannot
 convert, such as ``--tol abc``) is an input error too, so it exits 1 rather
 than argparse's 2.
+
+Each command imports the ``bench``, ``matrixio`` and ``ncm`` names it uses
+when it runs, so loading the CLI loads none of those modules.
 """
 
 from __future__ import annotations
@@ -28,20 +31,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (
-    ExperimentConfig,
-    canonical_solver,
-    default_max_iter,
-    run_solver,
-    run_suite,
-    summarize,
-    write_profile_csv,
-    write_raw_csv,
-)
 from .cones import Cone, Orthant, PsdCone, SecondOrder
 from .exceptions import NumericalFailureError
-from .matrixio import read_matrix, read_vector, symmetrize_checked, write_matrix
-from .ncm import NcmProblem
 from .newton import NewtonConfig, Termination, solve
 from .operators import DenseOperator, ProjectionEquationProblem, analyze
 
@@ -114,6 +105,8 @@ def _write_report(path, solver, config, report, extra) -> None:
 
 
 def cmd_solve_pe(args) -> int:
+    from .matrixio import read_matrix, read_vector
+
     _check_writable(args.out)
     cone = _parse_cone(args.cone)
     t_matrix = read_matrix(args.T)
@@ -149,6 +142,10 @@ def cmd_solve_pe(args) -> int:
 
 
 def cmd_ncm(args) -> int:
+    from .bench import canonical_solver, default_max_iter, run_solver
+    from .matrixio import read_matrix, symmetrize_checked, write_matrix
+    from .ncm import NcmProblem
+
     _check_writable(args.out_matrix)
     _check_writable(args.out_report)
     raw = read_matrix(args.input)
@@ -182,6 +179,15 @@ def _parse_list(text, kind):
 
 
 def cmd_bench(args) -> int:
+    from .bench import (
+        ExperimentConfig,
+        canonical_solver,
+        run_suite,
+        summarize,
+        write_profile_csv,
+        write_raw_csv,
+    )
+
     experiment = _EXPERIMENT_NAMES[args.experiment]
     default_n = "200,400" if experiment == "E58" else "100,200,300"
     ns = _parse_list(args.n if args.n is not None else default_n, int)

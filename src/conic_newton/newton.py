@@ -379,7 +379,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("non-finite iterate")
-        if _unscaled(np.linalg.norm(x), shift) > divergence_bound:
+        if _unscaled(_norm(x), shift) > divergence_bound:
             raise NumericalFailureError("iterate norm exceeded divergence bound")
         projected, element = cone.linearize(x)
         res = _residual_norm(problem, x, projected)

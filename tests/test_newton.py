@@ -800,6 +800,18 @@ class TestScaleSafety:
         assert report.iterations == (6 if sign > 0 else 5)
         assert_claim_holds(problem, report, NewtonConfig().tol)
 
+    def test_divergence_check_past_the_largest_double(self):
+        # T ~ 1e-300 puts the first iterate near 1e300, whose norm overflowed
+        # as a sum of squares: the check warned "overflow encountered in dot"
+        # before it raised
+        problem = ProjectionEquationProblem(
+            Orthant(2), DenseOperator(1e-300 * np.eye(2)), np.array([-1.0, -0.5])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="divergence bound"):
+                solve(problem)
+
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
         # iteration trips the divergence bound; it used to exit 0

@@ -4,7 +4,11 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,9 @@ import pytest
 import conic_newton
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# modules that load only when a call first needs them
+LAZY_MODULES = ("bench", "cli", "matrixio", "ncm")
 
 PUBLIC_NAMES = {
     "AugmentedKkt", "Cone", "DenseOperator", "DimensionMismatchError",
@@ -97,3 +104,55 @@ def test_benchmark_boundaries_exist():
     for name, module, func in tracer.FUNCTIONS:
         mod = importlib.import_module(f"conic_newton.{module}")
         assert callable(getattr(mod, func, None)), name
+
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports the package from
+    this checkout's ``src/``, and return what it prints."""
+    setup = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+    result = subprocess.run([sys.executable, "-c", setup + textwrap.dedent(code)],
+                            capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+def test_cli_import_loads_no_ncm_bench_or_matrixio():
+    out = run_fresh("""
+        import json
+        import conic_newton, conic_newton.cli
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    loaded = set(json.loads(out))
+    assert "conic_newton.cli" in loaded
+    assert not {"conic_newton.bench", "conic_newton.matrixio", "conic_newton.ncm"} & loaded
+
+
+def test_lazy_names_resolve_in_a_fresh_interpreter():
+    """In an interpreter that has loaded no lazy module yet, every export
+    resolves through ``from conic_newton import`` and as an attribute, each
+    lazy submodule as an attribute, ``dir`` covers them all, and an unknown
+    name still raises ``AttributeError``."""
+    out = run_fresh(f"""
+        import types
+        import conic_newton as cn
+        for name in cn.__all__:
+            namespace = {{}}
+            exec(f"from conic_newton import {{name}}", namespace)
+            assert namespace[name] is getattr(cn, name), name
+        for module in {LAZY_MODULES!r}:
+            assert getattr(cn, module) is sys.modules["conic_newton." + module], module
+            assert isinstance(getattr(cn, module), types.ModuleType), module
+        assert set(cn.__all__) | set({LAZY_MODULES!r}) <= set(dir(cn))
+        try:
+            cn.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """)
+    assert out == "module 'conic_newton' has no attribute 'no_such_name'\n"
+
+
+@pytest.mark.parametrize("name", ["NcmProblem", "solve_ncm", "solve_ncm_baseline",
+                                  "solve_ncm_diagonal"])
+def test_lazy_export_is_the_ncm_object(name):
+    ncm = importlib.import_module("conic_newton.ncm")
+    assert getattr(conic_newton, name) is getattr(ncm, name)
