@@ -153,12 +153,7 @@ def _newton_matrix(T_dense, element, form, out=None):
     """``V + T`` or ``T V + I``, in a new array or in ``out``."""
     if form is EquationForm.POINT_LINEAR:
         return element.plus(T_dense, out=out)
-    if isinstance(element, Diagonal):
-        # T @ Diag(v) bit for bit: each entry of the product sums one term
-        # T_ij v_j and signed zeros
-        matrix = np.multiply(T_dense, element.diagonal, out=out)
-    else:
-        matrix = np.matmul(T_dense, element.materialize(), out=out)
+    matrix = np.matmul(T_dense, element.materialize(), out=out)
     # + I in place: adding 0.0 clears the zeros' sign as adding I's zeros did
     matrix += 0.0
     _diagonal(matrix)[:] += 1.0
@@ -167,74 +162,81 @@ def _newton_matrix(T_dense, element, form, out=None):
 
 @functools.lru_cache(maxsize=32)
 def _probes(d):
-    """``(G, column norms of G)``: the fixed Gaussian probe columns for
-    dimension d.  The arrays are read-only, so every solve of one dimension
-    shares them."""
+    """The fixed Gaussian probe columns for dimension d, read-only, so every
+    solve of one dimension shares them."""
     probes = np.random.default_rng(_PROBE_SEED).standard_normal((d, _PROBE_COLUMNS))
-    norms = np.linalg.norm(probes, axis=0)
-    for table in (probes, norms):
-        table.flags.writeable = False
-    return probes, norms
+    probes.flags.writeable = False
+    return probes
 
 
-def _probe_gate(matrix_norm, solved_probes, probe_norms):
-    """Whether ``|M|_F max_j |M^-1 g_j| / |g_j|`` clears the LU-only gate.
+def _probe_gate(block, solved, rhs):
+    """Whether ``|B|_F max_j |B^-1 g_j| / |g_j|`` clears the LU-only gate,
+    with ``g_j`` the probe columns ``rhs[:, 1:]`` and ``solved = B^-1 rhs``.
 
-    The estimate is at most sqrt(d) times the 2-norm condition number and
-    falls short of it only when every probe misses the smallest singular
-    direction; the gate sits ``_PROBE_MARGIN`` below ``_MAX_CONDITION``.
+    The estimate is at most sqrt(n) times the 2-norm condition number of B
+    and falls short of it only when every probe misses the smallest singular
+    direction; the gate sits ``_PROBE_MARGIN`` below ``_MAX_CONDITION``.  An
+    empty block passes.
     """
+    if not block.size:
+        return True
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(solved_probes, axis=0)
+        norms = np.linalg.norm(solved[:, 1:], axis=0)
     # a norm outside _norm's safe range may have squares that under- or
     # overflowed; only those columns are taken again
     for j, norm in enumerate(norms.tolist()):
         if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
-            norms[j] = _norm(solved_probes[:, j])
-    growth = np.max(norms / probe_norms)
-    return matrix_norm * growth < _MAX_CONDITION / _PROBE_MARGIN
+            norms[j] = _norm(solved[:, 1 + j])
+    growth = np.max(norms / np.linalg.norm(rhs[:, 1:], axis=0))
+    return _norm(block) * growth < _MAX_CONDITION / _PROBE_MARGIN
 
 
-def _exact_rule(matrix, b, solved):
-    """A values-only SVD decides: least squares above ``_MAX_CONDITION``,
-    else the LU answer ``solved`` (a fresh solve when it is None)."""
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[-1] <= 0.0 or sigma[0] > _MAX_CONDITION * sigma[-1]:
-        return np.linalg.lstsq(matrix, b, rcond=None)[0], True
-    if solved is None:
-        return np.linalg.solve(matrix, b), False
-    return solved, False
+def _block_step(block, rhs, coupling, rest):
+    """``(y, z, lstsq)``: the first column of the solution of
+    ``M [y; z] = [rhs; rest]`` with ``M = [[B, 0], [C, I]]``,
+    ``B = block`` and ``C = coupling``, and whether least squares produced
+    it.
 
+    ``rhs`` is ``[b | G]`` on the rows of B, with fixed Gaussian probe
+    columns G, and ``rest`` the same columns on the rows of C.  The full
+    Newton matrix is the case with no rows in C.  The conditioning of the
+    step is read from B, the one matrix factored: one LU solve of B against
+    ``[b | G]`` gives y and the probe estimate, and ``z = rest - C y``.
+    When the estimate fails the gate, or the factorization fails, one SVD of
+    B decides: up to condition ``_MAX_CONDITION`` the LU answer stands;
+    above it, or with no LU answer, the step is the minimum-norm
+    least-squares solution of ``M``.
 
-def _newton_step(matrix, rhs, probe_norms):
-    """Solve ``matrix x = rhs[:, 0]``; return x and whether lstsq produced it.
-
-    ``rhs`` is ``[b | G]`` with fixed Gaussian probe columns G.  One LU
-    solve gives the step and the probe condition estimate.  When the
-    estimate fails the gate, or the factorization fails, the exact rule
-    decides.
+    ``det M = det B``, so M is singular exactly when B is.  With B well
+    conditioned the step is backward stable for M however large C is:
+    beside the LU's backward error in B, the substitution perturbs C by
+    about ``n eps |C|`` and the identity block by ``eps``, entrywise, for B
+    of order n (Higham 2002, ch. 13, on block LU).  So a large C sends no
+    step to an SVD.
     """
     try:
-        solved = np.linalg.solve(matrix, rhs)
+        solved = np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError:
-        return _exact_rule(matrix, rhs[:, 0], None)
-    if _probe_gate(_norm(matrix), solved[:, 1:], probe_norms):
-        return solved[:, 0], False
-    return _exact_rule(matrix, rhs[:, 0], solved[:, 0])
+        solved = None
+    if solved is None or not _probe_gate(block, solved, rhs):
+        svd = np.linalg.svd(block)
+        sigma = svd[1]
+        if solved is None or sigma[-1] <= 0.0 or sigma[0] > _MAX_CONDITION * sigma[-1]:
+            y = _min_norm_active_part(svd, coupling, rhs[:, 0], rest[:, 0])
+            return y, rest[:, 0] - coupling @ y, True
+    # one product over every column: the first column alone (gemv) rounds
+    # differently from this gemm and would change the iterates' last bits
+    return solved[:, 0], (rest - coupling @ solved)[:, 0], False
 
 
-def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
-    """The projection-linear step ``(T D + I) x = rhs[:, 0]`` for a diagonal D.
+def _active_set_step(T_dense, element, rhs):
+    """The projection-linear step ``(T D + I) x = rhs[:, 0]`` for a diagonal D;
+    return x and whether least squares produced it.
 
     With A the coordinates where D is nonzero and I the rest, the matrix is
     ``[[R, 0], [C, I]]`` after reordering, with ``R = I + T_AA D_A`` and
-    ``C = T_IA D_A``.  One LU solve of R against ``[b_A | G_A]`` gives
-    ``x_A``, and ``x_I = b_I - C x_A``.  The probe gate is that of the full
-    matrix, with ``|M|_F = hypot(sqrt|I|, |R|_F, |C|_F)``; a step that fails
-    it takes the exact rule on the full matrix.  When the LU of R fails, R is
-    exactly singular and the step is the minimum-norm least-squares
-    solution of the full system, flagged as lstsq.  The full matrix goes
-    into ``workspace()`` when that is given.
+    ``C = T_IA D_A``, which ``_block_step`` solves with R the one block
+    factored and gated; no d x d matrix is formed.
     """
     active = np.flatnonzero(element.diagonal)
     inactive = np.flatnonzero(element.diagonal == 0.0)
@@ -248,26 +250,16 @@ def _active_set_step(T_dense, element, rhs, probe_norms, workspace=None):
         r *= weights
         c *= weights
     _diagonal(r)[:] += 1.0
-    x = rhs.copy()
-    try:
-        x[active] = np.linalg.solve(r, rhs[active])
-    except np.linalg.LinAlgError:
-        x = rhs[:, 0].copy()
-        x[active] = _min_norm_active_part(r, c, x[active], x[inactive])
-        x[inactive] -= c @ x[active]
-        return x, True
-    x[inactive] -= c @ x[active]
-    matrix_norm = _norm([np.sqrt(inactive.size), _norm(r), _norm(c)])
-    if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
-        return x[:, 0], False
-    out = None if workspace is None else workspace()
-    matrix = _newton_matrix(T_dense, element, EquationForm.PROJECTION_LINEAR, out)
-    return _exact_rule(matrix, rhs[:, 0], x[:, 0])
+    x = np.empty(rhs.shape[0])
+    x[active], x[inactive], lstsq = _block_step(r, rhs[active], c, rhs[inactive])
+    return x, lstsq
 
 
-def _min_norm_active_part(r, c, b_active, b_inactive):
+def _min_norm_active_part(svd, c, b_active, b_inactive):
     """``x_A`` of the minimum-norm least-squares solution of
-    ``[[R, 0], [C, I]] x = b``.
+    ``[[R, 0], [C, I]] x = b``, given ``svd = (U, sigma, V^T)`` of R; C may
+    have no rows, and x is then the minimum-norm least-squares solution of
+    ``R x = b``.
 
     The least-squares solutions are ``x_A = R^+ b_A + N z`` with N an
     orthonormal basis of null(R), and ``x_I = b_I - C x_A``, which zeroes the
@@ -276,11 +268,12 @@ def _min_norm_active_part(r, c, b_active, b_inactive):
     ``z = (I + (CN)^T CN)^-1 (CN)^T (b_I - C R^+ b_A)``; least squares on
     the stacked ``[CN; I]`` gives it without squaring the condition number
     of CN.  In exact arithmetic x is ``lstsq(M, b)``.  Singular values of R
-    up to ``eps |A| sigma_max(R)`` count as zero; gelsd on the full matrix
-    measures its cut against ``sigma_max(M)`` instead.
+    up to ``eps |A| sigma_max(R)`` count as zero, the cut of ``lstsq`` on R
+    alone; on the full matrix it would be measured against
+    ``sigma_max(M)`` instead.
     """
-    u, sigma, vt = np.linalg.svd(r)
-    rank = np.count_nonzero(sigma > np.finfo(float).eps * r.shape[0] * sigma[0])
+    u, sigma, vt = svd
+    rank = np.count_nonzero(sigma > np.finfo(float).eps * sigma.size * sigma[0])
     x_active = vt[:rank].T @ ((u[:, :rank].T @ b_active) / sigma[:rank])
     null = vt[rank:].T
     stacked = np.vstack([c @ null, np.eye(null.shape[1])])
@@ -292,13 +285,16 @@ def _min_norm_active_part(r, c, b_active, b_inactive):
 def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None) -> SolveReport:
     """Run the semi-smooth Newton iteration.
 
-    The linear systems use LU with partial pivoting; in the
-    projection-linear form with a diagonal derivative element only the
-    block of active coordinates is factored.  A step whose matrix has
-    condition number above 1e14, or whose active block is exactly
-    singular, falls back to a least-squares solution.  Non-finite
-    iterates, iterate norms above 1e12*(1+|b|), or a failed factorization
-    raise NumericalFailureError.  Three consecutive least-squares steps
+    Each step factors one matrix by LU with partial pivoting and reads the
+    step's conditioning from that matrix alone: the assembled ``V + T`` or
+    ``T V + I``, or, in the projection-linear form with a diagonal
+    derivative element, the active block ``R = I + T_AA D_A`` (see
+    ``_block_step``).  A probe estimate below 1e10 takes the LU answer;
+    otherwise one SVD of the factored matrix keeps it up to condition
+    number 1e14, and above that, or when the LU fails, the step is the
+    minimum-norm least-squares solution of the whole system.  Non-finite
+    iterates, iterate norms above 1e12*(1+|b|), or a failed SVD raise
+    NumericalFailureError.  Three consecutive least-squares steps
     without residual reduction end the run SINGULAR_SYSTEM.  A diagonal
     derivative element (orthant, free and second-order interior or polar
     blocks) with the previous iterate's pattern, at a residual within
@@ -354,8 +350,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     # residual once |b| is far below 1, and confirm any repeated pattern
     confirm_tol = max(config.tol, 1e-9 * norm_b)
     divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
-    probes, probe_norms = _probes(cone.ambient_dim)
-    rhs = np.column_stack([b, probes])
+    rhs = np.column_stack([b, _probes(cone.ambient_dim)])
+    no_coupling = np.empty((0, cone.ambient_dim))
     # made at the first dense assembly, so active-set steps never make it
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
@@ -369,12 +365,10 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         x, _, element, _ = state
         try:
             if projection_linear and isinstance(element, Diagonal):
-                x, lstsq = _active_set_step(
-                    T_dense, element, rhs, probe_norms, workspace
-                )
+                x, lstsq = _active_set_step(T_dense, element, rhs)
             else:
                 matrix = _newton_matrix(T_dense, element, problem.form, workspace())
-                x, lstsq = _newton_step(matrix, rhs, probe_norms)
+                x, _, lstsq = _block_step(matrix, rhs, no_coupling, rhs[:0])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):

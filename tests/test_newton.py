@@ -5,6 +5,7 @@ import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,14 +36,13 @@ from conic_newton import (
 import conic_newton.newton as newton_module
 from conic_newton.cli import main
 from conic_newton.matrixio import write_matrix, write_vector
-from conic_newton.cones import Block, Diagonal
+from conic_newton.cones import Block, Diagonal, _norm
 from conic_newton.newton import (
     _PROBE_COLUMNS,
     _active_set_step,
-    _exact_rule,
+    _block_step,
     _min_norm_active_part,
     _newton_matrix,
-    _newton_step,
     _probe_gate,
     _replayed_iterates,
     _scale_exponent,
@@ -203,13 +203,13 @@ class TestSolve:
         # the second linear solve fails; the driver tags the failure
         calls = []
 
-        def failing_second_step(matrix, rhs, probe_norms):
+        def failing_second_step(matrix, *args):
             calls.append(matrix)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return _newton_step(matrix, rhs, probe_norms)
+            return _block_step(matrix, *args)
 
-        monkeypatch.setattr(newton_module, "_newton_step", failing_second_step)
+        monkeypatch.setattr(newton_module, "_block_step", failing_second_step)
         with pytest.raises(NumericalFailureError) as exc_info:
             solve(orthant_problem(), NewtonConfig())
         assert exc_info.value.iteration == 2
@@ -332,12 +332,13 @@ def active_set_cases():
 
 def step_rhs(b):
     probes = np.random.default_rng(21).standard_normal((b.size, _PROBE_COLUMNS))
-    return np.column_stack([b, probes]), np.linalg.norm(probes, axis=0)
+    return np.column_stack([b, probes])
 
 
-def ix_active_set_step(t_dense, element, rhs, probe_norms):
+def ix_active_set_step(t_dense, element, rhs):
     """The active-set step with boolean ``np.ix_`` gathers and an indexed
-    diagonal: the formulas the integer-gather step must equal bit for bit."""
+    diagonal: the formulas the integer-gather step must equal bit for bit.
+    The gate and the SVD read R alone."""
     active = element.diagonal != 0.0
     weights = element.diagonal[active]
     r = t_dense[np.ix_(active, active)]
@@ -349,17 +350,18 @@ def ix_active_set_step(t_dense, element, rhs, probe_norms):
     x = rhs.copy()
     try:
         x[active] = np.linalg.solve(r, rhs[active])
+        lu = True
     except np.linalg.LinAlgError:
-        x = rhs[:, 0].copy()
-        x[active] = _min_norm_active_part(r, c, x[active], x[~active])
-        x[~active] -= c @ x[active]
-        return x, True
+        lu = False
+    if not (lu and _probe_gate(r, x[active], rhs[active])):
+        svd = np.linalg.svd(r)
+        if not lu or svd[1][-1] <= 0.0 or svd[1][0] > 1e14 * svd[1][-1]:
+            x = rhs[:, 0].copy()
+            x[active] = _min_norm_active_part(svd, c, x[active], x[~active])
+            x[~active] -= c @ x[active]
+            return x, True
     x[~active] -= c @ x[active]
-    matrix_norm = np.sqrt(np.count_nonzero(~active) + np.vdot(r, r) + np.vdot(c, c))
-    if _probe_gate(matrix_norm, x[:, 1:], probe_norms):
-        return x[:, 0], False
-    matrix = t_dense * element.diagonal + np.eye(t_dense.shape[0])
-    return _exact_rule(matrix, rhs[:, 0], x[:, 0])
+    return x[:, 0], False
 
 
 def ix_gather_cases():
@@ -386,10 +388,10 @@ class TestActiveSetStep:
             active = np.flatnonzero(element.diagonal)
             t_dense[np.ix_(active, active)] = 0.0
             t_dense[active, active] = -1.0
-        rhs, probe_norms = step_rhs(rng.standard_normal(d))
+        rhs = step_rhs(rng.standard_normal(d))
         for el in (element, weighted):
-            x, used_lstsq = _active_set_step(t_dense, el, rhs, probe_norms)
-            x_ref, used_ref = ix_active_set_step(t_dense, el, rhs, probe_norms)
+            x, used_lstsq = _active_set_step(t_dense, el, rhs)
+            x_ref, used_ref = ix_active_set_step(t_dense, el, rhs)
             assert x.tobytes() == x_ref.tobytes()
             assert used_lstsq == used_ref
 
@@ -402,8 +404,8 @@ class TestActiveSetStep:
         d = element.diagonal.size
         t_dense = rng.standard_normal((d, d)) / np.sqrt(d)
         b = rng.standard_normal(d)
-        rhs, probe_norms = step_rhs(b)
-        x, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+        rhs = step_rhs(b)
+        x, used_lstsq = _active_set_step(t_dense, element, rhs)
         reference = np.linalg.solve(t_dense * element.diagonal + np.eye(d), b)
         assert not used_lstsq
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -423,12 +425,49 @@ class TestActiveSetStep:
         t_dense[np.ix_(rows, active)] = 0.0
         t_dense[rows, rows] = -1.0
         b = rng.standard_normal(d)
-        rhs, probe_norms = step_rhs(b)
-        x, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+        rhs = step_rhs(b)
+        x, used_lstsq = _active_set_step(t_dense, element, rhs)
         matrix = t_dense * element.diagonal + np.eye(d)
         reference = np.linalg.lstsq(matrix, b, rcond=None)[0]
         assert used_lstsq
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8),
+        st.floats(0.0, 8.0), st.floats(0.0, 12.0),
+    )
+    def test_block_substitution_is_backward_stable(
+        self, seed, k, m, log_condition, log_ratio
+    ):
+        # R = I + T_AA D_A of condition number up to 1e8 and |C|_F / |R|_F
+        # log-uniform in [1, 1e12]: the full matrix's condition number grows
+        # with |C|, yet the step reads R alone, takes no SVD, and solves the
+        # full system with a normwise backward error at rounding level
+        rng = np.random.default_rng(seed)
+        d = k + m
+        u = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        r = (u * np.logspace(0.0, -log_condition, k)) @ v.T
+        weights = rng.uniform(0.5, 1.0, k)
+        c = rng.standard_normal((m, k))
+        c *= 10.0**log_ratio * _norm(r) / _norm(c)
+        t = rng.standard_normal((d, d))
+        t[:k, :k] = (r - np.eye(k)) / weights
+        t[k:, :k] = c / weights
+        order = rng.permutation(d)
+        t = t[np.ix_(order, order)]
+        diagonal = np.concatenate([weights, np.zeros(m)])[order]
+        element = Diagonal("mixed", diagonal)
+        b = rng.standard_normal(d)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            x, used_lstsq = _active_set_step(t, element, step_rhs(b))
+        assert svd.call_count == 0
+        assert not used_lstsq
+        matrix = t * diagonal + np.eye(d)
+        eps = np.finfo(float).eps
+        assert _norm(matrix @ x - b) <= 10 * d * eps * (
+            _norm(matrix) * _norm(x) + _norm(b)
+        )
 
     def test_gathers_make_no_d_by_active_array(self):
         # R (|A| x |A|) and C (|I| x |A|) together hold d x |A| doubles; no
@@ -441,10 +480,10 @@ class TestActiveSetStep:
         element = Orthant(d).jacobian_element(x)
         a = rng.standard_normal((d, d))
         t_dense = a @ a.T / d + np.eye(d)
-        rhs, probe_norms = step_rhs(rng.standard_normal(d))
+        rhs = step_rhs(rng.standard_normal(d))
         tracemalloc.start()
         try:
-            _, used_lstsq = _active_set_step(t_dense, element, rhs, probe_norms)
+            _, used_lstsq = _active_set_step(t_dense, element, rhs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -506,13 +545,18 @@ class TestConditioningGate:
         assert linalg_calls == {"svd": 1, "lstsq": 1}
         np.testing.assert_allclose(report.solution, [-1.0, -1.0, 0.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("block", ["ill-conditioned-r", "large-c"])
-    def test_projection_linear_grey_band_takes_exact_rule_on_full_matrix(
-        self, block, linalg_calls
+    @pytest.mark.parametrize(
+        "block, svd_shapes",
+        [("ill-conditioned-r", [(4, 4)]), ("large-c", [])],
+        ids=["ill-conditioned-r", "large-c"],
+    )
+    def test_projection_linear_grey_band_reads_r(
+        self, block, svd_shapes, linalg_calls
     ):
-        # condition about 1e12 from R = I + T_AA, or from C = T_IA with R = I
-        # (the gate then needs |C|_F in |M|_F); the two inactive rows make the
-        # full matrix 6 x 6 against the 4 x 4 active block
+        # the full 6 x 6 matrix has condition about 1e12, from R = I + T_AA
+        # or from C = T_IA with R = I; only the first is R's own, and only it
+        # takes an SVD, of the 4 x 4 active block.  With R = I the
+        # substitution x_I = b_I - C x_A is backward stable however large C is
         rng = np.random.default_rng(24)
         t = 0.1 * rng.standard_normal((6, 6))
         if block == "ill-conditioned-r":
@@ -526,7 +570,7 @@ class TestConditioningGate:
             Orthant(6), DenseOperator(t), b, form=EquationForm.PROJECTION_LINEAR
         )
         report = solve(problem, NewtonConfig(x0=2.0 * root))
-        assert linalg_calls.shapes == {"svd": [(6, 6)], "lstsq": []}
+        assert linalg_calls.shapes == {"svd": svd_shapes, "lstsq": []}
         np.testing.assert_allclose(report.solution, root, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**1000, 2.0**-900],
@@ -537,19 +581,17 @@ class TestConditioningGate:
         # 2^-900, whose squares overflow; a gate that read their norms as 0
         # would take the LU answer
         m = scale * np.array([[1.0, 0.0, 0.5], [0.0, 1e-20, 0.0], [0.5, 0.0, 1.0]])
-        probes, probe_norms = newton_module._probes(3)
-        rhs = np.column_stack([[1.0, 2.0, 3.0], probes])
-        assert _newton_step(m, rhs, probe_norms)[1]
+        rhs = np.column_stack([[1.0, 2.0, 3.0], newton_module._probes(3)])
+        assert _block_step(m, rhs, np.empty((0, 3)), rhs[:0])[2]
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**1000], ids=["1", "2^1000"])
     def test_active_set_gate_reads_the_probes_at_any_scale(self, scale):
         # T D + I with D = I is scale [[1, 1], [1, 1 + 2^-52]] exactly, of
         # condition number 1.6e16
         t = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]) - np.eye(2)
-        probes, probe_norms = newton_module._probes(2)
-        rhs = np.column_stack([[1.0, 2.0], probes])
+        rhs = np.column_stack([[1.0, 2.0], newton_module._probes(2)])
         element = Diagonal("all-active", np.ones(2))
-        assert _active_set_step(t, element, rhs, probe_norms)[1]
+        assert _active_set_step(t, element, rhs)[1]
 
     def test_equality_program_makes_no_full_size_least_squares(self, linalg_calls):
         # from x0 = 0 the active block is the m x m zero block of the
@@ -787,7 +829,10 @@ class TestScaleSafety:
         # projection-linear, so every step takes the active-set path, whose
         # gate norm sqrt(|I| + vdot(r, r) + vdot(c, c)) and the residual
         # overflowed in dot with a warning.  Only b is rescaled, so T D + I
-        # keeps a condition number near |T| and the run still ends singular.
+        # keeps a condition number near |T|; read on the full matrix that
+        # sent every step to least squares and the run ended singular at
+        # iterations 6 and 5.  R = I + T_AA D_A, the block factored, is well
+        # conditioned, and the run reaches the root's pattern.
         T = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]) * 1e301
         b = np.array([3.0, 2.0 * sign, 5.0]) * 1e301
         problem = ProjectionEquationProblem(
@@ -796,8 +841,8 @@ class TestScaleSafety:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(problem)
-        assert report.termination is Termination.SINGULAR_SYSTEM
-        assert report.iterations == (6 if sign > 0 else 5)
+        assert report.termination is Termination.PATTERN_REPEAT
+        assert report.iterations == (3 if sign > 0 else 2)
         assert_claim_holds(problem, report, NewtonConfig().tol)
 
     def test_divergence_check_past_the_largest_double(self):
