@@ -2,14 +2,14 @@
 
 Solves P_K(x) + Tx = b over closed convex cones (orthant, second-order,
 positive semidefinite, and their products), with a quadratic conic
-programming frontend, a specialized nearest-correlation-matrix solver, and
-a benchmark harness with performance profiles.
+programming frontend, a specialized nearest-correlation-matrix solver, a
+convergence analyzer, and a benchmark harness with performance profiles.
 
 The package exports what a caller of the solvers needs; internals such as
 the NCM steps or the KKT residual are imported from their modules.  The
-``ncm``, ``matrixio``, ``bench`` and ``cli`` modules load on first use (an
-attribute access or ``from conic_newton import ...``), so a projection
-equation or QCP solve does not pay for them.
+``analysis``, ``ncm``, ``matrixio``, ``bench`` and ``cli`` modules load on
+first use (an attribute access or ``from conic_newton import ...``), so a
+projection equation or QCP solve does not pay for them.
 """
 
 import importlib
@@ -23,11 +23,9 @@ from .operators import (
     AugmentedKkt,
     DenseOperator,
     EquationForm,
-    Guarantee,
     LinearOperator,
     ProjectionEquationProblem,
     ScaledIdentity,
-    analyze,
 )
 from .qcp import KktPoint, QcpProblem, solve_qcp
 
@@ -64,16 +62,23 @@ __all__ = [
     "svec",
 ]
 
-# submodules, and the exports of one of them, that load on first access
-_LAZY_MODULES = ("bench", "cli", "matrixio", "ncm")
-_NCM_NAMES = ("NcmProblem", "solve_ncm", "solve_ncm_baseline", "solve_ncm_diagonal")
+# submodules, and the exports of two of them, that load on first access
+_LAZY_MODULES = ("analysis", "bench", "cli", "matrixio", "ncm")
+_LAZY_NAMES = {
+    "Guarantee": "analysis",
+    "analyze": "analysis",
+    "NcmProblem": "ncm",
+    "solve_ncm": "ncm",
+    "solve_ncm_baseline": "ncm",
+    "solve_ncm_diagonal": "ncm",
+}
 
 
 def __getattr__(name):
     if name in _LAZY_MODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _NCM_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.ncm"), name)
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

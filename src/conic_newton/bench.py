@@ -24,30 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalFailureError
-from .ncm import (
-    NcmProblem,
-    solve_ncm,
-    solve_ncm_baseline,
-    solve_ncm_diagonal,
-)
-from .newton import SolveReport
+from .ncm import NcmProblem, canonical_solver, run_solver
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
-
-SOLVER_NEWTON = "semi-smooth-newton-ncm"
-SOLVER_DIAGONAL = "diagonal-newton-ncm"
-SOLVER_BASELINE = "alternating-projections"
-_SOLVER_ALIASES = {
-    "newton": SOLVER_NEWTON,
-    "diagonal": SOLVER_DIAGONAL,
-    "baseline": SOLVER_BASELINE,
-    SOLVER_NEWTON: SOLVER_NEWTON,
-    SOLVER_DIAGONAL: SOLVER_DIAGONAL,
-    SOLVER_BASELINE: SOLVER_BASELINE,
-}
-
-_NEWTON_MAX_ITER = 200
-_BASELINE_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -173,29 +152,6 @@ class ProfileTable:
     tau_grid: np.ndarray
     rho: np.ndarray  # solvers x taus
     raw: list[RawRecord] = field(default_factory=list)
-
-
-def canonical_solver(name: str) -> str:
-    try:
-        return _SOLVER_ALIASES[name]
-    except KeyError:
-        raise ValueError(f"unknown solver {name!r}") from None
-
-
-def default_max_iter(name: str) -> int:
-    """Iteration cap of the canonical solver ``name`` when none is given."""
-    return _BASELINE_MAX_ITER if name == SOLVER_BASELINE else _NEWTON_MAX_ITER
-
-
-def run_solver(name: str, problem: NcmProblem, tol: float, max_iter=None) -> SolveReport:
-    """Run the canonical solver ``name``; ``max_iter=None`` takes its default."""
-    if max_iter is None:
-        max_iter = default_max_iter(name)
-    if name == SOLVER_NEWTON:
-        return solve_ncm(problem, tol=tol, max_iter=max_iter)
-    if name == SOLVER_DIAGONAL:
-        return solve_ncm_diagonal(problem, tol=tol, max_iter=max_iter)
-    return solve_ncm_baseline(problem, tol=tol, max_iter=max_iter)
 
 
 def profile(times: np.ndarray, tau_grid=None) -> ProfileTable:

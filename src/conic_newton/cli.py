@@ -17,8 +17,10 @@ argparse catches (an unknown option, a missing one, or a value it cannot
 convert, such as ``--tol abc``) is an input error too, so it exits 1 rather
 than argparse's 2.
 
-Each command imports the ``bench``, ``matrixio`` and ``ncm`` names it uses
-when it runs, so loading the CLI loads none of those modules.
+Each command imports the ``analysis``, ``bench``, ``matrixio`` and ``ncm``
+names it uses when it runs, so loading the CLI loads none of those modules:
+``solve-pe`` loads ``analysis`` and ``matrixio``, ``ncm`` loads ``ncm`` and
+``matrixio``, and only ``bench`` loads ``bench``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import __version__
 from .cones import Cone, Orthant, PsdCone, SecondOrder
 from .exceptions import NumericalFailureError
 from .newton import NewtonConfig, Termination, solve
-from .operators import DenseOperator, ProjectionEquationProblem, analyze
+from .operators import DenseOperator, ProjectionEquationProblem
 
 SCHEMA_VERSION = 2
 
@@ -105,6 +107,7 @@ def _write_report(path, solver, config, report, extra) -> None:
 
 
 def cmd_solve_pe(args) -> int:
+    from .analysis import analyze
     from .matrixio import read_matrix, read_vector
 
     _check_writable(args.out)
@@ -142,9 +145,8 @@ def cmd_solve_pe(args) -> int:
 
 
 def cmd_ncm(args) -> int:
-    from .bench import canonical_solver, default_max_iter, run_solver
     from .matrixio import read_matrix, symmetrize_checked, write_matrix
-    from .ncm import NcmProblem
+    from .ncm import NcmProblem, canonical_solver, default_max_iter, run_solver
 
     _check_writable(args.out_matrix)
     _check_writable(args.out_report)
@@ -181,12 +183,12 @@ def _parse_list(text, kind):
 def cmd_bench(args) -> int:
     from .bench import (
         ExperimentConfig,
-        canonical_solver,
         run_suite,
         summarize,
         write_profile_csv,
         write_raw_csv,
     )
+    from .ncm import canonical_solver
 
     experiment = _EXPERIMENT_NAMES[args.experiment]
     default_n = "200,400" if experiment == "E58" else "100,200,300"
@@ -241,6 +243,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _NcmMethods:
+    """The ``ncm --method`` choices: the aliases of ``ncm``'s solver
+    registry, read only when argparse checks or prints them, so building the
+    parser loads no ``ncm``."""
+
+    def __iter__(self):
+        from .ncm import _SOLVERS
+
+        return (alias for alias, _, _ in _SOLVERS.values())
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit ``EXIT_INPUT``; the
     subcommand parsers are of the same class."""
@@ -272,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     ncm.add_argument("--input", required=True, help="symmetric matrix file")
     ncm.add_argument("--tol", type=float, default=1e-5)
     ncm.add_argument("--max-iter", type=int, default=None)
-    ncm.add_argument("--method", choices=("newton", "diagonal", "baseline"),
-                     default="newton")
+    method = ncm.add_argument("--method", default="newton")
+    # set after add_argument, which reads the choices to check the metavar
+    method.choices = _NcmMethods()
     ncm.add_argument("--out-matrix", default="correlation.mtx")
     ncm.add_argument("--out-report", default="ncm_report.json")
     ncm.set_defaults(func=cmd_ncm)

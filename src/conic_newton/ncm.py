@@ -56,6 +56,10 @@ in the caller's units.
 Every solver returns a ``SolveReport`` whose ``solution`` is the root X and
 whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
 the multiplier is lambda = diag(G) - diag(solution).
+
+One registry, read by the CLI and ``bench``, names the three solvers: a
+canonical name, the alias that ``--method`` offers, and the default
+iteration cap; ``run_solver`` runs a solver by its canonical name.
 """
 
 from __future__ import annotations
@@ -398,3 +402,38 @@ def solve_ncm_baseline(
     is the last matrix projected onto the cone.
     """
     return _iterate(problem, np.diag(problem.G).copy(), _gradient_step, tol, max_iter)
+
+
+SOLVER_NEWTON = "semi-smooth-newton-ncm"
+SOLVER_DIAGONAL = "diagonal-newton-ncm"
+SOLVER_BASELINE = "alternating-projections"
+
+# The solver registry: canonical name -> (alias, solver, default iteration
+# cap).  The solver is held by its name in this module, so that run_solver
+# calls whatever the module binds to that name when it runs.
+_SOLVERS = {
+    SOLVER_NEWTON: ("newton", "solve_ncm", 200),
+    SOLVER_DIAGONAL: ("diagonal", "solve_ncm_diagonal", 200),
+    SOLVER_BASELINE: ("baseline", "solve_ncm_baseline", 5000),
+}
+
+
+def canonical_solver(name: str) -> str:
+    """The canonical name of the solver named ``name``, or aliased by it."""
+    for canonical, (alias, _, _) in _SOLVERS.items():
+        if name in (canonical, alias):
+            return canonical
+    raise ValueError(f"unknown solver {name!r}")
+
+
+def default_max_iter(name: str) -> int:
+    """Iteration cap of the canonical solver ``name`` when none is given."""
+    return _SOLVERS[name][2]
+
+
+def run_solver(name: str, problem: NcmProblem, tol: float, max_iter=None) -> SolveReport:
+    """Run the canonical solver ``name``; ``max_iter=None`` takes its default."""
+    _, solver, cap = _SOLVERS[name]
+    if max_iter is None:
+        max_iter = cap
+    return globals()[solver](problem, tol=tol, max_iter=max_iter)

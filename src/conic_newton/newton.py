@@ -275,6 +275,9 @@ def _min_norm_active_part(svd, c, b_active, b_inactive):
     u, sigma, vt = svd
     rank = np.count_nonzero(sigma > np.finfo(float).eps * sigma.size * sigma[0])
     x_active = vt[:rank].T @ ((u[:, :rank].T @ b_active) / sigma[:rank])
+    if not c.shape[0]:
+        # z = 0 is the least-squares solution of [0 rows; I] z = 0
+        return x_active
     null = vt[rank:].T
     stacked = np.vstack([c @ null, np.eye(null.shape[1])])
     target = np.concatenate([b_inactive - c @ x_active, np.zeros(null.shape[1])])
@@ -468,39 +471,3 @@ def _drive(first, step, measure, answer, tol, max_iter, shift, stop=None):
         termination=termination,
         wall_time_seconds=time.perf_counter() - start,
     )
-
-
-def _replayed_iterates(problem, config, report):
-    """The iterates of ``report``, the run of ``solve(problem, config)``,
-    rebuilt by one-step solves: a step depends on its iterate alone.  Raises
-    ``ValueError`` unless the last is ``report.solution`` bit for bit."""
-    start = np.zeros(problem.cone.ambient_dim) if config.x0 is None else config.x0
-    iterates = [np.asarray(start, dtype=float)]
-    for _ in range(report.iterations):
-        step = solve(problem, replace(config, x0=iterates[-1], max_iter=1))
-        iterates.append(step.solution)
-    if iterates[-1].tobytes() != report.solution.tobytes():
-        raise ValueError("the replayed iterates do not end at the report's solution")
-    return iterates
-
-
-def measure_ratios(
-    problem: ProjectionEquationProblem,
-    config: NewtonConfig,
-    reference: np.ndarray,
-) -> list[float]:
-    """Per-step error contraction ratios against a verified root.
-
-    The reference must satisfy the equation to residual 1e-10; ratios are
-    |x_{k+1} - ref| / |x_k - ref| over the iterates of ``solve(problem,
-    config)``, replayed one step at a time from its starting point.
-    """
-    reference = np.asarray(reference, dtype=float)
-    ref_res = residual(problem, reference)
-    if ref_res > 1e-10:
-        raise ValueError(
-            f"reference point is not a root (residual {ref_res:.3e} > 1e-10)"
-        )
-    iterates = _replayed_iterates(problem, config, solve(problem, config))
-    errors = [float(np.linalg.norm(it - reference)) for it in iterates]
-    return [curr / prev for prev, curr in zip(errors, errors[1:]) if prev > 0.0]

@@ -30,8 +30,8 @@ from conic_newton import (
     solve_qcp,
     svec,
 )
+from conic_newton.analysis import measure_ratios
 from conic_newton.bench import ExperimentConfig, generate, profile, run_suite
-from conic_newton.newton import measure_ratios
 from conic_newton.qcp import (
     KktPoint,
     ProjectionEquationProblem,

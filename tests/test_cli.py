@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conic_newton import bench, cli
+from conic_newton import bench, cli, ncm
 from conic_newton.cli import main
 from conic_newton.exceptions import NumericalFailureError
 from conic_newton.matrixio import read_matrix, write_matrix, write_vector
@@ -188,7 +188,7 @@ class TestOutputPathsCheckedFirst:
 
     @pytest.mark.parametrize("bad", ["missing/r.json", "dir"], ids=["missing-dir", "is-dir"])
     def test_ncm_report_path(self, tmp_path, monkeypatch, capsys, bad):
-        monkeypatch.setattr(bench, "run_solver", self.refuse)
+        monkeypatch.setattr(ncm, "run_solver", self.refuse)
         (tmp_path / "dir").mkdir()
         g_path = tmp_path / "g.csv"
         g_path.write_text("1,0.5\n0.5,1\n")
@@ -201,7 +201,7 @@ class TestOutputPathsCheckedFirst:
         assert not (tmp_path / "c2.mtx").exists()
 
     def test_ncm_matrix_path_under_a_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "run_solver", self.refuse)
+        monkeypatch.setattr(ncm, "run_solver", self.refuse)
         (tmp_path / "file").write_text("")
         g_path = tmp_path / "g.csv"
         g_path.write_text("1,0.5\n0.5,1\n")
@@ -231,7 +231,7 @@ class TestOutputPathsCheckedFirst:
         def failing(*args, **kwargs):
             raise NumericalFailureError("no step decreases the residual")
 
-        monkeypatch.setattr(bench, "run_solver", failing)
+        monkeypatch.setattr(ncm, "run_solver", failing)
         g_path = tmp_path / "g.csv"
         g_path.write_text("1,0.5\n0.5,1\n")
         code = main([

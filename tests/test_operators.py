@@ -20,7 +20,7 @@ from conic_newton import (
     solve,
     solve_qcp,
 )
-from conic_newton.newton import measure_ratios
+from conic_newton.analysis import measure_ratios
 from conic_newton.qcp import to_projection_equation
 from conftest import point_linear, projection_linear
 

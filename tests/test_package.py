@@ -18,7 +18,7 @@ import conic_newton
 ROOT = Path(__file__).resolve().parents[1]
 
 # modules that load only when a call first needs them
-LAZY_MODULES = ("bench", "cli", "matrixio", "ncm")
+LAZY_MODULES = ("analysis", "bench", "cli", "matrixio", "ncm")
 
 PUBLIC_NAMES = {
     "AugmentedKkt", "Cone", "DenseOperator", "DimensionMismatchError",
@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
 # names the package no longer exports, at the module that holds them
 MODULE_NAMES = [
     ("cones", "JacobianElement"),
-    ("operators", "GuaranteeReport"),
+    ("analysis", "GuaranteeReport"),
     ("ncm", "NcmState"),
     ("ncm", "diagonal_step"),
     ("ncm", "ncm_step"),
@@ -41,7 +41,7 @@ MODULE_NAMES = [
     ("qcp", "embed_kkt"),
     ("qcp", "kkt_residual"),
     ("qcp", "to_projection_equation"),
-    ("newton", "measure_ratios"),
+    ("analysis", "measure_ratios"),
 ]
 
 
@@ -116,15 +116,51 @@ def run_fresh(code):
     return result.stdout
 
 
-def test_cli_import_loads_no_ncm_bench_or_matrixio():
-    out = run_fresh("""
-        import json
-        import conic_newton, conic_newton.cli
+def loaded_by(tmp_path, code):
+    """The ``conic_newton`` modules loaded after ``code`` runs in a fresh
+    interpreter, in ``tmp_path``, with ``main`` the CLI's entry point."""
+    out = run_fresh(f"""
+        import json, os
+        os.chdir({str(tmp_path)!r})
+        from conic_newton.cli import main
+        {code}
         print(json.dumps(sorted(sys.modules)))
     """)
-    loaded = set(json.loads(out))
-    assert "conic_newton.cli" in loaded
-    assert not {"conic_newton.bench", "conic_newton.matrixio", "conic_newton.ncm"} & loaded
+    return {name.removeprefix("conic_newton.") for name in json.loads(out)
+            if name.startswith("conic_newton.")}
+
+
+def test_cli_import_loads_no_ncm_bench_or_matrixio():
+    """Neither ``import conic_newton`` nor ``import conic_newton.cli``
+    loads a lazy module other than ``cli``."""
+    out = run_fresh("""
+        import json
+        import conic_newton
+        print(json.dumps(sorted(sys.modules)))
+        import conic_newton.cli
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    package, cli = (set(json.loads(line)) for line in out.splitlines())
+    assert "conic_newton.cli" in cli - package
+    for loaded in (package, cli):
+        assert not {f"conic_newton.{name}"
+                    for name in ("analysis", "bench", "matrixio", "ncm")} & loaded
+
+
+def test_ncm_command_loads_no_bench_or_analysis(tmp_path):
+    (tmp_path / "g.csv").write_text("1,0.5\n0.5,1\n")
+    loaded = loaded_by(tmp_path, 'assert main(["ncm", "--input", "g.csv"]) == 0')
+    assert {"ncm", "matrixio"} <= loaded
+    assert not {"bench", "analysis"} & loaded
+
+
+def test_solve_pe_command_loads_no_bench_or_ncm(tmp_path):
+    (tmp_path / "t.csv").write_text("2,0\n0,2\n")
+    (tmp_path / "b.csv").write_text("3\n-2\n")
+    loaded = loaded_by(tmp_path, 'assert main(["solve-pe", "--cone", "orthant:2", '
+                                 '"--T", "t.csv", "--b", "b.csv"]) == 0')
+    assert "analysis" in loaded
+    assert not {"bench", "ncm"} & loaded
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():
@@ -156,3 +192,9 @@ def test_lazy_names_resolve_in_a_fresh_interpreter():
 def test_lazy_export_is_the_ncm_object(name):
     ncm = importlib.import_module("conic_newton.ncm")
     assert getattr(conic_newton, name) is getattr(ncm, name)
+
+
+@pytest.mark.parametrize("name", ["Guarantee", "analyze"])
+def test_lazy_export_is_the_analysis_object(name):
+    analysis = importlib.import_module("conic_newton.analysis")
+    assert getattr(conic_newton, name) is getattr(analysis, name)

@@ -23,7 +23,7 @@ from conic_newton import (
     solve_qcp,
     svec,
 )
-from conic_newton.operators import _analyze_projection_linear
+from conic_newton.analysis import _analyze_projection_linear
 from conic_newton.qcp import embed_kkt, kkt_residual, to_projection_equation
 from conftest import CONE_CASES, interior_point, random_point, random_symmetric
 
