@@ -446,18 +446,14 @@ def _psd_omega(lam: np.ndarray, rows=slice(None)) -> np.ndarray:
     ``lam``) are formed.
     """
     pos = lam > 0.0
-    pos_rows = pos[rows]
-    lam_rows = lam[rows]
-    omega = np.zeros((lam_rows.shape[0], lam.shape[0]))
-    omega[np.ix_(pos_rows, pos)] = 1.0
-    if pos_rows.any() and not pos.all():
-        lp = lam_rows[pos_rows]
-        ln = lam[~pos]
-        omega[np.ix_(pos_rows, ~pos)] = lp[:, None] / (lp[:, None] - ln[None, :])
-    if pos.any() and not pos_rows.all():
-        lp = lam[pos]
-        ln = lam_rows[~pos_rows]
-        omega[np.ix_(~pos_rows, pos)] = (lp[:, None] / (lp[:, None] - ln[None, :])).T
+    pos_rows = pos[rows, None]
+    lam_rows = lam[rows, None]
+    omega = (pos_rows & pos).astype(float)
+    # across the split lam_p is the larger eigenvalue, and lam_p - lam_q is
+    # |lam_row - lam_col| bit for bit, since fl(b - a) = -fl(a - b)
+    gap = lam_rows - lam
+    np.abs(gap, out=gap)
+    np.divide(np.maximum(lam_rows, lam), gap, out=omega, where=pos_rows != pos)
     return omega
 
 

@@ -59,11 +59,13 @@ the multiplier is lambda = diag(G) - diag(solution).
 
 One registry, read by the CLI and ``bench``, names the three solvers: a
 canonical name, the alias that ``--method`` offers, and the default
-iteration cap; ``run_solver`` runs a solver by its canonical name.
+iteration cap, which is the solver's own ``max_iter`` default;
+``run_solver`` runs a solver by its canonical name.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,13 +410,23 @@ SOLVER_NEWTON = "semi-smooth-newton-ncm"
 SOLVER_DIAGONAL = "diagonal-newton-ncm"
 SOLVER_BASELINE = "alternating-projections"
 
+
+def _signature_cap(solver) -> int:
+    """The ``max_iter`` default in the signature of ``solver``."""
+    return inspect.signature(solver).parameters["max_iter"].default
+
+
 # The solver registry: canonical name -> (alias, solver, default iteration
-# cap).  The solver is held by its name in this module, so that run_solver
-# calls whatever the module binds to that name when it runs.
+# cap), the cap read from the solver's signature.  The solver is held by its
+# name in this module, so that run_solver calls whatever the module binds to
+# that name when it runs.
 _SOLVERS = {
-    SOLVER_NEWTON: ("newton", "solve_ncm", 200),
-    SOLVER_DIAGONAL: ("diagonal", "solve_ncm_diagonal", 200),
-    SOLVER_BASELINE: ("baseline", "solve_ncm_baseline", 5000),
+    canonical: (alias, solver.__name__, _signature_cap(solver))
+    for canonical, alias, solver in (
+        (SOLVER_NEWTON, "newton", solve_ncm),
+        (SOLVER_DIAGONAL, "diagonal", solve_ncm_diagonal),
+        (SOLVER_BASELINE, "baseline", solve_ncm_baseline),
+    )
 }
 
 

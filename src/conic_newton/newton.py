@@ -44,6 +44,8 @@ _LSTSQ_FAIL_LIMIT = 3
 # Right-hand sides with max |b_i| in [2^-_SCALE_RANGE, 2^_SCALE_RANGE] are
 # solved as given; any other is first scaled by a power of two (see solve).
 _SCALE_RANGE = 128
+# Rows of C per flat take in the active-set step.
+_GATHER_ROWS = 64
 
 
 class Termination(str, enum.Enum):
@@ -169,6 +171,12 @@ def _probes(d):
     return probes
 
 
+def _column_norms(a):
+    """``np.linalg.norm(a, axis=0)`` by its own arithmetic, without its
+    dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=0))
+
+
 def _probe_gate(block, solved, rhs):
     """Whether ``|B|_F max_j |B^-1 g_j| / |g_j|`` clears the LU-only gate,
     with ``g_j`` the probe columns ``rhs[:, 1:]`` and ``solved = B^-1 rhs``.
@@ -181,13 +189,13 @@ def _probe_gate(block, solved, rhs):
     if not block.size:
         return True
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(solved[:, 1:], axis=0)
+        norms = _column_norms(solved[:, 1:])
     # a norm outside _norm's safe range may have squares that under- or
     # overflowed; only those columns are taken again
     for j, norm in enumerate(norms.tolist()):
         if not _SAFE_NORM_MIN <= norm <= _SAFE_NORM_MAX:
             norms[j] = _norm(solved[:, 1 + j])
-    growth = np.max(norms / np.linalg.norm(rhs[:, 1:], axis=0))
+    growth = np.max(norms / _column_norms(rhs[:, 1:]))
     return _norm(block) * growth < _MAX_CONDITION / _PROBE_MARGIN
 
 
@@ -236,16 +244,25 @@ def _active_set_step(T_dense, element, rhs):
     With A the coordinates where D is nonzero and I the rest, the matrix is
     ``[[R, 0], [C, I]]`` after reordering, with ``R = I + T_AA D_A`` and
     ``C = T_IA D_A``, which ``_block_step`` solves with R the one block
-    factored and gated; no d x d matrix is formed.
+    factored and gated; no d x d matrix is formed.  R and C are read from
+    T in C order, through a flat view of a C-contiguous T or else a copy.
     """
     active = np.flatnonzero(element.diagonal)
     inactive = np.flatnonzero(element.diagonal == 0.0)
     weights = element.diagonal[active]
-    # np.ix_ gathers R and C C-ordered, with no d x |A| array between them;
-    # T[a][:, a] would be Fortran-ordered, and LAPACK rounds differently on
-    # the other layout
-    r = T_dense[np.ix_(active, active)]
-    c = T_dense[np.ix_(inactive, active)]
+    # flat takes gather R and C C-ordered, with no d x |A| array between
+    # them: T[a][:, a] would be Fortran-ordered, and LAPACK rounds
+    # differently on the other layout.  C comes _GATHER_ROWS rows at a time,
+    # so its flat indices take no more than a block of it; the indices are
+    # in range, and mode="clip" writes into ``out`` without a buffer.
+    flat = T_dense.reshape(-1)
+    stride = T_dense.shape[1]
+    r = flat.take(active[:, None] * stride + active)
+    c = np.empty((inactive.size, active.size))
+    for start in range(0, inactive.size, _GATHER_ROWS):
+        rows = inactive[start:start + _GATHER_ROWS]
+        flat.take(rows[:, None] * stride + active, out=c[start:start + _GATHER_ROWS],
+                  mode="clip")
     if not np.all(weights == 1.0):
         r *= weights
         c *= weights
@@ -358,6 +375,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     # made at the first dense assembly, so active-set steps never make it
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
     projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
+    # the active-set gathers read T row-major: one copy per solve at most,
+    # none when T is C-contiguous
+    t_rows = np.ascontiguousarray(T_dense) if projection_linear else None
     # a state is (x, P_K(x), element, residual)
 
     def first():
@@ -368,7 +388,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         x, _, element, _ = state
         try:
             if projection_linear and isinstance(element, Diagonal):
-                x, lstsq = _active_set_step(T_dense, element, rhs)
+                x, lstsq = _active_set_step(t_rows, element, rhs)
             else:
                 matrix = _newton_matrix(T_dense, element, problem.form, workspace())
                 x, _, lstsq = _block_step(matrix, rhs, no_coupling, rhs[:0])

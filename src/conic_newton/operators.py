@@ -121,6 +121,9 @@ class AugmentedKkt(LinearOperator):
 
     def apply(self, z):
         z = self._checked(z)
+        if not self.constraint.shape[0]:
+            # Q - I: the empty A^T lam adds +0.0, which clears -0.0 in Qx
+            return (self.quadratic.apply(z) + 0.0) - z
         x, lam = self._split(z)
         top = self.quadratic.apply(x) + self.constraint.T @ lam - x
         bottom = self.constraint @ x - lam

@@ -1,5 +1,7 @@
 """Instance generators, timing harness, and performance profiles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from conic_newton.ncm import (
     SOLVER_DIAGONAL,
     SOLVER_NEWTON,
     canonical_solver,
+    default_max_iter,
     solve_ncm,
+    solve_ncm_baseline,
+    solve_ncm_diagonal,
 )
 from conic_newton.newton import Termination
 
@@ -205,3 +210,15 @@ class TestSolverNames:
         assert canonical_solver(SOLVER_BASELINE) == SOLVER_BASELINE
         with pytest.raises(ValueError):
             canonical_solver("gradient-descent")
+
+    @pytest.mark.parametrize(
+        "name, solver, cap",
+        [(SOLVER_NEWTON, solve_ncm, 200), (SOLVER_DIAGONAL, solve_ncm_diagonal, 200),
+         (SOLVER_BASELINE, solve_ncm_baseline, 5000)],
+        ids=["newton", "diagonal", "baseline"],
+    )
+    def test_default_cap_is_the_signature_default(self, name, solver, cap):
+        # the CLI runs to the registry's cap and a library call to the
+        # signature's: one number, written once
+        assert default_max_iter(name) == cap
+        assert inspect.signature(solver).parameters["max_iter"].default == cap

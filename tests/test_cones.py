@@ -727,3 +727,58 @@ class TestReducedPsdBuilder:
             assert reduced.tobytes() == full.tobytes()
         else:
             np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-15)
+
+
+def ix_psd_omega(lam, rows=slice(None)):
+    """Omega written block by block through four ``np.ix_`` selections: the
+    construction ``_psd_omega`` must equal bit for bit."""
+    pos = lam > 0.0
+    pos_rows = pos[rows]
+    lam_rows = lam[rows]
+    omega = np.zeros((lam_rows.shape[0], lam.shape[0]))
+    omega[np.ix_(pos_rows, pos)] = 1.0
+    if pos_rows.any() and not pos.all():
+        lp = lam_rows[pos_rows]
+        ln = lam[~pos]
+        omega[np.ix_(pos_rows, ~pos)] = lp[:, None] / (lp[:, None] - ln[None, :])
+    if pos.any() and not pos_rows.all():
+        lp = lam[pos]
+        ln = lam_rows[~pos_rows]
+        omega[np.ix_(~pos_rows, pos)] = (lp[:, None] / (lp[:, None] - ln[None, :])).T
+    return omega
+
+
+OMEGA_SPECTRA = {
+    "zeros": np.array([2.0, 0.0, -0.0, 0.0, -1.5, 3.0]),
+    "signed-zeros": np.array([-0.0, 0.0, 1e-300, -0.0, -1e-300]),
+    "ties": np.array([1.0, 1.0, -2.0, -2.0, 0.5, 1.0, -2.0, 0.0]),
+    "all-positive": np.array([3.0, 2.0, 2.0, 1e-9, 7.5]),
+    "all-nonpositive": np.array([0.0, -0.0, -1.0, -1.0, -4.0]),
+    "sorted-random": np.sort(np.random.default_rng(36).standard_normal(19)),
+    "single": np.array([-0.0]),
+}
+
+
+class TestPsdOmega:
+    @pytest.mark.parametrize("lam", OMEGA_SPECTRA.values(), ids=OMEGA_SPECTRA.keys())
+    def test_equals_four_ix_blocks_bit_for_bit(self, lam):
+        n = lam.size
+        rng = np.random.default_rng(37)
+        # full, the two ends NCM asks for, and arbitrary row masks
+        row_sets = [slice(None), slice(0, n // 2), slice(n // 2, n), lam > 0.0,
+                    ~(lam > 0.0), rng.random(n) < 0.5]
+        for rows in row_sets:
+            omega = _psd_omega(lam, rows)
+            reference = ix_psd_omega(lam, rows)
+            assert omega.shape == reference.shape
+            assert omega.tobytes() == reference.tobytes()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 3.0, -7.0])
+                    | st.floats(-1e6, 1e6), min_size=1, max_size=9),
+           st.integers(0, 9), st.integers(0, 9))
+    def test_row_slices_equal_four_ix_blocks(self, values, start, stop):
+        lam = np.array(values)
+        rows = slice(min(start, lam.size), min(max(start, stop), lam.size))
+        for cut in (rows, slice(None)):
+            assert _psd_omega(lam, cut).tobytes() == ix_psd_omega(lam, cut).tobytes()

@@ -366,9 +366,14 @@ def ix_active_set_step(t_dense, element, rhs):
 def ix_gather_cases():
     """``active_set_cases`` plus the first step of a program with 20
     equality rows, large enough that LAPACK's rounding depends on the
-    layout of R and C."""
+    layout of R and C, and an orthant step whose 140 inactive rows span
+    three row blocks of C."""
     start = Product((Orthant(40), FreeSpace(20))).jacobian_element(np.zeros(60))
-    return active_set_cases() + [("constrained-start", start)]
+    x = np.random.default_rng(26).standard_normal(200)
+    x[:140] = -np.abs(x[:140])
+    x[140:] = np.abs(x[140:]) + 0.1
+    blocks = Orthant(200).jacobian_element(np.random.default_rng(27).permutation(x))
+    return active_set_cases() + [("constrained-start", start), ("row-blocks", blocks)]
 
 
 class TestActiveSetStep:
@@ -388,11 +393,15 @@ class TestActiveSetStep:
             t_dense[np.ix_(active, active)] = 0.0
             t_dense[active, active] = -1.0
         rhs = step_rhs(rng.standard_normal(d))
+        # a T that is not C-contiguous is read in C order, as np.ix_ reads it
+        fortran = np.asfortranarray(t_dense)
+        strided = np.repeat(np.repeat(t_dense, 2, axis=0), 3, axis=1)[::2, ::3]
         for el in (element, weighted):
-            x, used_lstsq = _active_set_step(t_dense, el, rhs)
-            x_ref, used_ref = ix_active_set_step(t_dense, el, rhs)
-            assert x.tobytes() == x_ref.tobytes()
-            assert used_lstsq == used_ref
+            for t in (t_dense, fortran, strided):
+                x, used_lstsq = _active_set_step(t, el, rhs)
+                x_ref, used_ref = ix_active_set_step(t, el, rhs)
+                assert x.tobytes() == x_ref.tobytes()
+                assert used_lstsq == used_ref
 
     @pytest.mark.parametrize(
         "element", [c[1] for c in active_set_cases()],

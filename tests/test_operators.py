@@ -56,6 +56,29 @@ class TestApply:
             ScaledIdentity(1.0, 3).apply([1.0, 2.0])
 
     @pytest.mark.parametrize(
+        "quadratic",
+        [ScaledIdentity(-1.0, 6), ScaledIdentity(0.0, 6),
+         DenseOperator(np.diag([-1.0, 0.0, 2.0, 1.0, -0.5, 3.0])),
+         DenseOperator(np.random.default_rng(11).standard_normal((6, 6)))],
+        ids=["minus-identity", "zero", "diagonal", "dense"],
+    )
+    def test_zero_rows_equal_the_blockwise_formula_bit_for_bit(self, quadratic):
+        # Q x holds -0.0 where Q negates a +0.0 or scales a -0.0, and x
+        # holds both zeros: the signs of the zeros must match too
+        op = AugmentedKkt(quadratic, np.empty((0, 6)))
+        rng = np.random.default_rng(12)
+        points = [np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0]),
+                  np.array([-0.0] * 6), np.array([0.0] * 6), rng.standard_normal(6)]
+        for z in points:
+            x, lam = z[:6], z[6:]
+            top = quadratic.apply(x) + op.constraint.T @ lam - x
+            blockwise = np.concatenate([top, op.constraint @ x - lam])
+            assert op.apply(z).tobytes() == blockwise.tobytes()
+        assert op.apply(list(points[0])).tobytes() == op.apply(points[0]).tobytes()
+        with pytest.raises(DimensionMismatchError):
+            op.apply(np.zeros(7))
+
+    @pytest.mark.parametrize(
         "op",
         [
             ScaledIdentity(-1.7, 4),
