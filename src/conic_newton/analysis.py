@@ -83,7 +83,9 @@ def _dense_facts(matrix: np.ndarray):
     sig_min = float(sigma[-1]) if sigma.size else 0.0
     invertible = sig_min > _SINGULARITY_RTOL * max(1.0, sig_max)
     norm_inv = (1.0 / sig_min) if invertible else None
-    sym = 0.5 * (matrix + matrix.T)
+    # halves first: 0.5 * (matrix + matrix.T) overflows for entries near the
+    # largest double, and equals this bit for bit wherever it does not
+    sym = 0.5 * matrix + 0.5 * matrix.T
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     positive_definite = min_eig > 1e-10 * (1.0 + sig_max)
     # |computed sigma_i - sigma_i| <= p(d) eps sigma_max for a backward

@@ -103,8 +103,11 @@ class JacobianElement:
     ``pattern_key`` is a hashable signature of the selection branch that
     produced the element (orthant activity set, second-order cone region,
     eigenvalue sign pattern).  Two elements with equal keys came from the
-    same branch, which is what the repeat-pattern stopping rule compares;
-    for a :class:`Diagonal` element the key also fixes the diagonal.
+    same branch.  ``step_key`` is the ``pattern_key`` when the pattern alone
+    fixes the element, as it fixes a :class:`Diagonal` element's diagonal,
+    and ``None`` otherwise: two elements of one cone with equal non-``None``
+    step keys are equal, which is what the repeat-pattern stopping rule
+    relies on.
 
     Each kind holds the structure its cone gives it: :class:`Diagonal`,
     :class:`SocBoundary`, :class:`Spectral`, or :class:`Block` for a
@@ -112,6 +115,7 @@ class JacobianElement:
     """
 
     pattern_key: object
+    step_key: object = None
     size: int
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
@@ -145,7 +149,7 @@ class Diagonal(JacobianElement):
     polar and origin, and any product of these."""
 
     def __init__(self, pattern_key, diagonal: np.ndarray):
-        self.pattern_key = pattern_key
+        self.pattern_key = self.step_key = pattern_key
         self.diagonal = np.asarray(diagonal, dtype=float)
         self.size = self.diagonal.size
 

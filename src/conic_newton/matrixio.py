@@ -41,8 +41,6 @@ def read_matrix(path) -> np.ndarray:
 def read_vector(path) -> np.ndarray:
     """Load a vector: any matrix file with a single row or column."""
     mat = read_matrix(path)
-    if mat.ndim == 1:
-        return mat
     if 1 in mat.shape:
         return mat.reshape(-1)
     raise MatrixFileError(f"{path}: expected a vector, got shape {mat.shape}")
@@ -325,10 +323,13 @@ def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
     Both norms are taken of the matrix divided by a power of two that brings
     its largest entry into [1/2, 1), so they do not overflow (or underflow)
     and the test ``|skew| > 1e-9 |matrix|`` does not depend on the scale.
+    A non-finite entry raises ValueError before any arithmetic.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("input matrix contains non-finite entries")
     peak = float(np.max(np.abs(matrix), initial=0.0))
-    shift = int(np.frexp(peak)[1]) if np.isfinite(peak) else 0
+    shift = int(np.frexp(peak)[1])
     scaled = np.ldexp(matrix, -shift)
     skew = np.linalg.norm(scaled - scaled.T)
     if skew > 1e-9 * np.linalg.norm(scaled):

@@ -1,7 +1,7 @@
 """Semi-smooth Newton iteration for projection equations.
 
-Each step selects one generalized-derivative element V of the cone
-projection at the current iterate and solves a dense linear system:
+Each step selects one generalized-derivative element V of the projection at
+the iterate and solves one dense system, as ``_newton_step`` picks by V's kind:
 
 * point-linear form:       (V + T) x_next = b
 * projection-linear form:  (T V + I) x_next = b
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import _SAFE_NORM_MAX, _SAFE_NORM_MIN, Diagonal, _diagonal, _norm
+from .cones import _SAFE_NORM_MAX, _SAFE_NORM_MIN, _diagonal, _norm
 from .exceptions import DimensionMismatchError, NumericalFailureError
 from .operators import EquationForm, ProjectionEquationProblem
 
@@ -237,6 +237,18 @@ def _block_step(block, rhs, coupling, rest):
     return solved[:, 0], (rest - coupling @ solved)[:, 0], False
 
 
+def _newton_step(T_dense, element, form, rhs, workspace):
+    """``(x, lstsq)`` as from ``_block_step``: the one dispatch on an
+    element's kind.  A diagonal element in the projection-linear form takes
+    the active-set step; any other step factors the whole Newton matrix,
+    assembled in ``workspace()``."""
+    if form is EquationForm.PROJECTION_LINEAR and hasattr(element, "diagonal"):
+        return _active_set_step(T_dense, element, rhs)
+    matrix = _newton_matrix(T_dense, element, form, workspace())
+    x, _, lstsq = _block_step(matrix, rhs, np.empty((0, rhs.shape[0])), rhs[:0])
+    return x, lstsq
+
+
 def _active_set_step(T_dense, element, rhs):
     """The projection-linear step ``(T D + I) x = rhs[:, 0]`` for a diagonal D;
     return x and whether least squares produced it.
@@ -308,20 +320,21 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     Each step factors one matrix by LU with partial pivoting and reads the
     step's conditioning from that matrix alone: the assembled ``V + T`` or
     ``T V + I``, or, in the projection-linear form with a diagonal
-    derivative element, the active block ``R = I + T_AA D_A`` (see
-    ``_block_step``).  A probe estimate below 1e10 takes the LU answer;
-    otherwise one SVD of the factored matrix keeps it up to condition
-    number 1e14, and above that, or when the LU fails, the step is the
-    minimum-norm least-squares solution of the whole system.  Non-finite
-    iterates, iterate norms above 1e12*(1+|b|), or a failed SVD raise
-    NumericalFailureError.  Three consecutive least-squares steps
-    without residual reduction end the run SINGULAR_SYSTEM.  A diagonal
-    derivative element (orthant, free and second-order interior or polar
-    blocks) with the previous iterate's pattern, at a residual within
-    max(tol, 1e-9 |b|), ends it PATTERN_REPEAT.  A state met again since
-    the last least-squares step ends it PATTERN_CYCLE (see ``_drive``): a
-    diagonal element's state is its pattern, which alone fixes the step;
-    any other's is the iterate, bit for bit.
+    derivative element, the active block ``R = I + T_AA D_A``, as
+    ``_newton_step``, the one dispatch, picks (see ``_block_step``).  A
+    probe estimate below 1e10 takes the LU answer; otherwise one SVD of the
+    factored matrix keeps it up to condition number 1e14, and above that,
+    or when the LU fails, the step is the minimum-norm least-squares
+    solution of the whole system.  Non-finite iterates, iterate norms above
+    1e12*(1+|b|), or a failed SVD raise NumericalFailureError.  Three
+    consecutive least-squares steps without residual reduction end the run
+    SINGULAR_SYSTEM.  A diagonal derivative element (orthant, free and
+    second-order interior or polar blocks) with the previous iterate's
+    pattern, at a residual within max(tol, 1e-9 |b|), ends it
+    PATTERN_REPEAT.  A state met again since the last least-squares step
+    ends it PATTERN_CYCLE (see ``_drive``): the state of an element its
+    pattern fixes is its ``step_key``, which alone fixes the step; any
+    other's is the iterate, bit for bit.
 
     The dense Newton matrix of every step is assembled into one d x d
     array, made at the first dense assembly and reused; a run of
@@ -371,13 +384,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     confirm_tol = max(config.tol, 1e-9 * norm_b)
     divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
     rhs = np.column_stack([b, _probes(cone.ambient_dim)])
-    no_coupling = np.empty((0, cone.ambient_dim))
-    # made at the first dense assembly, so active-set steps never make it
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
-    projection_linear = problem.form is EquationForm.PROJECTION_LINEAR
-    # the active-set gathers read T row-major: one copy per solve at most,
-    # none when T is C-contiguous
-    t_rows = np.ascontiguousarray(T_dense) if projection_linear else None
     # a state is (x, P_K(x), element, residual)
 
     def first():
@@ -387,11 +394,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     def step(state):
         x, _, element, _ = state
         try:
-            if projection_linear and isinstance(element, Diagonal):
-                x, lstsq = _active_set_step(t_rows, element, rhs)
-            else:
-                matrix = _newton_matrix(T_dense, element, problem.form, workspace())
-                x, _, lstsq = _block_step(matrix, rhs, no_coupling, rhs[:0])
+            x, lstsq = _newton_step(T_dense, element, problem.form, rhs, workspace)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
@@ -403,11 +406,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         return (x, projected, element, res), lstsq
 
     def measure(state):
-        # a diagonal element alone fixes the step; an iterate met again bit
-        # for bit has the same element
+        # a step key fixes the step, and so does an iterate met again bit for bit
         x, _, element, res = state
-        return res, (element.pattern_key if isinstance(element, Diagonal)
-                     else x.tobytes())
+        return res, x.tobytes() if element.step_key is None else element.step_key
 
     streak = 0  # least-squares steps in a row that did not lower the residual
 
@@ -416,10 +417,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
         streak = streak + 1 if lstsq and residuals[-1] >= residuals[-2] else 0
         if streak >= _LSTSQ_FAIL_LIMIT:
             return Termination.SINGULAR_SYSTEM
-        element = state[2]
-        if isinstance(element, Diagonal) and residuals[-1] <= confirm_tol:
-            if element.pattern_key == prev[2].pattern_key:
-                return Termination.PATTERN_REPEAT
+        key = state[2].step_key
+        if key is not None and key == prev[2].step_key and residuals[-1] <= confirm_tol:
+            return Termination.PATTERN_REPEAT
         return None
 
     return _drive(first, step, measure, lambda state: state[:2], config.tol,

@@ -20,8 +20,10 @@ from .exceptions import DimensionMismatchError
 class LinearOperator:
     """Square linear map with explicit apply and densification.
 
-    ``materialize`` may return a read-only array that shares memory with
-    the operator; a caller that writes to it copies it first.
+    ``materialize`` returns a C-ordered array, which may be read-only and
+    share memory with the operator; a caller that writes to it copies it
+    first.  The Newton steps read it in that order, so the answers do not
+    depend on how the caller laid out its matrix.
     """
 
     dim: int
@@ -43,12 +45,13 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class DenseOperator(LinearOperator):
-    """Arbitrary square matrix."""
+    """Arbitrary square matrix, held in C order: a matrix in another layout
+    is copied once, when the operator is built."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
         if not np.all(np.isfinite(mat)):

@@ -456,6 +456,19 @@ class TestNcmCommand:
         assert "failure at iteration 3: no step decreases the residual 1.41" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
 
+    def test_non_finite_entry_is_an_input_error_without_a_warning(self, tmp_path, capsys):
+        g_path = tmp_path / "g.csv"
+        g_path.write_text("1,1e400\n1e400,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c.mtx"),
+                "--out-report", str(tmp_path / "r.json"),
+            ])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: input matrix contains non-finite entries\n"
+
     def test_missing_file(self, tmp_path):
         code = main([
             "ncm", "--input", str(tmp_path / "nope.mtx"),

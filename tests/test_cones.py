@@ -98,9 +98,10 @@ def coordinate_points(draw, cone_type, max_n):
 
 
 @st.composite
-def soc_points(draw):
-    """Random points, and points on the boundary |u| = +-t and at the origin."""
-    n = draw(st.integers(1, 5))
+def soc_points(draw, n=None):
+    """Random points, and points on the boundary |u| = +-t and at the origin;
+    of order ``n``, or of one drawn up to 5."""
+    n = draw(st.integers(1, 5)) if n is None else n
     x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     where = draw(st.sampled_from(["random", "boundary", "polar-boundary", "origin"]))
     if where == "origin":
@@ -498,6 +499,51 @@ class TestJacobianElement:
         expected = np.diag([1.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(el.materialize(), expected)
         assert el.pattern_key[0] == "product"
+
+
+@st.composite
+def kinked_point(draw, cone):
+    """A point of ``cone`` that often sits on a kink of its projection: zero
+    and signed-zero orthant coordinates, the second-order cone boundary, its
+    polar boundary and origin, and zero and repeated eigenvalues."""
+    if isinstance(cone, Product):
+        return np.concatenate([draw(kinked_point(part)) for part in cone.parts])
+    if isinstance(cone, Orthant):
+        return np.array(draw(st.lists(KINKED_FLOATS, min_size=cone.n, max_size=cone.n)))
+    if isinstance(cone, SecondOrder):
+        return draw(soc_points(cone.n))[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return psd_kink_points(cone.n, rng)[draw(st.integers(0, 1))]
+
+
+@st.composite
+def kinked_point_pairs(draw, cone):
+    """Two points of ``cone``: independent, or the second a positive multiple
+    of the first, which keeps every pattern."""
+    x = draw(kinked_point(cone))
+    if draw(st.booleans()):
+        return x, draw(kinked_point(cone))
+    return x, draw(st.sampled_from([0.5, 2.0, 3.0])) * x
+
+
+class TestStepKey:
+    """``step_key`` is the pattern where the pattern fixes the element, and
+    PATTERN_REPEAT relies on it: equal step keys mean equal elements."""
+
+    @pytest.mark.parametrize("cone", CONE_CASES)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_equal_step_keys_mean_equal_elements(self, cone, data):
+        x, y = data.draw(kinked_point_pairs(cone))
+        first, second = cone.jacobian_element(x), cone.jacobian_element(y)
+        for el in (first, second):
+            if isinstance(el, Diagonal):
+                assert el.step_key == el.pattern_key
+            else:
+                assert isinstance(el, (SocBoundary, Spectral, Block))
+                assert el.step_key is None
+        if first.step_key is not None and first.step_key == second.step_key:
+            assert first.materialize().tobytes() == second.materialize().tobytes()
 
 
 class TestConeMethods:

@@ -243,6 +243,14 @@ class TestSymmetrization:
         assert "asymmetric" in warnings[0]
         np.testing.assert_array_equal(out, np.diag(np.diag(mat)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises_before_any_arithmetic(self, bad):
+        mat = np.array([[1.0, bad], [bad, 1.0]])
+        with np_warnings.catch_warnings():
+            np_warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                symmetrize_checked(mat, warn=lambda msg: None)
+
     def test_bit_identical_to_halved_sum_in_normal_range(self):
         rng = np.random.default_rng(62)
         for scale in (1e-3, 1.0, 1e150):

@@ -313,6 +313,36 @@ class TestWorkspace:
         assert out.tobytes() == _newton_matrix(t_dense, element, form).tobytes()
 
 
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("form", list(EquationForm), ids=lambda f: f.value)
+    def test_answers_do_not_depend_on_the_layout_of_t(self, form):
+        # T passed C-ordered, Fortran-ordered and as a strided view gives the
+        # same run bit for bit: the operator holds it in C order
+        cones = (SecondOrder(40), PsdCone(8), Product((Orthant(10), SecondOrder(26))))
+        for seed in range(6):
+            cone = cones[seed % 3]
+            d = cone.ambient_dim
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((d, d))
+            t = (a @ a.T / d + 0.5 * np.eye(d)
+                 + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d))
+            b = 3.0 * rng.standard_normal(d)
+            spread = np.zeros((2 * d, 2 * d))
+            spread[::2, ::2] = t
+            runs = [
+                solve(ProjectionEquationProblem(cone, DenseOperator(m), b, form),
+                      NewtonConfig(tol=1e-10))
+                for m in (t, np.asfortranarray(t), spread[::2, ::2])
+            ]
+            for report in runs[1:]:
+                assert report.solution.tobytes() == runs[0].solution.tobytes()
+                assert (report.projected_solution.tobytes()
+                        == runs[0].projected_solution.tobytes())
+                assert report.residuals == runs[0].residuals
+                assert report.iterations == runs[0].iterations
+                assert report.termination is runs[0].termination
+
+
 def active_set_cases():
     """(label, diagonal element) pairs: every mask shape the reduced step sees."""
     rng = np.random.default_rng(20)

@@ -116,6 +116,20 @@ class TestMaterialize:
         assert op.matrix.flags.writeable
         assert view.tobytes() == matrix.tobytes()
 
+    def test_every_materialize_is_c_ordered(self):
+        # a C-ordered matrix is shared; any other layout is copied once, at
+        # construction, into C order
+        matrix = np.arange(12.0).reshape(3, 4)[:, :3]
+        layouts = (np.ascontiguousarray(matrix), np.asfortranarray(matrix), matrix)
+        for t in layouts:
+            op = DenseOperator(t)
+            assert op.matrix.flags.c_contiguous
+            assert np.shares_memory(op.matrix, t) == t.flags.c_contiguous
+            assert op.materialize().tobytes() == layouts[0].tobytes()
+        for op in (ScaledIdentity(2.0, 3), shifted(matrix),
+                   AugmentedKkt(DenseOperator(np.asfortranarray(matrix)), np.ones((1, 3)))):
+            assert op.materialize().flags.c_contiguous
+
     @pytest.mark.parametrize(
         "quadratic",
         [DenseOperator, lambda q: shifted(q + 1.0), lambda q: ScaledIdentity(-0.5, 5)],
@@ -197,6 +211,12 @@ class TestAnalyze:
         assert not report.invertible
         assert report.norm_T_inv is None
         assert report.guarantee is Guarantee.NONE
+
+    def test_entries_near_the_largest_double_keep_definiteness(self):
+        # the symmetric part is taken as halves: (T + T^T) / 2 would overflow
+        report = analyze(point_linear(DenseOperator(np.diag([1e308, 1e308]))))
+        assert report.is_positive_definite
+        assert report.norm_T_inv == 1e-308
 
     def test_scale_consistency_exact(self):
         for c in (0.3, -2.0, 7.5):
