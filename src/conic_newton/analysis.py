@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exceptions import _finite
 from .newton import NewtonConfig, residual, solve
 from .operators import (
     AugmentedKkt,
@@ -76,9 +77,7 @@ def _dense_facts(matrix: np.ndarray):
     """(invertible, norm_inverse, positive_definite, norm, rounding) for a
     dense matrix, where ``rounding`` bounds the error of each computed
     singular value."""
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("analysis requires finite operator entries")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = np.linalg.svd(_finite(matrix, "analyzed operator"), compute_uv=False)
     sig_max = float(sigma[0]) if sigma.size else 0.0
     sig_min = float(sigma[-1]) if sigma.size else 0.0
     invertible = sig_min > _SINGULARITY_RTOL * max(1.0, sig_max)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NumericalFailureError
+from .exceptions import NumericalFailureError, _finite, _size
 from .ncm import NcmProblem, canonical_solver, run_solver
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
@@ -41,17 +41,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
+        object.__setattr__(self, "n", _size(self.n, "n"))
+        object.__setattr__(self, "replicates", _size(self.replicates, "replicates"))
         if self.experiment in ("E55", "E58"):
             if self.alpha is None or self.alpha < 0:
                 raise ValueError(f"{self.experiment} needs alpha >= 0")
+            _finite(self.alpha, "alpha")
         elif self.alpha is not None:
             raise ValueError(f"{self.experiment} does not take alpha")
         if self.experiment == "E58":
-            if self.ell is None or not 1 <= self.ell <= self.n:
+            if self.ell is None or _size(self.ell, "ell") > self.n:
                 raise ValueError("E58 needs ell in [1, n]")
         elif self.ell is not None:
             raise ValueError(f"{self.experiment} does not take ell")
@@ -69,9 +68,7 @@ def random_correlation_matrix(n: int, seed) -> np.ndarray:
     by a random orthogonal matrix, then Givens rotations restore the unit
     diagonal one entry at a time (trace is preserved throughout).
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if n == 1:
+    if _size(n, "n") == 1:
         return np.array([[1.0]])
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=n)

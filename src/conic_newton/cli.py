@@ -26,6 +26,7 @@ names it uses when it runs, so loading the CLI loads none of those modules:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,8 +54,6 @@ def _parse_cone(spec: str) -> Cone:
     if not size.removeprefix("-").isdecimal():
         raise ValueError(f"malformed cone spec {spec!r}, expected kind:n")
     n = int(size)
-    if n < 1:
-        raise ValueError(f"cone dimension must be positive, got {n}")
     if kind == "orthant":
         return Orthant(n)
     if kind == "soc":
@@ -131,13 +130,7 @@ def cmd_solve_pe(args) -> int:
         "b": os.fspath(args.b),
     }
     _write_report(args.out, "semi-smooth-newton", config_keys, report, {
-        "guarantee": {
-            "invertible": guarantee.invertible,
-            "norm_T_inv": guarantee.norm_T_inv,
-            "is_positive_definite": guarantee.is_positive_definite,
-            "guarantee": guarantee.guarantee.value,
-            "predicted_ratio": guarantee.predicted_ratio,
-        },
+        "guarantee": dataclasses.asdict(guarantee),
         "solution": report.solution.tolist(),
         "projected_solution": report.projected_solution.tolist(),
     })
@@ -196,9 +189,6 @@ def cmd_bench(args) -> int:
     solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
     if not ns or not solvers:
         raise ValueError("--n and --solvers each need at least one entry")
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CONIC_NEWTON_SEED", "0"))
     configs = []
     for n in ns:
         if experiment in ("E55", "E58"):
@@ -219,7 +209,7 @@ def cmd_bench(args) -> int:
                     n=n,
                     alpha=alpha,
                     ell=ell,
-                    seed=seed,
+                    seed=args.seed,
                     replicates=args.replicates,
                 )
             )
@@ -300,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated values for 5.5/5.8 "
                             "(default 0.01,0.1,1,10; 0.001 for 5.8)")
     bench.add_argument("--ell", default="n/2", help="block size for 5.8, or 'n/2'")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="defaults to $CONIC_NEWTON_SEED, then 0")
+    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--replicates", type=int, default=10)
     bench.add_argument("--solvers", default="newton,diagonal,baseline")
     bench.add_argument("--tol", type=float, default=1e-5)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, _size, _vector
 
 _SQRT2 = float(np.sqrt(2.0))
 _SAFE_NORM_MIN, _SAFE_NORM_MAX = 2.0**-500, 2.0**500
@@ -136,12 +136,7 @@ class JacobianElement:
         return self.plus(np.zeros((self.size, self.size)))
 
     def _checked(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.size,):
-            raise DimensionMismatchError(
-                f"element of size {self.size} got vector of shape {vector.shape}"
-            )
-        return vector
+        return _vector(vector, self.size, "element")
 
 
 class Diagonal(JacobianElement):
@@ -285,28 +280,27 @@ class Cone:
         return _norm(x - self.project(x)) <= tol * (1.0 + _norm(x))
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dim,):
-            raise DimensionMismatchError(
-                f"{self!r} expects vectors of length {self.ambient_dim}, "
-                f"got shape {x.shape}"
-            )
-        return x
+        return _vector(x, self.ambient_dim, self)
 
 
 @dataclass(frozen=True)
-class Orthant(Cone):
-    """Nonnegative orthant in R^n."""
+class _SizedCone(Cone):
+    """A cone of order ``n``, an integer of at least 1; its ambient
+    dimension is ``n`` unless the subclass says otherwise."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("orthant needs dimension >= 1")
+        object.__setattr__(self, "n", _size(self.n, "cone dimension"))
 
     @property
     def ambient_dim(self) -> int:
         return self.n
+
+
+@dataclass(frozen=True)
+class Orthant(_SizedCone):
+    """Nonnegative orthant in R^n."""
 
     def project(self, x):
         x = self._checked(x)
@@ -319,18 +313,8 @@ class Orthant(Cone):
 
 
 @dataclass(frozen=True)
-class SecondOrder(Cone):
+class SecondOrder(_SizedCone):
     """Second-order (Lorentz) cone {(t, u) in R^n : |u| <= t}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("second-order cone needs dimension >= 1")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
 
     def project(self, x):
         x = self._checked(x)
@@ -363,14 +347,8 @@ class SecondOrder(Cone):
 
 
 @dataclass(frozen=True)
-class PsdCone(Cone):
+class PsdCone(_SizedCone):
     """Positive semidefinite n x n matrices in scaled-vectorized coordinates."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("semidefinite cone needs matrix order >= 1")
 
     @property
     def ambient_dim(self) -> int:
@@ -462,18 +440,8 @@ def _psd_omega(lam: np.ndarray, rows=slice(None)) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FreeSpace(Cone):
+class FreeSpace(_SizedCone):
     """Whole space R^n; projects as the identity, dual cone is {0}."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("free block needs dimension >= 1")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
 
     def project(self, x):
         return self._checked(x).copy()

@@ -20,6 +20,8 @@ import itertools
 
 import numpy as np
 
+from .exceptions import _finite
+
 
 class MatrixFileError(ValueError):
     """Unreadable or malformed matrix file; message names the bad line."""
@@ -325,9 +327,7 @@ def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
     and the test ``|skew| > 1e-9 |matrix|`` does not depend on the scale.
     A non-finite entry raises ValueError before any arithmetic.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("input matrix contains non-finite entries")
+    matrix = _finite(np.asarray(matrix, dtype=float), "input matrix")
     peak = float(np.max(np.abs(matrix), initial=0.0))
     shift = int(np.frexp(peak)[1])
     scaled = np.ldexp(matrix, -shift)

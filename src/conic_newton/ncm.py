@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _norm, _positive_count, _psd_omega, _psd_part
-from .exceptions import DimensionMismatchError, NumericalFailureError
+from .exceptions import DimensionMismatchError, NumericalFailureError, _finite, _size
 from .newton import SolveReport, _drive, _scale_exponent
 
 _DIAG_PINV_TOL = 1e-12
@@ -100,9 +100,7 @@ class NcmProblem:
             )
         # halves first: 0.5 * (g + g.T) overflows for entries near the largest double
         g = 0.5 * g + 0.5 * g.T
-        if not np.all(np.isfinite(g)):
-            raise ValueError("input matrix contains non-finite entries")
-        object.__setattr__(self, "G", g)
+        object.__setattr__(self, "G", _finite(g, "input matrix"))
 
     @property
     def n(self) -> int:
@@ -323,16 +321,6 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
     )
 
 
-def _check_limits(tol: float, max_iter: int) -> None:
-    """Reject a negative, NaN or infinite tolerance and an iteration limit
-    below 1.  Zero tol asks for an exact root; a run that cannot reach it
-    ends in ``NumericalFailureError``."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-
-
 def _iterate(
     problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int,
     restart: bool = False,
@@ -351,8 +339,14 @@ def _iterate(
     diagonals met since count as a cycle.  A step that returns its input
     unchanged raises ``NumericalFailureError``; so does a failure inside a
     step, which carries the iteration it happened in.
+
+    A negative, NaN or infinite ``tol`` and a ``max_iter`` that is not an
+    integer of at least 1 raise ``ValueError``.  Zero tol asks for an exact
+    root; a run that cannot reach it ends in ``NumericalFailureError``.
     """
-    _check_limits(tol, max_iter)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    max_iter = _size(max_iter, "max_iter")
     ghat = problem.G - np.diag(np.diag(problem.G))
     # e's entries are 1, so (Ghat, e) is never scaled up
     shift = max(_scale_exponent(ghat), 0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import _SAFE_NORM_MAX, _SAFE_NORM_MIN, _diagonal, _norm
-from .exceptions import DimensionMismatchError, NumericalFailureError
+from .exceptions import NumericalFailureError, _finite, _size, _vector
 from .operators import EquationForm, ProjectionEquationProblem
 
 _MAX_CONDITION = 1e14
@@ -74,8 +74,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", _size(self.max_iter, "max_iter"))
 
 
 @dataclass
@@ -106,12 +105,7 @@ def residual(
     taken at ``x / 2^k`` against ``b / 2^k`` and scaled back, capped at the
     largest double, so it overflows only if the residual itself does.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.cone.ambient_dim,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, ambient dimension is "
-            f"{problem.cone.ambient_dim}"
-        )
+    x = _vector(x, problem.cone.ambient_dim, "point")
     shift = _scale_exponent(problem.b)
     if shift:
         problem = replace(problem, b=np.ldexp(problem.b, -shift))
@@ -358,15 +352,8 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     if config.x0 is None:
         x = np.zeros(cone.ambient_dim)
     else:
-        x = np.asarray(config.x0, dtype=float)
-        if x.shape != (cone.ambient_dim,):
-            raise DimensionMismatchError(
-                f"starting point has shape {x.shape}, ambient dimension is "
-                f"{cone.ambient_dim}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("starting point must be finite")
-        x = x.copy()
+        x = _finite(_vector(config.x0, cone.ambient_dim, "starting point"),
+                    "starting point").copy()
 
     shift = _scale_exponent(problem.b)
     if shift:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Cone, _diagonal
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, _finite, _size, _vector
 
 
 class LinearOperator:
@@ -35,12 +35,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"operator of dimension {self.dim} got vector of shape {x.shape}"
-            )
-        return x
+        return _vector(x, self.dim, "operator")
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,7 @@ class DenseOperator(LinearOperator):
         mat = np.asarray(self.matrix, dtype=float, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("operator matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _finite(mat, "operator matrix"))
 
     @property
     def dim(self) -> int:
@@ -80,8 +73,8 @@ class ScaledIdentity(LinearOperator):
     dim: int
 
     def __post_init__(self):
-        if not np.isfinite(self.scale):
-            raise ValueError(f"identity scale must be finite, got {self.scale}")
+        _finite(self.scale, "identity scale")
+        object.__setattr__(self, "dim", _size(self.dim, "operator dimension"))
 
     def apply(self, x):
         return self.scale * self._checked(x)
@@ -110,9 +103,7 @@ class AugmentedKkt(LinearOperator):
                 f"constraint has {a.shape[1]} columns, operator dimension is "
                 f"{self.quadratic.dim}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("constraint matrix contains non-finite entries")
-        object.__setattr__(self, "constraint", a)
+        object.__setattr__(self, "constraint", _finite(a, "constraint matrix"))
 
     @property
     def dim(self) -> int:
@@ -146,6 +137,21 @@ class AugmentedKkt(LinearOperator):
         return out
 
 
+def _operator(value, dim, what) -> LinearOperator:
+    """``value`` as an operator of dimension ``dim``: a number c is
+    ``ScaledIdentity(c, dim)``, an array a ``DenseOperator``, and an
+    operator is taken as it is."""
+    if np.isscalar(value):
+        value = ScaledIdentity(float(value), dim)
+    elif not isinstance(value, LinearOperator):
+        value = DenseOperator(value)
+    if value.dim != dim:
+        raise DimensionMismatchError(
+            f"{what} has dimension {value.dim}, cone ambient dimension is {dim}"
+        )
+    return value
+
+
 class EquationForm(str, enum.Enum):
     """Which side of the projection equation carries the linear operator.
 
@@ -159,7 +165,8 @@ class EquationForm(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionEquationProblem:
-    """A projection equation over a cone: operator, right-hand side, form."""
+    """A projection equation over a cone: operator, right-hand side, form.
+    ``T`` may be given as a number c, meaning c I, or as a matrix."""
 
     cone: Cone
     T: LinearOperator
@@ -167,17 +174,8 @@ class ProjectionEquationProblem:
     form: EquationForm = EquationForm.POINT_LINEAR
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (self.cone.ambient_dim,):
-            raise DimensionMismatchError(
-                f"right-hand side has shape {b.shape}, cone ambient dimension is "
-                f"{self.cone.ambient_dim}"
-            )
-        if self.T.dim != self.cone.ambient_dim:
-            raise DimensionMismatchError(
-                f"operator dimension {self.T.dim} does not match cone ambient "
-                f"dimension {self.cone.ambient_dim}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise ValueError("right-hand side contains non-finite entries")
+        d = self.cone.ambient_dim
+        b = _finite(_vector(self.b, d, "right-hand side"), "right-hand side")
+        object.__setattr__(self, "T", _operator(self.T, d, "operator"))
         object.__setattr__(self, "b", b)
+

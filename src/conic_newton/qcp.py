@@ -20,14 +20,13 @@ import numpy as np
 
 from . import newton
 from .cones import Cone, FreeSpace, Product
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, _finite, _vector
 from .operators import (
     AugmentedKkt,
-    DenseOperator,
     EquationForm,
     LinearOperator,
     ProjectionEquationProblem,
-    ScaledIdentity,
+    _operator,
 )
 
 
@@ -43,37 +42,17 @@ class QcpProblem:
 
     def __post_init__(self):
         d = self.cone.ambient_dim
-        if np.isscalar(self.Q):
-            object.__setattr__(self, "Q", ScaledIdentity(float(self.Q), d))
-        elif not isinstance(self.Q, LinearOperator):
-            object.__setattr__(self, "Q", DenseOperator(self.Q))
-        q = np.asarray(self.q, dtype=float)
-        if self.Q.dim != d:
-            raise DimensionMismatchError(
-                f"quadratic operator dimension {self.Q.dim} does not match cone "
-                f"ambient dimension {d}"
-            )
-        if q.shape != (d,):
-            raise DimensionMismatchError(
-                f"linear term has shape {q.shape}, expected ({d},)"
-            )
-        if not np.all(np.isfinite(q)):
-            raise ValueError("linear term contains non-finite entries")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "Q", _operator(self.Q, d, "quadratic operator"))
+        q = _vector(self.q, d, "linear term")
+        object.__setattr__(self, "q", _finite(q, "linear term"))
         if self.equality is not None:
-            a = np.asarray(self.equality[0], dtype=float)
-            b_eq = np.asarray(self.equality[1], dtype=float)
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b_eq))):
-                raise ValueError("equality data contains non-finite entries")
+            a = _finite(np.asarray(self.equality[0], dtype=float), "equality matrix")
             if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != d:
                 raise DimensionMismatchError(
                     f"equality matrix has shape {a.shape}, expected (m, {d}) with m >= 1"
                 )
-            if b_eq.shape != (a.shape[0],):
-                raise DimensionMismatchError(
-                    f"equality right-hand side has shape {b_eq.shape}, expected "
-                    f"({a.shape[0]},)"
-                )
+            b_eq = _vector(self.equality[1], a.shape[0], "equality right-hand side")
+            b_eq = _finite(b_eq, "equality right-hand side")
             object.__setattr__(self, "equality", (a, b_eq))
 
 

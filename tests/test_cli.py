@@ -564,7 +564,9 @@ class TestBenchCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    def test_seed_default_is_zero_and_ignores_env(self, tmp_path, monkeypatch):
+        """``--seed`` is the one seed knob: without it the seed is 0, even
+        with the old ``$CONIC_NEWTON_SEED`` set."""
         monkeypatch.setenv("CONIC_NEWTON_SEED", "123")
         d1 = tmp_path / "env"
         code = main([
@@ -573,7 +575,7 @@ class TestBenchCommand:
         ])
         assert code == 0
         line = (d1 / "raw.csv").read_text().splitlines()[1]
-        assert line.split(",")[3] == "123"
+        assert line.split(",")[3] == "0"
 
 
 # Files the property writes: tiny well-formed ones, and malformed ones.

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_newton import (
@@ -55,7 +55,10 @@ def assert_kind(cone, x, element):
     elif isinstance(cone, PsdCone):
         assert isinstance(element, Spectral)
     elif isinstance(cone, SecondOrder):
-        tail_norm = math.hypot(*x[1:])
+        # the region as the cone reads it: within an ulp of the boundary
+        # another norm may round to the other side, where the other element
+        # is an equally valid limit
+        tail_norm = _norm(x[1:])
         on_boundary = tail_norm > 0.0 and -tail_norm <= x[0] <= tail_norm
         assert isinstance(element, SocBoundary if on_boundary else Diagonal)
     else:
@@ -79,6 +82,10 @@ def mixed_product_kink_points(rng):
         np.concatenate([[0.0, 0.0, 0.0], psd[1], np.zeros(4), [0.0, 3.0]]),
     ]
 
+
+# x[0] = np.linalg.norm(x[1:]), the boundary as soc_points draws it
+SOC_BOUNDARY_POINT = np.array([0.0, 1.0, 1.0, 1.9105933849747672])
+SOC_BOUNDARY_POINT[0] = np.linalg.norm(SOC_BOUNDARY_POINT[1:])
 
 MIXED_PRODUCT = Product((Orthant(3), PsdCone(3), SecondOrder(4), FreeSpace(2)))
 
@@ -605,6 +612,8 @@ class TestLinearize:
 
     @settings(max_examples=200)
     @given(cone_points())
+    # a boundary point whose tail norm math.hypot rounds one ulp below x[0]
+    @example((SecondOrder(4), SOC_BOUNDARY_POINT))
     def test_matches_project_and_element(self, case):
         assert_same_linearization(*case)
 

@@ -11,9 +11,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conic_newton
+import conic_newton as cn
+from conic_newton.exceptions import _vector
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +82,85 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert "[1. 0.]" in out.getvalue().splitlines()
+
+
+_B2 = np.array([3.0, -2.0])
+
+
+def _pe(T=2.0, b=_B2):
+    return cn.ProjectionEquationProblem(cn.Orthant(2), T, b)
+
+
+# (id, call, exception, message fragment): each call breaks the argument
+# rule and raises a ValueError when it is made, never later and never raw
+ARGUMENT_CASES = [
+    ("orthant-float-n", lambda: cn.Orthant(2.5), ValueError, "cone dimension"),
+    ("free-string-n", lambda: cn.FreeSpace("3"), ValueError, "cone dimension"),
+    ("psd-float-n", lambda: cn.PsdCone(1.5), ValueError, "cone dimension"),
+    ("identity-float-dim", lambda: cn.ScaledIdentity(1.0, 2.5), ValueError,
+     "operator dimension"),
+    ("solve-float-max-iter", lambda: cn.solve(_pe(), cn.NewtonConfig(max_iter=2.5)),
+     ValueError, "max_iter"),
+    ("ncm-float-max-iter", lambda: cn.solve_ncm(cn.NcmProblem(np.eye(2)), max_iter=2.5),
+     ValueError, "max_iter"),
+    ("pe-matrix-of-wrong-order", lambda: _pe(T=np.eye(3)), cn.DimensionMismatchError,
+     "operator has dimension 3"),
+    ("pe-complex-rhs", lambda: _pe(b=_B2 + 1j), ValueError, "real vector"),
+    ("qcp-complex-linear-term", lambda: cn.QcpProblem(2.0, _B2 + 0j, cn.Orthant(2)),
+     ValueError, "real vector"),
+    ("solve-complex-start", lambda: cn.solve(_pe(), cn.NewtonConfig(x0=_B2 + 1j)),
+     ValueError, "real vector"),
+    ("project-complex-point", lambda: cn.Orthant(2).project(_B2 + 1j), ValueError,
+     "real vector"),
+    ("residual-complex-point", lambda: cn.residual(_pe(), _B2 + 1j), ValueError,
+     "real vector"),
+    ("experiment-nan-alpha",
+     lambda: cn.bench.ExperimentConfig("E55", n=5, alpha=float("nan")), ValueError,
+     "alpha contains non-finite entries"),
+    ("experiment-float-n", lambda: cn.bench.ExperimentConfig("E56", n=2.5), ValueError,
+     "n must be"),
+    ("experiment-float-ell",
+     lambda: cn.bench.ExperimentConfig("E58", n=4, alpha=0.1, ell=2.5), ValueError,
+     "ell must be"),
+    ("correlation-float-n", lambda: cn.bench.random_correlation_matrix(2.5, 0),
+     ValueError, "n must be"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", [case[1:] for case in ARGUMENT_CASES],
+                         ids=[case[0] for case in ARGUMENT_CASES])
+def test_a_bad_argument_raises_a_value_error_where_it_is_given(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_an_operator_is_given_as_a_number_an_array_or_an_operator():
+    """``ProjectionEquationProblem`` and ``QcpProblem`` read ``T`` and ``Q``
+    by one rule, and the three forms of one operator solve alike."""
+    forms = (2.0, 2.0 * np.eye(2), cn.DenseOperator(2.0 * np.eye(2)))
+    for T in forms:
+        problem = _pe(T=T)
+        assert isinstance(problem.T, cn.LinearOperator)
+        report = cn.solve(problem, cn.NewtonConfig(tol=1e-8))
+        assert report.projected_solution.tolist() == [1.0, 0.0]
+        assert isinstance(cn.QcpProblem(T, _B2, cn.Orthant(2)).Q, cn.LinearOperator)
+    assert isinstance(_pe(T=forms[0]).T, cn.ScaledIdentity)
+    assert isinstance(_pe(T=forms[1]).T, cn.DenseOperator)
+    assert _pe(T=forms[2]).T is forms[2]
+
+
+def test_a_float_vector_passes_the_rule_uncopied_and_unnamed():
+    """The check on the hot path copies no float64 vector and formats its
+    ``what`` only when it fails."""
+
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("what was formatted")
+
+        __repr__ = __str__
+
+    x = np.zeros(3)
+    assert _vector(x, 3, Unprintable()) is x
 
 
 def test_every_exported_name_resolves():
