@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NumericalFailureError, _finite, _size
+from .exceptions import NumericalFailureError, _finite, _number, _size
 from .ncm import NcmProblem, canonical_solver, run_solver
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
@@ -44,9 +44,10 @@ class ExperimentConfig:
         object.__setattr__(self, "n", _size(self.n, "n"))
         object.__setattr__(self, "replicates", _size(self.replicates, "replicates"))
         if self.experiment in ("E55", "E58"):
-            if self.alpha is None or self.alpha < 0:
+            alpha = None if self.alpha is None else _number(self.alpha, "alpha")
+            if alpha is None or _finite(alpha, "alpha") < 0:
                 raise ValueError(f"{self.experiment} needs alpha >= 0")
-            _finite(self.alpha, "alpha")
+            object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.experiment} does not take alpha")
         if self.experiment == "E58":
@@ -131,10 +132,7 @@ def generate(config: ExperimentConfig, replicate_index: int) -> NcmProblem:
 
 @dataclass
 class RawRecord:
-    experiment: str
-    n: int
-    alpha: float | None
-    seed: int
+    config: ExperimentConfig
     replicate: int
     solver: str
     time_seconds: float
@@ -226,17 +224,7 @@ def run_suite(
                 elapsed = time.perf_counter() - begin
                 row.append(elapsed if converged else np.inf)
                 raw.append(
-                    RawRecord(
-                        experiment=config.experiment,
-                        n=config.n,
-                        alpha=config.alpha,
-                        seed=config.seed,
-                        replicate=rep,
-                        solver=name,
-                        time_seconds=elapsed,
-                        iterations=iterations,
-                        converged=converged,
-                    )
+                    RawRecord(config, rep, name, elapsed, iterations, converged)
                 )
             rows.append(row)
     table = profile(np.array(rows))
@@ -249,7 +237,8 @@ def summarize(table: ProfileTable) -> list[dict]:
     """Per (experiment, n, solver) averages in the style of a results table."""
     groups: dict[tuple, list[RawRecord]] = {}
     for rec in table.raw:
-        groups.setdefault((rec.experiment, rec.n, rec.alpha, rec.solver), []).append(rec)
+        key = (rec.config.experiment, rec.config.n, rec.config.alpha, rec.solver)
+        groups.setdefault(key, []).append(rec)
     out = []
     for (experiment, n, alpha, solver), recs in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]), kv[0][3])
@@ -282,9 +271,10 @@ def write_raw_csv(table: ProfileTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for rec in table.raw:
-            alpha = "" if rec.alpha is None else f"{rec.alpha:.17g}"
+            config = rec.config
+            alpha = "" if config.alpha is None else f"{config.alpha:.17g}"
             fh.write(
-                f"{rec.experiment},{rec.n},{alpha},{rec.seed},{rec.replicate},"
+                f"{config.experiment},{config.n},{alpha},{config.seed},{rec.replicate},"
                 f"{rec.solver},{rec.time_seconds:.17g},{rec.iterations},"
                 f"{int(rec.converged)}\n"
             )

@@ -138,18 +138,15 @@ def cmd_solve_pe(args) -> int:
 
 
 def cmd_ncm(args) -> int:
-    from .matrixio import read_matrix, symmetrize_checked, write_matrix
+    from .matrixio import read_matrix, warn_if_asymmetric, write_matrix
     from .ncm import NcmProblem, canonical_solver, default_max_iter, run_solver
 
     _check_writable(args.out_matrix)
     _check_writable(args.out_report)
+    # NcmProblem checks the matrix before the warning reads it
     raw = read_matrix(args.input)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {raw.shape}")
-    g = symmetrize_checked(
-        raw, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
-    )
-    problem = NcmProblem(g)
+    problem = NcmProblem(raw)
+    warn_if_asymmetric(raw, lambda msg: print(f"warning: {msg}", file=sys.stderr))
 
     name = canonical_solver(args.method)
     max_iter = args.max_iter if args.max_iter is not None else default_max_iter(name)
@@ -187,32 +184,22 @@ def cmd_bench(args) -> int:
     default_n = "200,400" if experiment == "E58" else "100,200,300"
     ns = _parse_list(args.n if args.n is not None else default_n, int)
     solvers = [canonical_solver(s) for s in _parse_list(args.solvers, str)]
-    if not ns or not solvers:
-        raise ValueError("--n and --solvers each need at least one entry")
-    configs = []
-    for n in ns:
-        if experiment in ("E55", "E58"):
-            default_alpha = "0.001" if experiment == "E58" else "0.01,0.1,1,10"
-            alpha_arg = args.alpha if args.alpha is not None else default_alpha
-            alphas = _parse_list(alpha_arg, float)
-            if not alphas:
-                raise ValueError(f"experiment {args.experiment} needs --alpha")
-        else:
-            alphas = [None]
-        for alpha in alphas:
-            ell = None
-            if experiment == "E58":
-                ell = n // 2 if args.ell == "n/2" else int(args.ell)
-            configs.append(
-                ExperimentConfig(
-                    experiment=experiment,
-                    n=n,
-                    alpha=alpha,
-                    ell=ell,
-                    seed=args.seed,
-                    replicates=args.replicates,
-                )
-            )
+    # ExperimentConfig rejects a given --alpha or --ell that the experiment lacks
+    if args.alpha is None:
+        alphas = {"E55": [0.01, 0.1, 1.0, 10.0], "E58": [0.001]}.get(experiment, [None])
+    else:
+        alphas = _parse_list(args.alpha, float)
+    if not ns or not solvers or not alphas:
+        raise ValueError("--n, --solvers and --alpha each need at least one entry")
+    ell = "n/2" if args.ell is None and experiment == "E58" else args.ell
+    configs = [
+        ExperimentConfig(
+            experiment=experiment, n=n, alpha=alpha,
+            ell=None if ell is None else n // 2 if ell == "n/2" else int(ell),
+            seed=args.seed, replicates=args.replicates,
+        )
+        for n in ns for alpha in alphas
+    ]
 
     # made before the suite runs, so a directory that cannot be made costs
     # no solves
@@ -289,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--alpha", default=None,
                        help="comma-separated values for 5.5/5.8 "
                             "(default 0.01,0.1,1,10; 0.001 for 5.8)")
-    bench.add_argument("--ell", default="n/2", help="block size for 5.8, or 'n/2'")
+    bench.add_argument("--ell", default=None,
+                       help="block size for 5.8, or 'n/2' (the default)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--replicates", type=int, default=10)
     bench.add_argument("--solvers", default="newton,diagonal,baseline")

@@ -283,6 +283,13 @@ class Cone:
         return _vector(x, self.ambient_dim, self)
 
 
+def _cone(value, what="cone") -> Cone:
+    """``value``, unless it is not a ``Cone``: then ``ValueError``."""
+    if not isinstance(value, Cone):
+        raise ValueError(f"{what} must be a Cone, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class _SizedCone(Cone):
     """A cone of order ``n``, an integer of at least 1; its ambient
@@ -463,7 +470,7 @@ class Product(Cone):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("product cone needs at least one factor")
-        sizes = (p.ambient_dim for p in self.parts)
+        sizes = (_cone(p, "product part").ambient_dim for p in self.parts)
         object.__setattr__(self, "_offsets", tuple(itertools.accumulate(sizes, initial=0)))
 
     @property

@@ -1,17 +1,15 @@
 """Exception types shared across the package, and the one argument rule.
 
-Every constructor and entry point checks its arguments with the three
-private helpers below, so a bad argument raises a ``ValueError`` when it is
-given, in the same words wherever it is given:
-
-* ``_size``: a count or dimension that is not an integer of at least 1;
-* ``_vector``: a vector of the wrong shape (``DimensionMismatchError``, a
-  ``ValueError``), or a complex one;
-* ``_finite``: an array or number with a NaN or infinite entry.
-
-``what`` names the argument in the message and is formatted only when a
-check fails, so passing an object (a cone names itself by its repr) costs
-nothing on the hot path.
+Every constructor and entry point checks its arguments with the private
+helpers below, so a bad argument raises a ``ValueError`` when it is given,
+in the same words wherever it is given: ``_size`` (an integer >= 1),
+``_number``, ``_vector`` and ``_matrix`` (a real number, a real vector of
+the expected length, a finite real matrix, nonempty and square or with the
+expected columns; a wrong shape raises ``DimensionMismatchError``) and
+``_finite`` (no NaN or infinite entry).  ``what`` names the argument and is
+formatted only when a check fails, so passing an object (a cone names
+itself by its repr) costs nothing on the hot path, where a float64 vector
+and a C-ordered float64 matrix pass with no copy.
 """
 
 import operator
@@ -48,19 +46,46 @@ def _size(n, what) -> int:
     return size
 
 
+def _real(value, what, noun) -> np.ndarray:
+    """``value`` as a float array, a float64 one as it is; any dtype but bool,
+    integer or float raises ``ValueError`` (where numpy would drop an
+    imaginary part, or raise ``TypeError`` on ``None`` or an object)."""
+    array = np.asarray(value)
+    if array.dtype is not _FLOAT:
+        if array.dtype.kind not in "biuf":
+            raise ValueError(f"{what}: expected a real {noun}, got {array.dtype}")
+        array = array.astype(float)
+    return array
+
+
+def _number(value, what) -> float:
+    """``value`` as a ``float``."""
+    number = _real(value, what, "number")
+    if number.ndim:
+        raise ValueError(f"{what}: expected a real number, got shape {number.shape}")
+    return float(number)
+
+
 def _vector(value, length, what) -> np.ndarray:
     """``value`` as a float vector of shape ``(length,)``; a float64 vector
     is returned as it is, with no copy."""
-    vector = np.asarray(value)
-    if vector.dtype is not _FLOAT:
-        if vector.dtype.kind == "c":
-            raise ValueError(f"{what}: expected a real vector, got {vector.dtype}")
-        vector = vector.astype(float)
+    vector = _real(value, what, "vector")
     if vector.shape != (length,):
         raise DimensionMismatchError(
             f"{what}: expected a vector of length {length}, got shape {vector.shape}"
         )
     return vector
+
+
+def _matrix(value, what, columns=None) -> np.ndarray:
+    """``value`` as a finite, C-ordered float matrix (a C-ordered float64 one
+    as it is): nonempty and square, or with ``columns`` columns if given."""
+    matrix = np.asarray(_real(value, what, "matrix"), order="C")
+    shape, square = matrix.shape, columns is None
+    if len(shape) != 2 or not (0 < shape[0] == shape[1] if square else shape[1] == columns):
+        wanted = "a nonempty square matrix" if square else f"a matrix with {columns} columns"
+        raise DimensionMismatchError(f"{what}: expected {wanted}, got shape {shape}")
+    return _finite(matrix, what)
 
 
 def _finite(array, what):

@@ -20,8 +20,6 @@ import itertools
 
 import numpy as np
 
-from .exceptions import _finite
-
 
 class MatrixFileError(ValueError):
     """Unreadable or malformed matrix file; message names the bad line."""
@@ -319,15 +317,14 @@ def write_vector(path, vector: np.ndarray) -> None:
     write_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1))
 
 
-def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
-    """Symmetrize, calling ``warn(message)`` when the skew part is material.
+def warn_if_asymmetric(matrix: np.ndarray, warn) -> None:
+    """Call ``warn(message)`` when the skew part of a finite square matrix
+    is material, that is ``|skew| > 1e-9 |matrix|``.
 
     Both norms are taken of the matrix divided by a power of two that brings
     its largest entry into [1/2, 1), so they do not overflow (or underflow)
-    and the test ``|skew| > 1e-9 |matrix|`` does not depend on the scale.
-    A non-finite entry raises ValueError before any arithmetic.
+    and the test does not depend on the scale.
     """
-    matrix = _finite(np.asarray(matrix, dtype=float), "input matrix")
     peak = float(np.max(np.abs(matrix), initial=0.0))
     shift = int(np.frexp(peak)[1])
     scaled = np.ldexp(matrix, -shift)
@@ -337,4 +334,3 @@ def symmetrize_checked(matrix: np.ndarray, warn) -> np.ndarray:
             f"input matrix is asymmetric (skew norm {np.ldexp(skew, shift):.3e}); "
             "proceeding with its symmetric part"
         )
-    return 0.5 * matrix + 0.5 * matrix.T

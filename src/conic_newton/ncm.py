@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _norm, _positive_count, _psd_omega, _psd_part
-from .exceptions import DimensionMismatchError, NumericalFailureError, _finite, _size
+from .exceptions import NumericalFailureError, _matrix, _number, _size
 from .newton import SolveReport, _drive, _scale_exponent
 
 _DIAG_PINV_TOL = 1e-12
@@ -93,14 +93,9 @@ class NcmProblem:
     G: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.G, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
-            raise DimensionMismatchError(
-                f"expected a nonempty square matrix, got shape {g.shape}"
-            )
+        g = _matrix(self.G, "input matrix")
         # halves first: 0.5 * (g + g.T) overflows for entries near the largest double
-        g = 0.5 * g + 0.5 * g.T
-        object.__setattr__(self, "G", _finite(g, "input matrix"))
+        object.__setattr__(self, "G", 0.5 * g + 0.5 * g.T)
 
     @property
     def n(self) -> int:
@@ -340,10 +335,12 @@ def _iterate(
     unchanged raises ``NumericalFailureError``; so does a failure inside a
     step, which carries the iteration it happened in.
 
-    A negative, NaN or infinite ``tol`` and a ``max_iter`` that is not an
-    integer of at least 1 raise ``ValueError``.  Zero tol asks for an exact
-    root; a run that cannot reach it ends in ``NumericalFailureError``.
+    A ``tol`` that is not a nonnegative, finite real number and a
+    ``max_iter`` that is not an integer of at least 1 raise ``ValueError``.
+    Zero tol asks for an exact root; a run that cannot reach it ends in
+    ``NumericalFailureError``.
     """
+    tol = _number(tol, "tol")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     max_iter = _size(max_iter, "max_iter")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import _SAFE_NORM_MAX, _SAFE_NORM_MIN, _diagonal, _norm
-from .exceptions import NumericalFailureError, _finite, _size, _vector
+from .exceptions import NumericalFailureError, _finite, _number, _size, _vector
 from .operators import EquationForm, ProjectionEquationProblem
 
 _MAX_CONDITION = 1e14
@@ -72,6 +72,7 @@ class NewtonConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", _number(self.tol, "tol"))
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         object.__setattr__(self, "max_iter", _size(self.max_iter, "max_iter"))

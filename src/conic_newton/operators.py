@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, _diagonal
-from .exceptions import DimensionMismatchError, _finite, _size, _vector
+from .cones import Cone, _cone, _diagonal
+from .exceptions import DimensionMismatchError, _finite, _matrix, _number, _size, _vector
 
 
 class LinearOperator:
@@ -46,10 +46,7 @@ class DenseOperator(LinearOperator):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float, order="C")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", _finite(mat, "operator matrix"))
+        object.__setattr__(self, "matrix", _matrix(self.matrix, "operator matrix"))
 
     @property
     def dim(self) -> int:
@@ -73,7 +70,8 @@ class ScaledIdentity(LinearOperator):
     dim: int
 
     def __post_init__(self):
-        _finite(self.scale, "identity scale")
+        scale = _finite(_number(self.scale, "identity scale"), "identity scale")
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "dim", _size(self.dim, "operator dimension"))
 
     def apply(self, x):
@@ -95,15 +93,8 @@ class AugmentedKkt(LinearOperator):
     constraint: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.constraint, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatchError("constraint matrix must be 2-D")
-        if a.shape[1] != self.quadratic.dim:
-            raise DimensionMismatchError(
-                f"constraint has {a.shape[1]} columns, operator dimension is "
-                f"{self.quadratic.dim}"
-            )
-        object.__setattr__(self, "constraint", _finite(a, "constraint matrix"))
+        a = _matrix(self.constraint, "constraint matrix", self.quadratic.dim)
+        object.__setattr__(self, "constraint", a)
 
     @property
     def dim(self) -> int:
@@ -142,7 +133,7 @@ def _operator(value, dim, what) -> LinearOperator:
     ``ScaledIdentity(c, dim)``, an array a ``DenseOperator``, and an
     operator is taken as it is."""
     if np.isscalar(value):
-        value = ScaledIdentity(float(value), dim)
+        value = ScaledIdentity(value, dim)
     elif not isinstance(value, LinearOperator):
         value = DenseOperator(value)
     if value.dim != dim:
@@ -174,7 +165,7 @@ class ProjectionEquationProblem:
     form: EquationForm = EquationForm.POINT_LINEAR
 
     def __post_init__(self):
-        d = self.cone.ambient_dim
+        d = _cone(self.cone).ambient_dim
         b = _finite(_vector(self.b, d, "right-hand side"), "right-hand side")
         object.__setattr__(self, "T", _operator(self.T, d, "operator"))
         object.__setattr__(self, "b", b)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import newton
-from .cones import Cone, FreeSpace, Product
-from .exceptions import DimensionMismatchError, _finite, _vector
+from .cones import Cone, FreeSpace, Product, _cone
+from .exceptions import DimensionMismatchError, _finite, _matrix, _vector
 from .operators import (
     AugmentedKkt,
     EquationForm,
@@ -41,16 +41,14 @@ class QcpProblem:
     equality: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        d = self.cone.ambient_dim
+        d = _cone(self.cone).ambient_dim
         object.__setattr__(self, "Q", _operator(self.Q, d, "quadratic operator"))
         q = _vector(self.q, d, "linear term")
         object.__setattr__(self, "q", _finite(q, "linear term"))
         if self.equality is not None:
-            a = _finite(np.asarray(self.equality[0], dtype=float), "equality matrix")
-            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != d:
-                raise DimensionMismatchError(
-                    f"equality matrix has shape {a.shape}, expected (m, {d}) with m >= 1"
-                )
+            a = _matrix(self.equality[0], "equality matrix", d)
+            if not a.shape[0]:
+                raise DimensionMismatchError("equality matrix needs at least one row")
             b_eq = _vector(self.equality[1], a.shape[0], "equality right-hand side")
             b_eq = _finite(b_eq, "equality right-hand side")
             object.__setattr__(self, "equality", (a, b_eq))

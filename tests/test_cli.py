@@ -543,10 +543,31 @@ class TestBenchCommand:
             ["--experiment", "5.6", "--tol", "nan"],
             ["--experiment", "5.6", "--n", ","],
             ["--experiment", "5.6", "--solvers", ""],
+            # E56 takes neither alpha nor ell, so a given one fails the run
+            ["--experiment", "5.6", "--alpha", "7"],
+            ["--experiment", "5.6", "--ell", "3"],
+            ["--experiment", "5.6", "--ell", "n/2"],
+            ["--experiment", "5.5", "--alpha", ","],
         ):
             code = main(common + extra)
             assert code == 1, extra
         assert not (tmp_path / "raw.csv").exists()
+
+    def test_ell_defaults_to_half_of_n(self, tmp_path, monkeypatch):
+        ells = []
+        real_suite = bench.run_suite
+
+        def suite(configs, *args, **kwargs):
+            ells.append([config.ell for config in configs])
+            return real_suite(configs, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_suite", suite)
+        common = ["bench", "--experiment", "5.8", "--n", "6,8", "--alpha", "0.001",
+                  "--replicates", "1", "--solvers", "newton"]
+        for name, extra in (("default", []), ("literal", ["--ell", "n/2"]),
+                            ("given", ["--ell", "2"])):
+            assert main(common + extra + ["--out-dir", str(tmp_path / name)]) == 0
+        assert ells == [[3, 4], [3, 4], [2, 2]]
 
     def test_out_dir_that_cannot_be_made_fails_before_the_suite(
         self, tmp_path, monkeypatch, capsys

@@ -15,10 +15,11 @@ from conic_newton.matrixio import (
     MatrixFileError,
     read_matrix,
     read_vector,
-    symmetrize_checked,
+    warn_if_asymmetric,
     write_matrix,
     write_vector,
 )
+from conic_newton.ncm import NcmProblem
 
 
 class TestRoundTrip:
@@ -205,19 +206,23 @@ class TestVectorShape:
 
 
 class TestSymmetrization:
+    """The ``ncm`` input's two steps: ``warn_if_asymmetric`` warns about a
+    material skew part, and ``NcmProblem`` checks and symmetrizes."""
+
     def test_silent_for_tiny_skew(self):
         warnings = []
         mat = np.eye(3)
         mat[0, 1] = 1e-14
-        out = symmetrize_checked(mat, warn=warnings.append)
+        warn_if_asymmetric(mat, warn=warnings.append)
         assert warnings == []
+        out = NcmProblem(mat).G
         np.testing.assert_array_equal(out, out.T)
 
     def test_warns_on_material_skew(self):
         warnings = []
         mat = np.eye(2)
         mat[0, 1] = 0.5
-        symmetrize_checked(mat, warn=warnings.append)
+        warn_if_asymmetric(mat, warn=warnings.append)
         assert len(warnings) == 1
         assert "asymmetric" in warnings[0]
 
@@ -225,7 +230,8 @@ class TestSymmetrization:
     def test_entries_near_the_largest_double_stay_finite(self):
         warnings = []
         mat = np.array([[1.0, 1e308], [1e308, 1.0]])
-        np.testing.assert_array_equal(symmetrize_checked(mat, warnings.append), mat)
+        np.testing.assert_array_equal(NcmProblem(mat).G, mat)
+        warn_if_asymmetric(mat, warnings.append)
         assert warnings == []
 
     @pytest.mark.parametrize("mat", [
@@ -238,24 +244,29 @@ class TestSymmetrization:
         mat = np.array(mat)
         with np_warnings.catch_warnings():
             np_warnings.simplefilter("error")
-            out = symmetrize_checked(mat, warn=warnings.append)
+            warn_if_asymmetric(mat, warn=warnings.append)
+            out = NcmProblem(mat).G
         assert len(warnings) == 1
         assert "asymmetric" in warnings[0]
         np.testing.assert_array_equal(out, np.diag(np.diag(mat)))
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_entry_raises_before_any_arithmetic(self, bad):
-        mat = np.array([[1.0, bad], [bad, 1.0]])
+    @pytest.mark.parametrize("mat", [
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, np.inf], [-np.inf, 1.0]],  # the halved sum would be NaN
+    ], ids=["inf", "-inf", "nan", "inf-facing-minus-inf"])
+    def test_non_finite_entry_raises_before_any_arithmetic(self, mat):
         with np_warnings.catch_warnings():
             np_warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                symmetrize_checked(mat, warn=lambda msg: None)
+            with pytest.raises(ValueError, match="input matrix contains non-finite"):
+                NcmProblem(np.array(mat))
 
     def test_bit_identical_to_halved_sum_in_normal_range(self):
         rng = np.random.default_rng(62)
         for scale in (1e-3, 1.0, 1e150):
             mat = scale * rng.standard_normal((50, 50))
-            out = symmetrize_checked(mat, warn=lambda msg: None)
+            out = NcmProblem(mat).G
             assert out.tobytes() == (0.5 * (mat + mat.T)).tobytes()
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import conic_newton
 import conic_newton as cn
-from conic_newton.exceptions import _vector
+from conic_newton.exceptions import _matrix, _vector
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,6 +85,7 @@ def test_readme_quick_tour_runs():
 
 
 _B2 = np.array([3.0, -2.0])
+_A12 = np.array([[1.0, 1.0]])
 
 
 def _pe(T=2.0, b=_B2):
@@ -124,6 +125,54 @@ ARGUMENT_CASES = [
      "ell must be"),
     ("correlation-float-n", lambda: cn.bench.random_correlation_matrix(2.5, 0),
      ValueError, "n must be"),
+    # matrices: one rule and one wording for T, Q, A and G
+    ("dense-complex-matrix", lambda: cn.DenseOperator(np.eye(2) + 1j), ValueError,
+     "operator matrix: expected a real matrix"),
+    ("ncm-complex-matrix", lambda: cn.NcmProblem(np.eye(2) + 1j), ValueError,
+     "input matrix: expected a real matrix"),
+    ("kkt-complex-constraint",
+     lambda: cn.AugmentedKkt(cn.ScaledIdentity(1.0, 2), _A12 + 1j), ValueError,
+     "constraint matrix: expected a real matrix"),
+    ("qcp-complex-equality",
+     lambda: cn.QcpProblem(2.0, _B2, cn.Orthant(2), equality=(_A12 + 1j, [1.0])),
+     ValueError, "equality matrix: expected a real matrix"),
+    ("identity-complex-scale", lambda: cn.ScaledIdentity(1j, 2), ValueError,
+     "identity scale: expected a real number"),
+    ("ncm-infinities-facing", lambda: cn.NcmProblem([[1, np.inf], [-np.inf, 1]]),
+     ValueError, "input matrix contains non-finite entries"),
+    ("dense-vector", lambda: cn.DenseOperator(np.ones(3)), cn.DimensionMismatchError,
+     r"operator matrix: expected a nonempty square matrix, got shape \(3,\)"),
+    ("ncm-non-square", lambda: cn.NcmProblem(np.ones((2, 3))), cn.DimensionMismatchError,
+     r"input matrix: expected a nonempty square matrix, got shape \(2, 3\)"),
+    ("kkt-wrong-columns",
+     lambda: cn.AugmentedKkt(cn.ScaledIdentity(1.0, 2), np.ones((1, 3))),
+     cn.DimensionMismatchError, "constraint matrix: expected a matrix with 2 columns"),
+    ("qcp-equality-wrong-columns",
+     lambda: cn.QcpProblem(2.0, _B2, cn.Orthant(2), equality=(np.ones((1, 3)), [1.0])),
+     cn.DimensionMismatchError, "equality matrix: expected a matrix with 2 columns"),
+    ("qcp-equality-no-rows",
+     lambda: cn.QcpProblem(2.0, _B2, cn.Orthant(2), equality=(np.ones((0, 2)), [])),
+     cn.DimensionMismatchError, "equality matrix needs at least one row"),
+    # arguments of the wrong kind
+    ("pe-array-for-cone", lambda: cn.ProjectionEquationProblem(np.eye(2), 2.0, _B2),
+     ValueError, "cone must be a Cone"),
+    ("qcp-array-for-cone", lambda: cn.QcpProblem(2.0, _B2, np.eye(2)), ValueError,
+     "cone must be a Cone"),
+    ("product-number-part", lambda: cn.Product((cn.Orthant(2), 3)), ValueError,
+     "product part must be a Cone"),
+    ("config-string-tol", lambda: cn.NewtonConfig(tol="a"), ValueError,
+     "tol: expected a real number"),
+    ("config-none-tol", lambda: cn.NewtonConfig(tol=None), ValueError,
+     "tol: expected a real number"),
+    ("config-vector-tol", lambda: cn.NewtonConfig(tol=[1e-5, 1e-6]), ValueError,
+     "tol: expected a real number"),
+    ("ncm-string-tol", lambda: cn.solve_ncm(cn.NcmProblem(np.eye(2)), tol="a"),
+     ValueError, "tol: expected a real number"),
+    ("ncm-none-tol", lambda: cn.solve_ncm(cn.NcmProblem(np.eye(2)), tol=None),
+     ValueError, "tol: expected a real number"),
+    ("experiment-string-alpha",
+     lambda: cn.bench.ExperimentConfig("E55", n=5, alpha="a"), ValueError,
+     "alpha: expected a real number"),
 ]
 
 
@@ -150,8 +199,8 @@ def test_an_operator_is_given_as_a_number_an_array_or_an_operator():
 
 
 def test_a_float_vector_passes_the_rule_uncopied_and_unnamed():
-    """The check on the hot path copies no float64 vector and formats its
-    ``what`` only when it fails."""
+    """The checks on the hot path copy no float64 vector and no C-ordered
+    float64 matrix, and format their ``what`` only when they fail."""
 
     class Unprintable:
         def __str__(self):
@@ -161,6 +210,9 @@ def test_a_float_vector_passes_the_rule_uncopied_and_unnamed():
 
     x = np.zeros(3)
     assert _vector(x, 3, Unprintable()) is x
+    m = np.zeros((3, 3))
+    assert _matrix(m, Unprintable()) is m
+    assert _matrix(m, Unprintable(), 3) is m
 
 
 def test_every_exported_name_resolves():
