@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -290,22 +290,61 @@ def _cone(value, what="cone") -> Cone:
     return value
 
 
-@dataclass(frozen=True)
-class _SizedCone(Cone):
+class _Frozen:
+    """Base of the package's cones and operators: an immutable value.
+
+    ``__init__`` checks the arguments and stores each field once, through
+    ``_init``; assigning or deleting an attribute afterwards raises
+    ``FrozenInstanceError``.  The fields, named in ``__match_args__``, give
+    the repr, ``Name(field=value, ...)``, and equality and hashing: two
+    objects of one class are equal when their fields are.  A class whose
+    fields hold arrays compares by identity instead.  Copies and pickles
+    restore ``__dict__`` directly, so they need nothing more.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _init(self, **fields):
+        self.__dict__.update(fields)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class _SizedCone(_Frozen, Cone):
     """A cone of order ``n``, an integer of at least 1; its ambient
     dimension is ``n`` unless the subclass says otherwise."""
 
-    n: int
+    __match_args__ = ("n",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _size(self.n, "cone dimension"))
+    def __init__(self, n: int):
+        self._init(n=_size(n, "cone dimension"))
 
     @property
     def ambient_dim(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
 class Orthant(_SizedCone):
     """Nonnegative orthant in R^n."""
 
@@ -319,7 +358,6 @@ class Orthant(_SizedCone):
         return Diagonal(("orthant", active.tobytes()), active.astype(float))
 
 
-@dataclass(frozen=True)
 class SecondOrder(_SizedCone):
     """Second-order (Lorentz) cone {(t, u) in R^n : |u| <= t}."""
 
@@ -353,7 +391,6 @@ class SecondOrder(_SizedCone):
         )
 
 
-@dataclass(frozen=True)
 class PsdCone(_SizedCone):
     """Positive semidefinite n x n matrices in scaled-vectorized coordinates."""
 
@@ -446,7 +483,6 @@ def _psd_omega(lam: np.ndarray, rows=slice(None)) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
 class FreeSpace(_SizedCone):
     """Whole space R^n; projects as the identity, dual cone is {0}."""
 
@@ -458,20 +494,18 @@ class FreeSpace(_SizedCone):
         return Diagonal(("free",), np.ones(self.n))
 
 
-@dataclass(frozen=True)
-class Product(Cone):
+class Product(_Frozen, Cone):
     """Cartesian product of cones over concatenated coordinates."""
 
-    parts: tuple[Cone, ...]
-    # part i owns coordinates _offsets[i]:_offsets[i + 1]
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: tuple[Cone, ...]):
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("product cone needs at least one factor")
-        sizes = (_cone(p, "product part").ambient_dim for p in self.parts)
-        object.__setattr__(self, "_offsets", tuple(itertools.accumulate(sizes, initial=0)))
+        sizes = (_cone(p, "product part").ambient_dim for p in parts)
+        # part i owns coordinates _offsets[i]:_offsets[i + 1]
+        self._init(parts=parts, _offsets=tuple(itertools.accumulate(sizes, initial=0)))
 
     @property
     def ambient_dim(self) -> int:

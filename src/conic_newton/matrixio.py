@@ -204,9 +204,9 @@ def _mirrored_matrix(lines, first, n):
             count=n - c,
         )
         out[c:, c] = out[c, c:]
-    # out holds column c in row c; it is symmetric, and its transpose (a
-    # view) has the memory layout of the per-line read
-    return out.T
+    # out holds column c in row c as well; it is bitwise symmetric, so it is
+    # the matrix itself, in C order
+    return out
 
 
 def _checked_array(path, lines, symmetric):

@@ -86,7 +86,7 @@ _MAX_FORCING = 1e-2
 _MAX_HALVINGS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NcmProblem:
     """Input matrix for the nearest-correlation problem, symmetrized on ingestion."""
 
@@ -102,7 +102,7 @@ class NcmProblem:
         return self.G.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class NcmState:
     """One iterate X = Ghat + Diag(D_diag) of any of the solvers.
 

@@ -78,7 +78,7 @@ class NewtonConfig:
         object.__setattr__(self, "max_iter", _size(self.max_iter, "max_iter"))
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """The last iterate and its projection, the steps taken, the residual of
     every iterate, the stop, and the wall time from building the first

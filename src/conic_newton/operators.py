@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cone, _cone, _diagonal
+from .cones import Cone, _cone, _diagonal, _Frozen
 from .exceptions import DimensionMismatchError, _finite, _matrix, _number, _size, _vector
 
 
@@ -38,15 +38,16 @@ class LinearOperator:
         return _vector(x, self.dim, "operator")
 
 
-@dataclass(frozen=True)
-class DenseOperator(LinearOperator):
+class DenseOperator(_Frozen, LinearOperator):
     """Arbitrary square matrix, held in C order: a matrix in another layout
     is copied once, when the operator is built."""
 
-    matrix: np.ndarray
+    __match_args__ = ("matrix",)
+    # holds an array: compared and hashed by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _matrix(self.matrix, "operator matrix"))
+    def __init__(self, matrix: np.ndarray):
+        self._init(matrix=_matrix(matrix, "operator matrix"))
 
     @property
     def dim(self) -> int:
@@ -62,17 +63,16 @@ class DenseOperator(LinearOperator):
         return view
 
 
-@dataclass(frozen=True)
-class ScaledIdentity(LinearOperator):
+class ScaledIdentity(_Frozen, LinearOperator):
     """c times the identity."""
 
-    scale: float
-    dim: int
+    __match_args__ = ("scale", "dim")
 
-    def __post_init__(self):
-        scale = _finite(_number(self.scale, "identity scale"), "identity scale")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "dim", _size(self.dim, "operator dimension"))
+    def __init__(self, scale: float, dim: int):
+        self._init(
+            scale=_finite(_number(scale, "identity scale"), "identity scale"),
+            dim=_size(dim, "operator dimension"),
+        )
 
     def apply(self, x):
         return self.scale * self._checked(x)
@@ -81,20 +81,22 @@ class ScaledIdentity(LinearOperator):
         return self.scale * np.eye(self.dim)
 
 
-@dataclass(frozen=True)
-class AugmentedKkt(LinearOperator):
+class AugmentedKkt(_Frozen, LinearOperator):
     """Block operator [[Q, A^T], [A, 0]] - I on the primal-multiplier space.
 
     Applied to (x, lam) it returns (Qx + A^T lam - x, Ax - lam) blockwise.
     With no rows (``constraint`` of shape (0, d)) it is Q - I.
     """
 
-    quadratic: LinearOperator
-    constraint: np.ndarray
+    __match_args__ = ("quadratic", "constraint")
+    # holds an array: compared and hashed by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        a = _matrix(self.constraint, "constraint matrix", self.quadratic.dim)
-        object.__setattr__(self, "constraint", a)
+    def __init__(self, quadratic: LinearOperator, constraint: np.ndarray):
+        self._init(
+            quadratic=quadratic,
+            constraint=_matrix(constraint, "constraint matrix", quadratic.dim),
+        )
 
     @property
     def dim(self) -> int:
@@ -154,7 +156,7 @@ class EquationForm(str, enum.Enum):
     PROJECTION_LINEAR = "projection-linear"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionEquationProblem:
     """A projection equation over a cone: operator, right-hand side, form.
     ``T`` may be given as a number c, meaning c I, or as a matrix."""

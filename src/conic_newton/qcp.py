@@ -30,7 +30,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcpProblem:
     """Quadratic conic program data.  ``Q`` may be given as a matrix or as a
     scalar c, meaning c I; ``equality`` is an optional (A, b_eq) pair."""
@@ -54,7 +54,7 @@ class QcpProblem:
             object.__setattr__(self, "equality", (a, b_eq))
 
 
-@dataclass
+@dataclass(eq=False)
 class KktPoint:
     """Primal-dual candidate: x in the cone, equality multiplier lam, dual mu."""
 

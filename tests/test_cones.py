@@ -1,7 +1,10 @@
 """Projections, dual projections, derivative elements, and their invariants."""
 
+import copy
 import math
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,13 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_newton import (
+    Cone,
     DimensionMismatchError,
     FreeSpace,
     Orthant,
     Product,
+    ProjectionEquationProblem,
     PsdCone,
     SecondOrder,
     smat,
+    solve,
     svec,
 )
 from conic_newton.cones import (
@@ -27,6 +33,7 @@ from conic_newton.cones import (
     _psd_jacobian_matrix,
     _psd_omega,
     _psd_part,
+    _SizedCone,
     _svec_table,
 )
 from conftest import CONE_CASES, random_point, random_symmetric
@@ -837,3 +844,97 @@ class TestPsdOmega:
         rows = slice(min(start, lam.size), min(max(start, stop), lam.size))
         for cut in (rows, slice(None)):
             assert _psd_omega(lam, cut).tobytes() == ix_psd_omega(lam, cut).tobytes()
+
+
+# Each cone class: its fields, its repr, and fields that give another value.
+CONE_VALUES = [
+    pytest.param(_SizedCone, {"n": 3}, "_SizedCone(n=3)", {"n": 4}, id="sized"),
+    pytest.param(Orthant, {"n": 3}, "Orthant(n=3)", {"n": 2}, id="orthant"),
+    pytest.param(SecondOrder, {"n": 4}, "SecondOrder(n=4)", {"n": 3}, id="soc"),
+    pytest.param(PsdCone, {"n": 2}, "PsdCone(n=2)", {"n": 3}, id="psd"),
+    pytest.param(FreeSpace, {"n": 1}, "FreeSpace(n=1)", {"n": 5}, id="free"),
+    pytest.param(
+        Product,
+        {"parts": (Orthant(2), FreeSpace(1))},
+        "Product(parts=(Orthant(n=2), FreeSpace(n=1)))",
+        {"parts": (FreeSpace(1), Orthant(2))},
+        id="product",
+    ),
+]
+
+
+def round_trips(value):
+    """``value`` through ``copy.copy``, ``copy.deepcopy`` and pickle."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+class TestValueContract:
+    """Cones are immutable values: built by position or keyword, shown,
+    compared and hashed by their fields, and copied and pickled whole."""
+
+    @pytest.mark.parametrize("cls, fields, text, other", CONE_VALUES)
+    def test_keyword_and_positional_construction_agree(self, cls, fields, text, other):
+        by_keyword, by_position = cls(**fields), cls(*fields.values())
+        assert by_keyword == by_position
+        for name, value in fields.items():
+            assert getattr(by_keyword, name) == value
+
+    @pytest.mark.parametrize("cls, fields, text, other", CONE_VALUES)
+    def test_repr(self, cls, fields, text, other):
+        assert repr(cls(**fields)) == text
+
+    @pytest.mark.parametrize("cls, fields, text, other", CONE_VALUES)
+    def test_equal_and_hashed_by_value(self, cls, fields, text, other):
+        cone, twin = cls(**fields), cls(**fields)
+        assert cone is not twin and cone == twin and hash(cone) == hash(twin)
+        assert len({cone, twin, cls(**other)}) == 2
+        assert cone != cls(**other)
+        # equal cones share a class: a subclass with the same fields differs
+        assert cone != type("Other", (cls,), {})(**fields)
+        assert cone != text
+
+    @pytest.mark.parametrize("cls, fields, text, other", CONE_VALUES)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, text, other):
+        cone = cls(**fields)
+        for name in fields:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(cone, name, other[name])
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(cone, name)
+        assert cone == cls(**fields)
+
+    @pytest.mark.parametrize("cls, fields, text, other", CONE_VALUES)
+    def test_copies_and_pickles_round_trip(self, cls, fields, text, other):
+        cone, name = cls(**fields), next(iter(fields))
+        for twin in round_trips(cone):
+            assert type(twin) is cls and twin == cone and hash(twin) == hash(cone)
+            assert repr(twin) == text and vars(twin) == vars(cone)
+            assert twin.ambient_dim == cone.ambient_dim
+            with pytest.raises(FrozenInstanceError):
+                setattr(twin, name, other[name])
+
+    def test_user_subclass_sets_attributes(self):
+        class CountingOrthant(Cone):
+            """A user cone that keeps state on itself."""
+
+            def __init__(self, n):
+                self.n = n
+                self.projections = 0
+
+            @property
+            def ambient_dim(self):
+                return self.n
+
+            def project(self, x):
+                self.projections += 1
+                return Orthant(self.n).project(x)
+
+            def jacobian_element(self, x):
+                return Orthant(self.n).jacobian_element(x)
+
+        cone = CountingOrthant(3)
+        b = np.array([1.0, -2.0, 3.0])
+        report = solve(ProjectionEquationProblem(Product((cone,)), 2.0, b))
+        expected = solve(ProjectionEquationProblem(Orthant(3), 2.0, b))
+        assert cone.projections > 0
+        assert report.solution.tobytes() == expected.solution.tobytes()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conic_newton import matrixio
+from conic_newton.exceptions import _matrix
 from conic_newton.matrixio import (
     MatrixFileError,
     read_matrix,
@@ -464,6 +465,20 @@ class TestMirroredRead:
         path.write_text(GENERAL + f"{n} {n}\n" + "".join(t + "\n" for t in texts))
         reference = np.array([float(t) for t in texts]).reshape(n, n).T
         assert read_matrix(path).tobytes() == reference.tobytes()
+
+    def test_symmetric_file_reads_in_c_order_and_passes_uncopied(self, tmp_path):
+        # the mirrored read fills a bitwise symmetric array, which is the
+        # matrix in C order: the matrix rule takes it as it is
+        rng = np.random.default_rng(64)
+        mat = rng.standard_normal((7, 7))
+        path = tmp_path / "s.mtx"
+        write_matrix(path, mat + mat.T)
+        back = read_matrix(path)
+        lines = path.read_text().splitlines()[2:]
+        reference = np.array([float(t) for t in lines]).reshape(7, 7).T
+        assert back.flags.c_contiguous
+        assert back.tobytes() == reference.tobytes()
+        assert np.shares_memory(_matrix(back, "input matrix"), back)
 
     def test_mirror_check_stops_at_a_differing_spelling(self):
         lines = ["1", "2", "3", "2", "4", "5", "3", "5", "6"]

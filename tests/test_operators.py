@@ -1,5 +1,9 @@
 """Linear operator forms and the convergence-guarantee analyzer."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from conic_newton import (
     DimensionMismatchError,
     EquationForm,
     Guarantee,
+    LinearOperator,
     NewtonConfig,
     Orthant,
     ProjectionEquationProblem,
@@ -404,3 +409,109 @@ class TestProblemContainer:
             ProjectionEquationProblem(
                 Orthant(2), ScaledIdentity(1.0, 2), np.array([bad, 1.0])
             )
+
+
+MATRIX = np.array([[2.0, 1.0], [0.5, 3.0]])
+CONSTRAINT = np.array([[1.0, -1.0]])
+# Each operator class: its fields, its repr, and fields that give another
+# value.  DenseOperator and AugmentedKkt hold arrays and compare by identity.
+OPERATOR_VALUES = [
+    pytest.param(
+        DenseOperator, {"matrix": MATRIX}, f"DenseOperator(matrix={MATRIX!r})",
+        {"matrix": MATRIX.T}, id="dense",
+    ),
+    pytest.param(
+        ScaledIdentity, {"scale": 2.0, "dim": 3}, "ScaledIdentity(scale=2.0, dim=3)",
+        {"scale": 2.0, "dim": 2}, id="scaled-identity",
+    ),
+    pytest.param(
+        AugmentedKkt,
+        {"quadratic": ScaledIdentity(2.0, 2), "constraint": CONSTRAINT},
+        f"AugmentedKkt(quadratic=ScaledIdentity(scale=2.0, dim=2), constraint={CONSTRAINT!r})",
+        {"quadratic": DenseOperator(MATRIX), "constraint": CONSTRAINT},
+        id="augmented-kkt",
+    ),
+]
+
+
+def round_trips(value):
+    """``value`` through ``copy.copy``, ``copy.deepcopy`` and pickle."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+class TestValueContract:
+    """Operators are immutable: built by position or keyword, shown by
+    their fields, and copied and pickled whole; ``ScaledIdentity`` compares
+    and hashes by value, the array-holding operators by identity."""
+
+    @pytest.mark.parametrize("cls, fields, text, other", OPERATOR_VALUES)
+    def test_keyword_and_positional_construction_agree(self, cls, fields, text, other):
+        by_keyword, by_position = cls(**fields), cls(*fields.values())
+        assert by_keyword.materialize().tobytes() == by_position.materialize().tobytes()
+        for name, value in fields.items():
+            assert np.array_equal(getattr(by_keyword, name), value)
+
+    @pytest.mark.parametrize("cls, fields, text, other", OPERATOR_VALUES)
+    def test_repr(self, cls, fields, text, other):
+        assert repr(cls(**fields)) == text
+
+    def test_scaled_identity_is_equal_and_hashed_by_value(self):
+        op, twin = ScaledIdentity(2.0, 3), ScaledIdentity(scale=2, dim=3)
+        assert op is not twin and op == twin and hash(op) == hash(twin)
+        assert len({op, twin, ScaledIdentity(2.0, 2), ScaledIdentity(3.0, 3)}) == 3
+
+    @pytest.mark.parametrize("cls, fields, text, other",
+                             [OPERATOR_VALUES[0], OPERATOR_VALUES[2]])
+    def test_array_operators_compare_by_identity(self, cls, fields, text, other):
+        # with value equality, == on the held arrays raised "truth value ...
+        # ambiguous"
+        op, twin = cls(**fields), cls(**fields)
+        assert op == op and not op != op
+        assert (op == twin) is False and op != twin
+        assert len({op, twin, op}) == 2
+
+    @pytest.mark.parametrize("cls, fields, text, other", OPERATOR_VALUES)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, text, other):
+        op = cls(**fields)
+        for name in fields:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(op, name, other[name])
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(op, name)
+        assert repr(op) == text
+
+    @pytest.mark.parametrize("cls, fields, text, other", OPERATOR_VALUES)
+    def test_copies_and_pickles_round_trip(self, cls, fields, text, other):
+        op, name = cls(**fields), next(iter(fields))
+        x = np.linspace(-1.0, 2.0, op.dim)
+        for twin in round_trips(op):
+            assert type(twin) is cls and repr(twin) == text and twin.dim == op.dim
+            assert twin.apply(x).tobytes() == op.apply(x).tobytes()
+            assert twin.materialize().tobytes() == op.materialize().tobytes()
+            with pytest.raises(FrozenInstanceError):
+                setattr(twin, name, other[name])
+
+    def test_user_subclass_sets_attributes(self):
+        class CountingOperator(LinearOperator):
+            """A user operator that keeps state on itself."""
+
+            def __init__(self, matrix):
+                self.matrix = np.asarray(matrix, dtype=float)
+                self.dim = self.matrix.shape[0]
+                self.applications = 0
+
+            def apply(self, x):
+                self.applications += 1
+                return self.matrix @ self._checked(x)
+
+            def materialize(self):
+                return self.matrix
+
+        op = CountingOperator(MATRIX)
+        op.label = "user"
+        problem = ProjectionEquationProblem(Orthant(2), op, np.array([1.0, -2.0]))
+        assert problem.T is op
+        assert solve(problem).termination.converged
+        applications = op.applications
+        op.apply(np.ones(2))
+        assert op.applications == applications + 1 and op.label == "user"

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -213,6 +214,58 @@ def test_a_float_vector_passes_the_rule_uncopied_and_unnamed():
     m = np.zeros((3, 3))
     assert _matrix(m, Unprintable()) is m
     assert _matrix(m, Unprintable(), 3) is m
+
+
+def _records():
+    """One of each record that holds an array, with the name of that array."""
+    problem = _pe()
+    kkt, report = cn.solve_qcp(cn.QcpProblem(2.0, _B2, cn.Orthant(2), (_A12, [1.0])))
+    g = np.eye(2)
+    ncm = importlib.import_module("conic_newton.ncm")
+    state = ncm.NcmState(g, np.zeros(2), g, np.linalg.eigh(g), 0.0)
+    return [
+        (problem, "b"), (report, "solution"), (kkt, "x"), (state, "D_diag"),
+        (cn.QcpProblem(2.0, _B2, cn.Orthant(2)), "q"), (cn.NcmProblem(g), "G"),
+    ]
+
+
+def test_array_records_compare_by_identity():
+    """``==`` on a record that holds an array is identity, where comparing
+    the arrays raised numpy's "truth value ... ambiguous"; ``NewtonConfig``
+    keeps its value equality."""
+    for record, name in _records():
+        twin = dataclasses.replace(record, **{name: getattr(record, name).copy()})
+        assert record == record and not record != record
+        assert (record == twin) is False and record != twin, type(record).__name__
+        assert len({record, twin}) == 2
+    assert cn.NewtonConfig(tol=1e-6, max_iter=3) == cn.NewtonConfig(1e-6, 3)
+
+
+def test_cli_import_builds_only_the_records_as_dataclasses():
+    """Cones and operators are plain classes, so importing the CLI generates
+    dataclass code only for the five records whose dataclass API is public
+    (``replace``, ``asdict``): the rest of the modules load lazily."""
+    out = run_fresh("""
+        import dataclasses, json
+        built, dataclass = [], dataclasses.dataclass
+
+        def counted(cls=None, /, **options):
+            def build(cls):
+                built.append(f"{cls.__module__}.{cls.__qualname__}")
+                return dataclass(cls, **options)
+            return build if cls is None else build(cls)
+
+        dataclasses.dataclass = counted
+        import conic_newton.cli
+        print(json.dumps([name for name in built if name.startswith("conic_newton.")]))
+    """)
+    assert sorted(json.loads(out)) == [
+        "conic_newton.newton.NewtonConfig",
+        "conic_newton.newton.SolveReport",
+        "conic_newton.operators.ProjectionEquationProblem",
+        "conic_newton.qcp.KktPoint",
+        "conic_newton.qcp.QcpProblem",
+    ]
 
 
 def test_every_exported_name_resolves():
