@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalFailureError, _finite, _number, _size
-from .ncm import NcmProblem, canonical_solver, run_solver
+from .ncm import NcmProblem, _tolerance, canonical_solver, run_solver
 
 EXPERIMENTS = ("E55", "E56", "E57", "E58")
 
@@ -195,13 +195,15 @@ def run_suite(
     Each (instance, solver) pair runs in fresh state; a solve that does not
     reach the tolerance, or raises ``NumericalFailureError``, counts as a
     failure with infinite time.  One untimed warm-up solve runs first so
-    library initialization does not pollute the first timing.
+    library initialization does not pollute the first timing; a ``tol``
+    that the solvers reject raises ``ValueError`` before it.
     """
     if not configs:
         raise ValueError("need at least one experiment configuration")
     names = [canonical_solver(s) for s in solvers]
     if not names:
         raise ValueError("need at least one solver")
+    tol = _tolerance(tol)
 
     warmup = NcmProblem(np.eye(8) + 0.01)
     for name in names:

@@ -11,11 +11,12 @@ Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
 (numpy's ``LinAlgError`` included) or singular system.  Input errors include
 a path that cannot be read or written and a ``--x0`` of the wrong length or
 with non-finite entries.  ``solve-pe`` and ``ncm`` check their output
-paths before they read or solve anything, and ``bench`` makes its output
-directory first, so a bad output path costs no solve.  A usage error that
-argparse catches (an unknown option, a missing one, or a value it cannot
-convert, such as ``--tol abc``) is an input error too, so it exits 1 rather
-than argparse's 2.
+paths before they read or solve anything, and ``bench`` checks its
+arguments, ``--tol`` included, before it makes its output directory, so a
+bad argument leaves no directory and a bad output path costs no solve.  A
+usage error that argparse catches (an unknown option, a missing one, or a
+value it cannot convert, such as ``--tol abc``) is an input error too, so it
+exits 1 rather than argparse's 2.
 
 Each command imports the ``analysis``, ``bench``, ``matrixio`` and ``ncm``
 names it uses when it runs, so loading the CLI loads none of those modules:
@@ -178,8 +179,9 @@ def cmd_bench(args) -> int:
         write_profile_csv,
         write_raw_csv,
     )
-    from .ncm import canonical_solver
+    from .ncm import _tolerance, canonical_solver
 
+    _tolerance(args.tol)
     experiment = _EXPERIMENT_NAMES[args.experiment]
     default_n = "200,400" if experiment == "E58" else "100,200,300"
     ns = _parse_list(args.n if args.n is not None else default_n, int)
@@ -201,8 +203,9 @@ def cmd_bench(args) -> int:
         for n in ns for alpha in alphas
     ]
 
-    # made before the suite runs, so a directory that cannot be made costs
-    # no solves
+    # made after every argument is checked and before the suite runs, so a
+    # bad argument makes no directory and a directory that cannot be made
+    # costs no solves
     os.makedirs(args.out_dir, exist_ok=True)
     table = run_suite(configs, solvers, tol=args.tol)
     write_raw_csv(table, os.path.join(args.out_dir, "raw.csv"))

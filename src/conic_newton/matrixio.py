@@ -6,7 +6,9 @@ flavors are ``array real general``, ``array real symmetric``, and
 ``coordinate real symmetric``.  Any file whose first line does not start
 with the MatrixMarket banner is parsed as comma-separated numeric rows.
 
-Parse errors name the offending line.
+Parse errors name the offending line.  A body that is not in the plain
+form below, and every CSV or ``coordinate`` file, is read by one checked
+line walk (``_data_walk``) with one size-line rule and one count rule.
 
 An ``array real general`` file of a square matrix whose mirrored entries
 are written alike (as ``write_matrix`` writes a symmetric matrix) is read
@@ -60,61 +62,81 @@ def _parse_matrix_market(path, lines):
     if layout == "array":
         return _parse_array(path, lines, symmetry == "symmetric")
 
-    body = _data_lines(path, lines)
-    numbered = list(zip(_data_line_numbers(lines), body))
-    size_no, size_line = numbered[0]
-    entries = numbered[1:]
-    fields = size_line.split()
-
     # coordinate real symmetric
-    if len(fields) != 3:
-        _fail(path, size_no, f"expected 'rows cols nnz', got {size_line!r}")
-    try:
-        rows, cols, nnz = (int(f) for f in fields)
-    except ValueError:
-        _fail(path, size_no, f"non-integer size in {size_line!r}")
+    body, fail = _data_walk(path, lines, 1, "%")
+    rows, cols, nnz = _sizes(body, fail, "rows cols nnz")
     if rows != cols:
-        _fail(path, size_no, "coordinate symmetric files must be square")
-    if len(entries) != nnz:
-        _fail(
-            path,
-            entries[-1][0] if entries else size_no,
-            f"expected {nnz} entries, found {len(entries)}",
-        )
+        fail(0, "coordinate symmetric files must be square")
+    _count(fail, nnz, len(body) - 1, "entries")
     out = np.zeros((rows, cols))
-    for no, line in entries:
+    for k, line in enumerate(body[1:], start=1):
         parts = line.split()
         if len(parts) != 3:
-            _fail(path, no, f"expected 'i j value', got {line!r}")
+            fail(k, f"expected 'i j value', got {line!r}")
         try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            value = float(parts[2])
+            i, j, value = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
         except ValueError:
-            _fail(path, no, f"malformed entry {line!r}")
+            fail(k, f"malformed entry {line!r}")
         if not (0 <= i < rows and 0 <= j < cols):
-            _fail(path, no, f"index out of range in {line!r}")
-        out[i, j] = value
-        out[j, i] = value
+            fail(k, f"index out of range in {line!r}")
+        out[i, j] = out[j, i] = value
     return out
 
 
-def _is_data(line):
-    """Whether a line after the banner holds data (not blank, not a comment)."""
+def _is_data(line, comment="%"):
+    """Whether a line holds data: it is not blank and does not begin with
+    ``comment``."""
     stripped = line.lstrip()
-    return bool(stripped) and stripped[0] != "%"
+    return bool(stripped) and stripped[0] != comment
 
 
-def _data_lines(path, lines):
-    """The data lines after the banner, the size line first."""
-    body = list(filter(_is_data, lines[1:]))
+def _data_walk(path, lines, start, comment):
+    """The data lines of ``lines[start:]`` (``_is_data``), and
+    ``fail(k, message)``, which raises ``MatrixFileError`` at the file line
+    of data line ``k``, or at the last line of the file when ``k`` is past
+    the last data line.
+
+    The file line numbers are worked out only for an error message.
+    """
+    body = [line for line in lines[start:] if _is_data(line, comment)]
+
+    def fail(k, message):
+        numbers = [
+            no
+            for no, line in enumerate(lines[start:], start=start + 1)
+            if _is_data(line, comment)
+        ]
+        _fail(path, (numbers + [len(lines)])[k], message)
+
+    return body, fail
+
+
+def _sizes(body, fail, names):
+    """The size line ``body[0]``: one nonnegative integer per name in
+    ``names``."""
     if not body:
-        _fail(path, len(lines), "missing size line")
-    return body
+        fail(0, "missing size line")
+    fields = body[0].split()
+    if len(fields) != len(names.split()):
+        fail(0, f"expected '{names}', got {body[0]!r}")
+    try:
+        sizes = [int(f) for f in fields]
+    except ValueError:
+        fail(0, f"non-integer size in {body[0]!r}")
+    if min(sizes) < 0:
+        fail(0, f"negative size in {body[0]!r}")
+    return sizes
 
 
-def _data_line_numbers(lines):
-    """1-based file line numbers of the data lines after the banner."""
-    return [no for no, line in enumerate(lines[1:], start=2) if _is_data(line)]
+def _count(fail, expected, found, noun):
+    """Raise unless ``expected`` data lines follow the size line, where
+    ``found`` do; the error names the first surplus line, or the last line
+    read when the body is short."""
+    if found != expected:
+        fail(
+            expected + 1 if found > expected else found,
+            f"expected {expected} {noun}, found {found}",
+        )
 
 
 def _array_count(rows, cols, symmetric):
@@ -212,73 +234,35 @@ def _mirrored_matrix(lines, first, n):
 def _checked_array(path, lines, symmetric):
     """``(rows, cols, values)`` of any body: blank and ``%`` lines are
     skipped, each value is the first token of its line, and every error
-    names its line.
-
-    The data lines' file line numbers are worked out only for an error
-    message.
-    """
-    body = _data_lines(path, lines)
-
-    def fail(k, message):
-        _fail(path, _data_line_numbers(lines)[k], message)
-
-    size_line = body[0]
-    fields = size_line.split()
-    if len(fields) != 2:
-        fail(0, f"expected 'rows cols', got {size_line!r}")
-    try:
-        rows, cols = int(fields[0]), int(fields[1])
-    except ValueError:
-        fail(0, f"non-integer size in {size_line!r}")
-    if rows < 0 or cols < 0:
-        fail(0, f"negative size in {size_line!r}")
+    names its line."""
+    body, fail = _data_walk(path, lines, 1, "%")
+    rows, cols = _sizes(body, fail, "rows cols")
     if symmetric and rows != cols:
         fail(0, "symmetric files must be square")
     expected = _array_count(rows, cols, symmetric)
-    entries = body[1:]
-    try:
-        values = np.array(
-            [float(line.split()[0]) for line in entries[:expected]], dtype=float
-        )
-    except ValueError:
-        for no, line in zip(_data_line_numbers(lines)[1:], entries):
-            _parse_value(path, no, line)
-        raise
-    if len(entries) != expected:
-        # the first surplus line, or the last line read when values are short
-        fail(
-            expected + 1 if len(entries) > expected else len(entries),
-            f"expected {expected} values, found {len(entries)}",
-        )
-    return rows, cols, values
-
-
-def _parse_value(path, no, line):
-    try:
-        return float(line.split()[0])
-    except (ValueError, IndexError):
-        _fail(path, no, f"expected a number, got {line!r}")
+    values = []
+    for k, line in enumerate(body[1 : expected + 1], start=1):
+        try:
+            values.append(float(line.split()[0]))
+        except ValueError:
+            fail(k, f"expected a number, got {line!r}")
+    _count(fail, expected, len(body) - 1, "values")
+    return rows, cols, np.array(values, dtype=float)
 
 
 def _parse_csv(path, lines):
-    rows = []
-    width = None
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = [c.strip() for c in stripped.split(",")]
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            _fail(path, no, f"malformed numeric row {line!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            _fail(path, no, f"expected {width} columns, found {len(row)}")
-        rows.append(row)
-    if not rows:
+    body, fail = _data_walk(path, lines, 0, "#")
+    if not body:
         raise MatrixFileError(f"{path}: no numeric data found")
+    rows = []
+    for k, line in enumerate(body):
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            fail(k, f"malformed numeric row {line!r}")
+        if rows and len(row) != len(rows[0]):
+            fail(k, f"expected {len(rows[0])} columns, found {len(row)}")
+        rows.append(row)
     return np.array(rows)
 
 

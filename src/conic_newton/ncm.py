@@ -316,6 +316,14 @@ def _stalled(prev: NcmState, state: NcmState) -> bool:
     )
 
 
+def _tolerance(tol) -> float:
+    """``tol`` as a ``float``: the NCM solvers' rule, nonnegative and finite."""
+    tol = _number(tol, "tol")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    return tol
+
+
 def _iterate(
     problem: NcmProblem, d0: np.ndarray, step, tol: float, max_iter: int,
     restart: bool = False,
@@ -340,9 +348,7 @@ def _iterate(
     Zero tol asks for an exact root; a run that cannot reach it ends in
     ``NumericalFailureError``.
     """
-    tol = _number(tol, "tol")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    tol = _tolerance(tol)
     max_iter = _size(max_iter, "max_iter")
     ghat = problem.G - np.diag(np.diag(problem.G))
     # e's entries are 1, so (Ghat, e) is never scaled up

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from conic_newton import bench
 from conic_newton.bench import (
     ExperimentConfig,
     generate,
@@ -182,6 +183,16 @@ class TestRunSuite:
         assert np.isinf(table.times).all()
         assert not table.raw[0].converged
         assert table.raw[0].iterations >= 1
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tol_raises_before_the_warm_up(self, monkeypatch, tol):
+        def solver(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(bench, "run_solver", solver)
+        configs = [ExperimentConfig("E56", n=5, seed=0, replicates=1)]
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            run_suite(configs, ["newton"], tol=tol)
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError):

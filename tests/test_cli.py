@@ -477,6 +477,18 @@ class TestNcmCommand:
         ])
         assert code == 1
 
+    def test_negative_coordinate_size_is_an_input_error(self, tmp_path, capsys):
+        g_path = tmp_path / "neg.mtx"
+        g_path.write_text("%%MatrixMarket matrix coordinate real symmetric\n-1 -1 0\n")
+        code = main([
+            "ncm", "--input", str(g_path), "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {g_path}:2: negative size in '-1 -1 0'\n"
+        )
+
 
 class TestBenchCommand:
     def test_deterministic_raw_csv(self, tmp_path, capsys):
@@ -552,6 +564,25 @@ class TestBenchCommand:
             code = main(common + extra)
             assert code == 1, extra
         assert not (tmp_path / "raw.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_fails_before_the_directory_and_the_warm_up(
+        self, tmp_path, monkeypatch, capsys, tol
+    ):
+        def solver(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(bench, "run_solver", solver)
+        out_dir = tmp_path / "bt"
+        code = main([
+            "bench", "--experiment", "5.6", "--n", "8", "--replicates", "1",
+            "--tol", tol, "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith(
+            "error: tol must be nonnegative and finite"
+        )
 
     def test_ell_defaults_to_half_of_n(self, tmp_path, monkeypatch):
         ells = []

@@ -193,6 +193,35 @@ class TestCsvParsing:
             read_matrix(path)
 
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# header\n\n1.0,2.0\n   \n  # indented\n\t\n3.0,4.0\n#\n")
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_cells_with_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b" 1.5 ,\t-2 \r\n3e0,  4\t\r\n")
+        back = read_matrix(path)
+        assert back.tobytes() == np.array([[1.5, -2.0], [3.0, 4.0]]).tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\n1,2\n# c\n\n3\n", r":6: expected 2 columns, found 1$"),
+        ("# c\n\n1,2\n\n  # c\nx,4\n", r":6: malformed numeric row 'x,4'$"),
+        ("\n# c\n 1, \n", r":3: malformed numeric row ' 1, '$"),
+    ], ids=["ragged", "non-numeric", "empty-cell"])
+    def test_error_after_skipped_lines_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(MatrixFileError, match=message):
+            read_matrix(path)
+
+    def test_only_comments(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# a\n\n  # b\n")
+        with pytest.raises(MatrixFileError, match=r"c\.csv: no numeric data found$"):
+            read_matrix(path)
+
+
 class TestVectorShape:
     def test_matrix_rejected_as_vector(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -399,6 +428,103 @@ class TestPlainFormEquivalence:
         back = read_matrix(path)
         expected = np.array([[10.0], [np.nan], [-np.inf], [5e-324], [-0.0]])
         assert back.tobytes() == expected.tobytes()
+
+
+COORDINATE = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+# Coordinate files, with the values or the error they read as.
+COORDINATE_FILES = [
+    pytest.param(
+        COORDINATE + "% c\n\n2 2 3\n1 1 1.0\n% mid\n\n  2 1 0.5\n\t\n2 2 2.0\n  % x\n",
+        [[1.0, 0.5], [0.5, 2.0]],
+        id="comments-and-blank-lines-among-entries",
+    ),
+    pytest.param(
+        COORDINATE + "3 3 2\r\n 1 3\t-0.25 \r\n2 2 4\r\n",
+        [[0.0, 0.0, -0.25], [0.0, 4.0, 0.0], [-0.25, 0.0, 0.0]],
+        id="crlf-and-surrounding-spaces",
+    ),
+    pytest.param(
+        COORDINATE + "% c\n2 2\n", r":3: expected 'rows cols nnz', got '2 2'$",
+        id="two-field-size",
+    ),
+    pytest.param(
+        COORDINATE + "2 2.0 1\n1 1 1\n", r":2: non-integer size in '2 2\.0 1'$",
+        id="non-integer-size",
+    ),
+    pytest.param(
+        COORDINATE + "-1 -1 0\n", r":2: negative size in '-1 -1 0'$", id="negative-size"
+    ),
+    pytest.param(
+        COORDINATE + "2 2 -1\n", r":2: negative size in '2 2 -1'$", id="negative-count"
+    ),
+    pytest.param(
+        COORDINATE + "2 3 0\n", r":2: coordinate symmetric files must be square$",
+        id="not-square",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 3\n1 1 1\n% c\n2 2 1\n\n",
+        r":5: expected 3 entries, found 2$",
+        id="short",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n\n", r":2: expected 1 entries, found 0$", id="no-entries"
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n1 1 1\n% c\n2 2 1\n2 1 3\n",
+        r":5: expected 1 entries, found 3$",
+        id="surplus",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n% c\n1 1\n", r":4: expected 'i j value', got '1 1'$",
+        id="two-token-entry",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n1 1 x\n", r":3: malformed entry '1 1 x'$",
+        id="bad-number",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n1.0 1 1\n", r":3: malformed entry '1\.0 1 1'$",
+        id="non-integer-index",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 2\n1 1 1\n0 1 1\n", r":4: index out of range in '0 1 1'$",
+        id="index-0",
+    ),
+    pytest.param(
+        COORDINATE + "2 2 1\n1 3 1\n", r":3: index out of range in '1 3 1'$",
+        id="index-n-plus-1",
+    ),
+    pytest.param(
+        COORDINATE + "% only a comment\n", r":2: missing size line$", id="missing-size"
+    ),
+]
+
+
+class TestCoordinateParsing:
+    @pytest.mark.parametrize("text, expected", COORDINATE_FILES)
+    def test_coordinate_file(self, tmp_path, text, expected):
+        path = tmp_path / "c.mtx"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(MatrixFileError, match=expected):
+                read_matrix(path)
+        else:
+            assert read_matrix(path).tobytes() == np.array(expected).tobytes()
+
+    def test_coordinate_and_array_files_read_alike(self, tmp_path):
+        rng = np.random.default_rng(63)
+        half = rng.standard_normal((5, 5)) * np.pi
+        mat = half + half.T
+        rows, cols = np.tril_indices(5)
+        coordinate = tmp_path / "c.mtx"
+        coordinate.write_text(COORDINATE + f"5 5 {len(rows)}\n" + "".join(
+            f"{i + 1} {j + 1} {mat[i, j]:.17g}\n" for i, j in zip(rows, cols)
+        ))
+        array = tmp_path / "a.mtx"
+        write_matrix(array, mat)
+        assert read_matrix(coordinate).tobytes() == read_matrix(array).tobytes()
+        assert read_matrix(coordinate).tobytes() == mat.tobytes()
 
 
 # Lower-triangle entries facing an upper value x: the mirror x itself (so
