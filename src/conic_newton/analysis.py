@@ -78,8 +78,7 @@ def _dense_facts(matrix: np.ndarray):
     dense matrix, where ``rounding`` bounds the error of each computed
     singular value."""
     sigma = np.linalg.svd(_finite(matrix, "analyzed operator"), compute_uv=False)
-    sig_max = float(sigma[0]) if sigma.size else 0.0
-    sig_min = float(sigma[-1]) if sigma.size else 0.0
+    sig_max, sig_min = float(sigma[0]), float(sigma[-1])
     invertible = sig_min > _SINGULARITY_RTOL * max(1.0, sig_max)
     norm_inv = (1.0 / sig_min) if invertible else None
     # halves first: 0.5 * (matrix + matrix.T) overflows for entries near the
@@ -89,7 +88,7 @@ def _dense_facts(matrix: np.ndarray):
     positive_definite = min_eig > 1e-10 * (1.0 + sig_max)
     # |computed sigma_i - sigma_i| <= p(d) eps sigma_max for a backward
     # stable SVD; p(d) = d, the dimension, is taken for the modest p
-    rounding = max(matrix.shape, default=0) * _EPS * sig_max
+    rounding = max(matrix.shape) * _EPS * sig_max
     return invertible, norm_inv, positive_definite, sig_max, rounding
 
 

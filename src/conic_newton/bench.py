@@ -126,7 +126,6 @@ def generate(config: ExperimentConfig, replicate_index: int) -> NcmProblem:
             g[:ell, :ell] = ell / (1.0 - ell) * (np.ones((ell, ell)) - np.eye(ell))
         g[np.arange(n), np.arange(n)] += rng.uniform(-20000.0, 20000.0, size=n)
         g += config.alpha * _symmetric_uniform(rng, n, -1.0, 1.0)
-        g = 0.5 * (g + g.T)
     return NcmProblem(g)
 
 

@@ -9,14 +9,15 @@ Subcommands:
 Exit codes: 0 converged (residual tolerance or repeated-pattern stop),
 1 input error, 2 iteration limit or pattern cycle, 3 numerical failure
 (numpy's ``LinAlgError`` included) or singular system.  Input errors include
-a path that cannot be read or written and a ``--x0`` of the wrong length or
-with non-finite entries.  ``solve-pe`` and ``ncm`` check their output
-paths before they read or solve anything, and ``bench`` checks its
-arguments, ``--tol`` included, before it makes its output directory, so a
-bad argument leaves no directory and a bad output path costs no solve.  A
-usage error that argparse catches (an unknown option, a missing one, or a
-value it cannot convert, such as ``--tol abc``) is an input error too, so it
-exits 1 rather than argparse's 2.
+a path that cannot be read or written, a ``--x0`` of the wrong length or with
+non-finite entries, and an unknown solver name: ``ncm --method`` takes the
+names of ``bench --solvers``, canonical or alias, and is checked first.
+``solve-pe`` and ``ncm`` check their output paths before they read or solve
+anything, and ``bench`` checks its arguments, ``--tol`` included, before it
+makes its output directory, so a bad argument leaves no directory and a bad
+output path costs no solve.  A usage error that argparse catches (an unknown
+option, a missing one, or a value it cannot convert, such as ``--tol abc``)
+is an input error too, so it exits 1 rather than argparse's 2.
 
 Each command imports the ``analysis``, ``bench``, ``matrixio`` and ``ncm``
 names it uses when it runs, so loading the CLI loads none of those modules:
@@ -142,6 +143,7 @@ def cmd_ncm(args) -> int:
     from .matrixio import read_matrix, warn_if_asymmetric, write_matrix
     from .ncm import NcmProblem, canonical_solver, default_max_iter, run_solver
 
+    name = canonical_solver(args.method)
     _check_writable(args.out_matrix)
     _check_writable(args.out_report)
     # NcmProblem checks the matrix before the warning reads it
@@ -149,7 +151,6 @@ def cmd_ncm(args) -> int:
     problem = NcmProblem(raw)
     warn_if_asymmetric(raw, lambda msg: print(f"warning: {msg}", file=sys.stderr))
 
-    name = canonical_solver(args.method)
     max_iter = args.max_iter if args.max_iter is not None else default_max_iter(name)
     report = run_solver(name, problem, args.tol, max_iter)
 
@@ -223,17 +224,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-class _NcmMethods:
-    """The ``ncm --method`` choices: the aliases of ``ncm``'s solver
-    registry, read only when argparse checks or prints them, so building the
-    parser loads no ``ncm``."""
-
-    def __iter__(self):
-        from .ncm import _SOLVERS
-
-        return (alias for alias, _, _ in _SOLVERS.values())
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit ``EXIT_INPUT``; the
     subcommand parsers are of the same class."""
@@ -265,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     ncm.add_argument("--input", required=True, help="symmetric matrix file")
     ncm.add_argument("--tol", type=float, default=1e-5)
     ncm.add_argument("--max-iter", type=int, default=None)
-    method = ncm.add_argument("--method", default="newton")
-    # set after add_argument, which reads the choices to check the metavar
-    method.choices = _NcmMethods()
+    ncm.add_argument("--method", default="newton", help="solver name, as for bench --solvers")
     ncm.add_argument("--out-matrix", default="correlation.mtx")
     ncm.add_argument("--out-report", default="ncm_report.json")
     ncm.set_defaults(func=cmd_ncm)

@@ -6,9 +6,11 @@ flavors are ``array real general``, ``array real symmetric``, and
 ``coordinate real symmetric``.  Any file whose first line does not start
 with the MatrixMarket banner is parsed as comma-separated numeric rows.
 
-Parse errors name the offending line.  A body that is not in the plain
-form below, and every CSV or ``coordinate`` file, is read by one checked
-line walk (``_data_walk``) with one size-line rule and one count rule.
+Parse errors name the offending line; a ``coordinate`` entry given twice,
+as ``(i, j)`` or as its mirror ``(j, i)``, names the first one's line too.
+A body that is not in the plain form below, and every CSV or ``coordinate``
+file, is read by one checked line walk (``_data_walk``) with one size-line
+rule and one count rule.
 
 An ``array real general`` file of a square matrix whose mirrored entries
 are written alike (as ``write_matrix`` writes a symmetric matrix) is read
@@ -69,6 +71,7 @@ def _parse_matrix_market(path, lines):
         fail(0, "coordinate symmetric files must be square")
     _count(fail, nnz, len(body) - 1, "entries")
     out = np.zeros((rows, cols))
+    seen = {}
     for k, line in enumerate(body[1:], start=1):
         parts = line.split()
         if len(parts) != 3:
@@ -79,6 +82,8 @@ def _parse_matrix_market(path, lines):
             fail(k, f"malformed entry {line!r}")
         if not (0 <= i < rows and 0 <= j < cols):
             fail(k, f"index out of range in {line!r}")
+        if (first := seen.setdefault((max(i, j), min(i, j)), k)) != k:
+            fail(k, f"entry ({i + 1}, {j + 1}) repeats the entry", first)
         out[i, j] = out[j, i] = value
     return out
 
@@ -92,21 +97,23 @@ def _is_data(line, comment="%"):
 
 def _data_walk(path, lines, start, comment):
     """The data lines of ``lines[start:]`` (``_is_data``), and
-    ``fail(k, message)``, which raises ``MatrixFileError`` at the file line
-    of data line ``k``, or at the last line of the file when ``k`` is past
-    the last data line.
+    ``fail(k, message, earlier=None)``, which raises ``MatrixFileError`` at
+    the file line of data line ``k`` (the last line of the file when ``k``
+    is past the last data line), naming data line ``earlier``'s line too.
 
     The file line numbers are worked out only for an error message.
     """
     body = [line for line in lines[start:] if _is_data(line, comment)]
 
-    def fail(k, message):
+    def fail(k, message, earlier=None):
         numbers = [
             no
             for no, line in enumerate(lines[start:], start=start + 1)
             if _is_data(line, comment)
-        ]
-        _fail(path, (numbers + [len(lines)])[k], message)
+        ] + [len(lines)]
+        if earlier is not None:
+            message += f" on line {numbers[earlier]}"
+        _fail(path, numbers[k], message)
 
     return body, fail
 
@@ -295,10 +302,6 @@ def _array_body(matrix):
     slot[upper] = slot[upper[::-1]] = np.arange(len(values))
     # symmetric, so row-major order is column-major order
     return "".join(np.array(lines, dtype=object)[slot.ravel()].tolist())
-
-
-def write_vector(path, vector: np.ndarray) -> None:
-    write_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1))
 
 
 def warn_if_asymmetric(matrix: np.ndarray, warn) -> None:

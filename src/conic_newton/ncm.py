@@ -58,8 +58,8 @@ whose ``projected_solution`` is P_psd(X), the nearest correlation matrix;
 the multiplier is lambda = diag(G) - diag(solution).
 
 One registry, read by the CLI and ``bench``, names the three solvers: a
-canonical name, the alias that ``--method`` offers, and the default
-iteration cap, which is the solver's own ``max_iter`` default;
+canonical name, an alias (``canonical_solver`` accepts either), and the
+default iteration cap, which is the solver's own ``max_iter`` default;
 ``run_solver`` runs a solver by its canonical name.
 """
 
@@ -229,8 +229,6 @@ def ncm_step(state: NcmState) -> NcmState:
     or alpha h no longer changes d, the iterate is returned unchanged.
     """
     norm = state.residual
-    if norm == 0.0:
-        return state
     grad = _gradient(state)
     apply, diagonal = _newton_operator(*state.eig)
     h = _pcg(

@@ -61,7 +61,6 @@ class KktPoint:
     x: np.ndarray
     lam: np.ndarray | None
     mu: np.ndarray
-    verified: bool = True
 
 
 def to_projection_equation(problem: QcpProblem) -> ProjectionEquationProblem:
@@ -88,8 +87,8 @@ def solve_qcp(
 
     ``x`` is the cone part of the report's ``projected_solution``, the
     projection the solver already took at its last iterate; ``lam`` is the
-    multiplier part of the root.  A run that stops at the iteration limit still returns a KktPoint, but
-    flagged unverified so callers can record the failure.
+    multiplier part of the root.  A run that does not converge still
+    returns a KktPoint; the report's ``termination.converged`` says which.
     """
     reduced = to_projection_equation(problem)
     report = newton.solve(reduced, config)
@@ -101,8 +100,7 @@ def solve_qcp(
         a, _ = problem.equality
         lam = report.solution[d:].copy()
         mu += a.T @ lam
-    verified = report.termination.converged
-    return KktPoint(x=x, lam=lam, mu=mu, verified=verified), report
+    return KktPoint(x=x, lam=lam, mu=mu), report
 
 
 def kkt_components(problem: QcpProblem, point: KktPoint) -> dict[str, float]:

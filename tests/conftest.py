@@ -14,6 +14,7 @@ from conic_newton import (
     smat,
     svec,
 )
+from conic_newton.matrixio import write_matrix
 from conic_newton.qcp import to_projection_equation
 
 # One profile for every property test: no per-example deadline (first calls
@@ -42,6 +43,11 @@ STALLING_NCM_INPUTS = [
 RANK_DEFICIENT_NCM_INPUT = np.array(
     [[1.0, 1.987, -0.536], [1.987, 1.0, -1.939], [-0.536, -1.939, 1.0]]
 )
+
+
+def write_vector(path, vector):
+    """Write ``vector`` as a one-column MatrixMarket file."""
+    write_matrix(path, np.asarray(vector, dtype=float).reshape(-1, 1))
 
 
 def point_linear(T):

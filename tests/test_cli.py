@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from conic_newton import bench, cli, ncm
 from conic_newton.cli import main
 from conic_newton.exceptions import NumericalFailureError
-from conic_newton.matrixio import read_matrix, write_matrix, write_vector
-from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS
+from conic_newton.matrixio import read_matrix, write_matrix
+from conftest import RANK_DEFICIENT_NCM_INPUT, STALLING_NCM_INPUTS, write_vector
 
 
 @pytest.fixture()
@@ -314,6 +314,31 @@ class TestNcmCommand:
         for method in ("newton", "diagonal"):
             diff = np.linalg.norm(outputs[method] - outputs["baseline"])
             assert diff <= 1e-3, method
+
+    def test_canonical_method_name_writes_the_alias_bytes(self, tmp_path):
+        # --method takes bench --solvers' names: a canonical name or an alias
+        g_path = tmp_path / "g.mtx"
+        write_matrix(g_path, RANK_DEFICIENT_NCM_INPUT)
+        written = {}
+        for method in ("baseline", "alternating-projections"):
+            out_matrix, out_report = tmp_path / f"{method}.mtx", tmp_path / f"{method}.json"
+            code = main([
+                "ncm", "--input", str(g_path), "--method", method,
+                "--out-matrix", str(out_matrix), "--out-report", str(out_report),
+            ])
+            assert code == 0
+            assert json.loads(out_report.read_text())["solver"] == method
+            written[method] = out_matrix.read_bytes()
+        assert written["alternating-projections"] == written["baseline"]
+
+    def test_unknown_method_fails_before_the_input_is_read(self, tmp_path, capsys):
+        code = main([
+            "ncm", "--input", str(tmp_path / "missing.mtx"), "--method", "simplex",
+            "--out-matrix", str(tmp_path / "c.mtx"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown solver 'simplex'\n"
 
     def test_rank_deficient_converges(self, tmp_path):
         g_path = tmp_path / "g.mtx"
@@ -657,11 +682,11 @@ def drawn(valid, invalid=()):
     return values
 
 
-# Option values; the invalid ones are input errors that the CLI must catch,
-# or values argparse cannot convert or does not offer ("abc", "1.5" for an
-# integer, "simplex" for --method).  An invalid output path lies under a
-# directory that does not exist, or under or at a regular file.  Sizes stay
-# tiny, so bench runs no real suite.
+# Option values; the invalid ones are input errors that the CLI must catch
+# ("simplex" for --method or --solvers), or values argparse cannot convert or
+# does not offer ("abc", "1.5" for an integer, "5.9" for --experiment).  An
+# invalid output path lies under a directory that does not exist, or under or
+# at a regular file.  Sizes stay tiny, so bench runs no real suite.
 CLI_OPTIONS = {
     "solve-pe": {
         "--cone": drawn(["orthant:2", "soc:2"],

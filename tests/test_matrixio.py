@@ -18,9 +18,9 @@ from conic_newton.matrixio import (
     read_vector,
     warn_if_asymmetric,
     write_matrix,
-    write_vector,
 )
 from conic_newton.ncm import NcmProblem
+from conftest import write_vector
 
 
 class TestRoundTrip:
@@ -497,6 +497,21 @@ COORDINATE_FILES = [
     ),
     pytest.param(
         COORDINATE + "% only a comment\n", r":2: missing size line$", id="missing-size"
+    ),
+    pytest.param(
+        COORDINATE + "3 3 2\n1 3 -0.25\n% c\n1 3 4\n",
+        r":5: entry \(1, 3\) repeats the entry on line 3$",
+        id="repeated-entry",
+    ),
+    pytest.param(
+        COORDINATE + "3 3 2\n1 3 -0.25\n\n3 1 4\n",
+        r":5: entry \(3, 1\) repeats the entry on line 3$",
+        id="repeated-mirror",
+    ),
+    pytest.param(
+        COORDINATE + "3 3 3\n2 2 1\n1 1 1\n2 2 1\n",
+        r":5: entry \(2, 2\) repeats the entry on line 3$",
+        id="repeated-diagonal",
     ),
 ]
 

@@ -103,6 +103,7 @@ class TestStep:
         state = state_of(NcmProblem(np.eye(4)))
         assert state.residual == 0.0
         nxt = ncm_step(state)
+        assert nxt is state
         np.testing.assert_allclose(nxt.X, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(nxt.D_diag, np.ones(4))
 

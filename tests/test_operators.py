@@ -172,8 +172,8 @@ class TestMaterialize:
         analyze(projection_linear(DenseOperator(t)))
         for equality in (None, (read_only(rng.standard_normal((2, 6))), np.ones(2))):
             qcp = QcpProblem(Q=DenseOperator(t), q=b, cone=Orthant(6), equality=equality)
-            kkt, _ = solve_qcp(qcp, config)
-            assert kkt.verified
+            _, report = solve_qcp(qcp, config)
+            assert report.termination.converged
         assert t.tobytes() == read_only(a @ a.T / 6 + np.eye(6)).tobytes()
 
 

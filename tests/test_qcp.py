@@ -99,7 +99,7 @@ class TestSolveQcp:
         np.testing.assert_allclose(kkt.x, [1.0, 0.0])
         np.testing.assert_allclose(kkt.mu, [0.0, 1.0])
         assert abs(np.dot(kkt.mu, kkt.x)) <= 1e-12
-        assert kkt.verified
+        assert report.termination.converged
 
     def test_orthant_projection_problem(self):
         # Q = I, q = -g solves the least-squares projection onto the orthant
@@ -133,8 +133,8 @@ class TestSolveQcp:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        kkt, report = solve_qcp(problem, NewtonConfig(tol=1e-10))
-        assert kkt.verified
+        _, report = solve_qcp(problem, NewtonConfig(tol=1e-10))
+        assert report.termination.converged
         assert report.iterations >= 2
         assert len(calls) == report.iterations + 1
 
@@ -144,20 +144,21 @@ class TestSolveQcp:
         # projecting the root again in the caller's units overflowed here
         problem, _ = random_qcp(SecondOrder(5), 31, with_equality)
         config = NewtonConfig(tol=1e-10)
-        base, _ = solve_qcp(problem, config)
+        base, base_report = solve_qcp(problem, config)
         equality = problem.equality
         if equality is not None:
             equality = (equality[0], np.ldexp(equality[1], 600))
         scaled = QcpProblem(problem.Q, np.ldexp(problem.q, 600), problem.cone, equality)
-        kkt, _ = solve_qcp(scaled, replace(config, tol=np.ldexp(1e-10, 600)))
-        assert base.verified and kkt.verified
+        kkt, report = solve_qcp(scaled, replace(config, tol=np.ldexp(1e-10, 600)))
+        assert base_report.termination.converged and report.termination.converged
         assert kkt.x.tobytes() == np.ldexp(base.x, 600).tobytes()
 
     def test_max_iter_flags_unverified(self):
         p = QcpProblem(Q=2.0, q=np.array([-2.0, 1.0]), cone=Orthant(2))
         kkt, report = solve_qcp(p, NewtonConfig(max_iter=1, tol=1e-14))
         assert report.termination is Termination.MAX_ITER
-        assert not kkt.verified
+        assert not report.termination.converged
+        assert kkt.x.shape == (2,)
 
 
 class TestEmbed:
