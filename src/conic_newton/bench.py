@@ -19,7 +19,7 @@ count as infinite time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,33 +149,23 @@ class ProfileTable:
 
 
 def profile(times: np.ndarray, tau_grid=None) -> ProfileTable:
-    """Performance profile of a problems-by-solvers time matrix."""
+    """Performance profile of a problems-by-solvers time matrix.  A finite
+    time equal to its problem's best has ratio 1, even a best of 0, any other
+    time/best, and a failure (inf or NaN) inf; the default grid is 1 and
+    every finite ratio."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 2 or times.size == 0:
         raise ValueError("need a non-empty problems-by-solvers time matrix")
     n_problems, n_solvers = times.shape
-    ratios = np.full_like(times, np.inf)
-    for p in range(n_problems):
-        row = times[p]
-        finite = np.isfinite(row)
-        if finite.any():
-            best = row[finite].min()
-            if best > 0.0:
-                ratios[p, finite] = row[finite] / best
-            else:
-                ratios[p, finite] = np.where(row[finite] == 0.0, 1.0, np.inf)
+    finite = np.isfinite(times)
+    # adding 0.0 makes a best of -0.0 divide as +0.0
+    best = np.min(times, axis=1, where=finite, initial=np.inf, keepdims=True) + 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(finite, np.where(times == best, 1.0, times / best), np.inf)
     if tau_grid is None:
-        finite_ratios = ratios[np.isfinite(ratios)]
-        if finite_ratios.size:
-            tau_grid = np.unique(np.concatenate([[1.0], finite_ratios]))
-        else:
-            tau_grid = np.array([1.0])
-    else:
-        tau_grid = np.asarray(tau_grid, dtype=float)
-    rho = np.empty((n_solvers, tau_grid.size))
-    for s in range(n_solvers):
-        for t, tau in enumerate(tau_grid):
-            rho[s, t] = np.count_nonzero(ratios[:, s] <= tau) / n_problems
+        tau_grid = np.unique(np.append(1.0, ratios[np.isfinite(ratios)]))
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    rho = np.count_nonzero(ratios[:, :, None] <= tau_grid, axis=0) / n_problems
     return ProfileTable(
         solver_names=[f"solver_{s}" for s in range(n_solvers)],
         times=times,
@@ -228,27 +218,25 @@ def run_suite(
                     RawRecord(config, rep, name, elapsed, iterations, converged)
                 )
             rows.append(row)
-    table = profile(np.array(rows))
-    table.solver_names = names
-    table.raw = raw
-    return table
+    return replace(profile(np.array(rows)), solver_names=names, raw=raw)
 
 
 def summarize(table: ProfileTable) -> list[dict]:
-    """Per (experiment, n, solver) averages in the style of a results table."""
+    """Per (experiment, n, alpha, ell, solver) averages in the style of a
+    results table, in the order the runs first met each group."""
     groups: dict[tuple, list[RawRecord]] = {}
     for rec in table.raw:
-        key = (rec.config.experiment, rec.config.n, rec.config.alpha, rec.solver)
+        config = rec.config
+        key = (config.experiment, config.n, config.alpha, config.ell, rec.solver)
         groups.setdefault(key, []).append(rec)
     out = []
-    for (experiment, n, alpha, solver), recs in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]), kv[0][3])
-    ):
+    for (experiment, n, alpha, ell, solver), recs in groups.items():
         out.append(
             {
                 "experiment": experiment,
                 "n": n,
                 "alpha": alpha,
+                "ell": ell,
                 "solver": solver,
                 "mean_time_seconds": float(np.mean([r.time_seconds for r in recs])),
                 "mean_iterations": float(np.mean([r.iterations for r in recs])),
@@ -268,14 +256,17 @@ def write_profile_csv(table: ProfileTable, path) -> None:
 
 
 def write_raw_csv(table: ProfileTable, path) -> None:
-    header = "experiment,n,alpha,seed,replicate,solver,time_seconds,iterations,converged\n"
+    header = (
+        "experiment,n,alpha,ell,seed,replicate,solver,time_seconds,iterations,converged\n"
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for rec in table.raw:
             config = rec.config
             alpha = "" if config.alpha is None else f"{config.alpha:.17g}"
+            ell = "" if config.ell is None else config.ell
             fh.write(
-                f"{config.experiment},{config.n},{alpha},{config.seed},{rec.replicate},"
-                f"{rec.solver},{rec.time_seconds:.17g},{rec.iterations},"
+                f"{config.experiment},{config.n},{alpha},{ell},{config.seed},"
+                f"{rec.replicate},{rec.solver},{rec.time_seconds:.17g},{rec.iterations},"
                 f"{int(rec.converged)}\n"
             )

@@ -100,12 +100,10 @@ def _diagonal(matrix: np.ndarray) -> np.ndarray:
 class JacobianElement:
     """One element of the generalized derivative of a cone projection.
 
-    ``pattern_key`` is a hashable signature of the selection branch that
-    produced the element (orthant activity set, second-order cone region,
-    eigenvalue sign pattern).  Two elements with equal keys came from the
-    same branch.  ``step_key`` is the ``pattern_key`` when the pattern alone
-    fixes the element, as it fixes a :class:`Diagonal` element's diagonal,
-    and ``None`` otherwise: two elements of one cone with equal non-``None``
+    ``step_key`` is a hashable signature of the selection branch (orthant
+    activity set, second-order cone region) when that branch alone fixes
+    the element, as it fixes a :class:`Diagonal` element's diagonal, and
+    ``None`` otherwise: two elements of one cone with equal non-``None``
     step keys are equal, which is what the repeat-pattern stopping rule
     relies on.
 
@@ -114,7 +112,6 @@ class JacobianElement:
     product with a part that is not diagonal.
     """
 
-    pattern_key: object
     step_key: object = None
     size: int
 
@@ -143,8 +140,8 @@ class Diagonal(JacobianElement):
     """A diagonal element: orthant, free space, second-order cone interior,
     polar and origin, and any product of these."""
 
-    def __init__(self, pattern_key, diagonal: np.ndarray):
-        self.pattern_key = self.step_key = pattern_key
+    def __init__(self, step_key, diagonal: np.ndarray):
+        self.step_key = step_key
         self.diagonal = np.asarray(diagonal, dtype=float)
         self.size = self.diagonal.size
 
@@ -160,8 +157,6 @@ class Diagonal(JacobianElement):
 class SocBoundary(JacobianElement):
     """``[[1, w^T], [w, a I - c w w^T]] / 2`` at a second-order cone point
     off both the cone and its polar, with ``w`` the unit tail."""
-
-    pattern_key = ("soc", "boundary")
 
     def __init__(self, w: np.ndarray, a: float, c: float):
         self.w, self.a, self.c = w, a, c
@@ -197,8 +192,8 @@ class Spectral(JacobianElement):
     """``H -> U (omega o U^T H U) U^T`` in svec coordinates, from the
     eigenvectors ``u`` and the scaling matrix ``omega`` of :func:`_psd_omega`."""
 
-    def __init__(self, pattern_key, u: np.ndarray, omega: np.ndarray):
-        self.pattern_key, self.u, self.omega = pattern_key, u, omega
+    def __init__(self, u: np.ndarray, omega: np.ndarray):
+        self.u, self.omega = u, omega
         self.size = u.shape[0] * (u.shape[0] + 1) // 2
 
     def apply(self, vector):
@@ -224,8 +219,8 @@ class Block(JacobianElement):
     """Block-diagonal element of a product with a part that is not diagonal;
     part i acts on coordinates ``offsets[i]:offsets[i + 1]``."""
 
-    def __init__(self, pattern_key, parts: tuple[JacobianElement, ...], offsets):
-        self.pattern_key, self.parts, self.offsets = pattern_key, parts, offsets
+    def __init__(self, parts: tuple[JacobianElement, ...], offsets):
+        self.parts, self.offsets = parts, offsets
         self.size = int(offsets[-1])
 
     def _slices(self):
@@ -402,19 +397,16 @@ class PsdCone(_SizedCone):
         return svec(_psd_part(*self._decompose(x)))
 
     def jacobian_element(self, x):
-        return self._element(*self._decompose(x))
+        lam, u = self._decompose(x)
+        return Spectral(u, _psd_omega(lam))
 
     def linearize(self, x):
         lam, u = self._decompose(x)
-        return svec(_psd_part(lam, u)), self._element(lam, u)
+        return svec(_psd_part(lam, u)), Spectral(u, _psd_omega(lam))
 
     def _decompose(self, x):
         """``np.linalg.eigh`` of the matrix: eigenvalues ascending."""
         return np.linalg.eigh(smat(self._checked(x)))
-
-    def _element(self, lam, u):
-        signs = tuple(1 if v > 0.0 else -1 for v in lam)
-        return Spectral(("psd", signs), u, _psd_omega(lam))
 
 
 def _positive_count(vals: np.ndarray) -> int:
@@ -533,8 +525,8 @@ class Product(_Frozen, Cone):
         )
 
     def _element(self, elements):
-        key = ("product", tuple(el.pattern_key for el in elements))
         if all(isinstance(el, Diagonal) for el in elements):
-            return Diagonal(key, np.concatenate([el.diagonal for el in elements]))
-        return Block(key, tuple(elements), self._offsets)
+            return Diagonal(("product", tuple(el.step_key for el in elements)),
+                            np.concatenate([el.diagonal for el in elements]))
+        return Block(tuple(elements), self._offsets)
 

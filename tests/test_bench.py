@@ -145,6 +145,77 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile(np.zeros((0, 2)))
 
+    def test_matches_the_per_problem_loop_bit_for_bit(self):
+        cases = list(profile_cases())
+        for times, tau_grid in cases:
+            table = profile(times, tau_grid)
+            expected_grid, expected_rho = loop_profile(times, tau_grid)
+            assert table.tau_grid.tobytes() == expected_grid.tobytes()
+            assert table.rho.tobytes() == expected_rho.tobytes()
+        # the family holds every edge: a zero and a -0.0 time, NaN, an
+        # all-failed row, a tie at a problem's best, and both grid kinds
+        all_times = [times for times, _ in cases]
+        zeros = np.signbit(np.concatenate([times[times == 0.0] for times in all_times]))
+        assert zeros.any() and not zeros.all()
+        assert any(np.isnan(times).any() for times in all_times)
+        assert any((~np.isfinite(times)).all(axis=1).any() for times in all_times)
+        assert any(
+            (np.sum(times == np.min(times, axis=1, keepdims=True), axis=1) > 1).any()
+            for times in all_times
+        )
+        assert {grid is None for _, grid in cases} == {True, False}
+
+
+def loop_profile(times, tau_grid=None):
+    """``(tau_grid, rho)`` by the per-problem loop: ratio time/best over a
+    positive best, 1 for a zero time and inf for any other over a best of 0,
+    inf for a failure."""
+    times = np.asarray(times, dtype=float)
+    n_problems, n_solvers = times.shape
+    ratios = np.full_like(times, np.inf)
+    for p in range(n_problems):
+        row = times[p]
+        finite = np.isfinite(row)
+        if finite.any():
+            best = row[finite].min()
+            if best > 0.0:
+                ratios[p, finite] = row[finite] / best
+            else:
+                ratios[p, finite] = np.where(row[finite] == 0.0, 1.0, np.inf)
+    if tau_grid is None:
+        finite_ratios = ratios[np.isfinite(ratios)]
+        if finite_ratios.size:
+            tau_grid = np.unique(np.concatenate([[1.0], finite_ratios]))
+        else:
+            tau_grid = np.array([1.0])
+    else:
+        tau_grid = np.asarray(tau_grid, dtype=float)
+    rho = np.empty((n_solvers, tau_grid.size))
+    for s in range(n_solvers):
+        for t, tau in enumerate(tau_grid):
+            rho[s, t] = np.count_nonzero(ratios[:, s] <= tau) / n_problems
+    return tau_grid, rho
+
+
+def profile_cases():
+    """Seeded time matrices with zero and -0.0 times, ties, failed
+    entries (inf and NaN) and all-failed rows, each with the default grid
+    or a given one."""
+    rng = np.random.default_rng(52)
+    for draw in range(300):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 5)))
+        # few distinct values make ties; a continuous draw makes none
+        if draw % 2:
+            times = rng.choice([0.0, -0.0, 0.5, 1.0, 1.5, 3.0], size=shape)
+        else:
+            times = rng.uniform(0.0, 4.0, size=shape)
+        times[rng.random(shape) < 0.2] = np.inf
+        times[rng.random(shape) < 0.1] = np.nan
+        if draw % 5 == 0:
+            times[rng.integers(shape[0])] = np.inf
+        grid = None if draw % 3 else np.sort(rng.uniform(0.5, 5.0, size=4))
+        yield times, grid
+
 
 class TestRunSuite:
     def test_suite_and_outputs(self, tmp_path):
@@ -160,9 +231,11 @@ class TestRunSuite:
         write_profile_csv(table, tmp_path / "profile.csv")
         raw_lines = (tmp_path / "raw.csv").read_text().splitlines()
         assert raw_lines[0] == (
-            "experiment,n,alpha,seed,replicate,solver,time_seconds,iterations,converged"
+            "experiment,n,alpha,ell,seed,replicate,solver,time_seconds,iterations,converged"
         )
         assert len(raw_lines) == 7
+        # E56 takes neither alpha nor ell
+        assert raw_lines[1].split(",")[2:4] == ["", ""]
         profile_lines = (tmp_path / "profile.csv").read_text().splitlines()
         assert profile_lines[0] == f"tau,{SOLVER_NEWTON},{SOLVER_BASELINE}"
 
@@ -205,6 +278,13 @@ class TestRunSuite:
         assert len(rows) == 1
         assert rows[0]["solver"] == SOLVER_NEWTON
         assert rows[0]["total"] == 2
+
+    def test_summary_groups_by_ell_in_run_order(self):
+        configs = [ExperimentConfig("E58", n=6, alpha=0.001, ell=ell, seed=15, replicates=1)
+                   for ell in (3, 2)]
+        rows = summarize(run_suite(configs, ["newton"], tol=1e-5))
+        assert [row["ell"] for row in rows] == [3, 2]
+        assert [row["total"] for row in rows] == [1, 1]
 
     def test_alpha_zero_is_fixed_point_regime(self):
         cfg = ExperimentConfig("E55", n=50, alpha=0.0, seed=14, replicates=3)

@@ -528,9 +528,9 @@ class TestBenchCommand:
         tables = []
         for d in dirs:
             lines = (d / "raw.csv").read_text().splitlines()
-            # drop the time column (index 6)
+            # drop the time column (index 7)
             tables.append(
-                [",".join(c for i, c in enumerate(l.split(",")) if i != 6) for l in lines]
+                [",".join(c for i, c in enumerate(l.split(",")) if i != 7) for l in lines]
             )
         assert tables[0] == tables[1]
         stdout = capsys.readouterr().out
@@ -569,8 +569,8 @@ class TestBenchCommand:
         lines = (tmp_path / "raw.csv").read_text().splitlines()[1:]
         for line in lines:
             cells = line.split(",")
-            assert int(cells[7]) <= 2  # iterations
-            assert cells[8] == "1"  # converged
+            assert int(cells[8]) <= 2  # iterations
+            assert cells[9] == "1"  # converged
 
     def test_invalid_parameters(self, tmp_path):
         common = ["bench", "--n", "10", "--seed", "1", "--replicates", "1",
@@ -625,6 +625,33 @@ class TestBenchCommand:
             assert main(common + extra + ["--out-dir", str(tmp_path / name)]) == 0
         assert ells == [[3, 4], [3, 4], [2, 2]]
 
+    def test_raw_csv_keeps_ell(self, tmp_path):
+        code = main([
+            "bench", "--experiment", "5.8", "--n", "6", "--ell", "2", "--replicates", "1",
+            "--solvers", "newton", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        header, row = (tmp_path / "raw.csv").read_text().splitlines()
+        assert header.split(",")[2:4] == ["alpha", "ell"]
+        assert row.split(",")[3] == "2"
+
+    def test_summary_rows_follow_the_run_order(self, tmp_path, capsys):
+        code = main([
+            "bench", "--experiment", "5.5", "--alpha", "5,10", "--n", "6",
+            "--replicates", "1", "--solvers", "newton,baseline", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[2], row[3]) for row in rows] == [
+            ("5", "semi-smooth-newton-ncm"), ("5", "alternating-projections"),
+            ("10", "semi-smooth-newton-ncm"), ("10", "alternating-projections"),
+        ]
+        raw = (tmp_path / "raw.csv").read_text().splitlines()[1:]
+        assert [(cells[2], cells[6]) for cells in (line.split(",") for line in raw)] == [
+            ("5", "semi-smooth-newton-ncm"), ("5", "alternating-projections"),
+            ("10", "semi-smooth-newton-ncm"), ("10", "alternating-projections"),
+        ]
+
     def test_out_dir_that_cannot_be_made_fails_before_the_suite(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -652,7 +679,7 @@ class TestBenchCommand:
         ])
         assert code == 0
         line = (d1 / "raw.csv").read_text().splitlines()[1]
-        assert line.split(",")[3] == "0"
+        assert line.split(",")[4] == "0"  # seed
 
 
 # Files the property writes: tiny well-formed ones, and malformed ones.

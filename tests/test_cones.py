@@ -447,12 +447,12 @@ class TestJacobianElement:
 
     def test_pattern_keys_discriminate_regions(self):
         cone = SecondOrder(3)
-        assert cone.jacobian_element([5.0, 1.0, 0.0]).pattern_key == ("soc", "interior")
-        assert cone.jacobian_element([-5.0, 1.0, 0.0]).pattern_key == ("soc", "polar")
-        assert cone.jacobian_element([0.0, 3.0, 4.0]).pattern_key == ("soc", "boundary")
+        assert cone.jacobian_element([5.0, 1.0, 0.0]).step_key == ("soc", "interior")
+        assert cone.jacobian_element([-5.0, 1.0, 0.0]).step_key == ("soc", "polar")
+        assert cone.jacobian_element([0.0, 3.0, 4.0]).step_key is None
         o = Orthant(2)
-        assert o.jacobian_element([1.0, -1.0]).pattern_key == o.jacobian_element([2.0, -9.0]).pattern_key
-        assert o.jacobian_element([1.0, 1.0]).pattern_key != o.jacobian_element([1.0, -1.0]).pattern_key
+        assert o.jacobian_element([1.0, -1.0]).step_key == o.jacobian_element([2.0, -9.0]).step_key
+        assert o.jacobian_element([1.0, 1.0]).step_key != o.jacobian_element([1.0, -1.0]).step_key
 
     def test_zero_coordinate_counts_inactive(self):
         el = Orthant(3).jacobian_element([0.0, 1.0, -1.0])
@@ -512,7 +512,7 @@ class TestJacobianElement:
         el = cone.jacobian_element([1.0, -1.0, 5.0, -5.0])
         expected = np.diag([1.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(el.materialize(), expected)
-        assert el.pattern_key[0] == "product"
+        assert el.step_key[0] == "product"
 
 
 @st.composite
@@ -552,7 +552,7 @@ class TestStepKey:
         first, second = cone.jacobian_element(x), cone.jacobian_element(y)
         for el in (first, second):
             if isinstance(el, Diagonal):
-                assert el.step_key == el.pattern_key
+                assert el.step_key is not None
             else:
                 assert isinstance(el, (SocBoundary, Spectral, Block))
                 assert el.step_key is None
@@ -595,7 +595,7 @@ def assert_same_linearization(cone, x):
     projected, element = cone.linearize(x)
     reference = cone.jacobian_element(x)
     assert projected.tobytes() == cone.project(x).tobytes()
-    assert element.pattern_key == reference.pattern_key
+    assert element.step_key == reference.step_key
     assert type(element) is type(reference)
     assert_kind(cone, x, element)
     assert element.materialize().tobytes() == reference.materialize().tobytes()
@@ -737,6 +737,12 @@ class TestAddTo:
                   if isinstance(c, Product)]
         part_kinds = {type(p) for el in blocks if isinstance(el, Block) for p in el.parts}
         assert {SocBoundary, Spectral} <= part_kinds
+
+    def test_no_element_kind_has_a_pattern_key(self):
+        # step_key is the one key an element carries
+        elements = [c.jacobian_element(x) for _, c, x in plus_kink_cases()]
+        parts = [p for el in elements if isinstance(el, Block) for p in el.parts]
+        assert not [el for el in elements + parts if hasattr(el, "pattern_key")]
 
     @pytest.mark.parametrize("x", [[5.0, 1.0, 0.0], [-5.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
                              ids=["interior", "polar", "origin"])

@@ -415,7 +415,7 @@ class TestActiveSetStep:
     def test_equals_ix_gathers_bit_for_bit(self, element, singular):
         rng = np.random.default_rng(24)
         d = element.diagonal.size
-        weighted = Diagonal(element.pattern_key, element.diagonal * rng.uniform(0.5, 1.0, d))
+        weighted = Diagonal(element.step_key, element.diagonal * rng.uniform(0.5, 1.0, d))
         t_dense = rng.standard_normal((d, d)) / np.sqrt(d)
         if singular:
             # R = 0 on the active block, as at the start of a constrained program
@@ -938,7 +938,7 @@ def assert_real_cycle(problem, config, report):
     cone = problem.cone
     iterates = _replayed_iterates(problem, config, report)
     if isinstance(cone.jacobian_element(report.solution), Diagonal):
-        marks = [cone.jacobian_element(x).pattern_key for x in iterates]
+        marks = [cone.jacobian_element(x).step_key for x in iterates]
     else:
         marks = [x.tobytes() for x in iterates]
     earlier = marks.index(marks[-1])
