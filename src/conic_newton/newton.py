@@ -44,7 +44,7 @@ _LSTSQ_FAIL_LIMIT = 3
 # Right-hand sides with max |b_i| in [2^-_SCALE_RANGE, 2^_SCALE_RANGE] are
 # solved as given; any other is first scaled by a power of two (see solve).
 _SCALE_RANGE = 128
-# Rows of C per flat take in the active-set step.
+# Rows of the active-set block gathered per row take.
 _GATHER_ROWS = 64
 
 
@@ -101,13 +101,19 @@ def residual(
 ) -> float:
     """Euclidean norm of the equation residual at x.
 
-    ``projected`` is P_K(x) when the caller has it already.  A right-hand
-    side far from unit scale is handled as in :func:`solve`: the norm is
-    taken at ``x / 2^k`` against ``b / 2^k`` and scaled back, capped at the
-    largest double, so it overflows only if the residual itself does.
+    ``projected`` is P_K(x) when the caller has it already, checked as x is.
+    When the largest entry of b, x and a given ``projected`` lies outside
+    2^-128 .. 2^128, the norm is taken at ``x / 2^k`` (and
+    ``projected / 2^k``) against ``b / 2^k``, with that entry / 2^k in
+    [1/2, 1), and scaled back.  At any k the result is capped at the largest
+    double, as a report's residuals are, so it reads the largest double only
+    where the residual itself passes it.
     """
-    x = _vector(x, problem.cone.ambient_dim, "point")
-    shift = _scale_exponent(problem.b)
+    d = problem.cone.ambient_dim
+    x = _vector(x, d, "point")
+    if projected is not None:
+        projected = _vector(projected, d, "projection")
+    shift = _scale_exponent(problem.b, x, () if projected is None else projected)
     if shift:
         problem = replace(problem, b=np.ldexp(problem.b, -shift))
         x = np.ldexp(x, -shift)
@@ -116,7 +122,7 @@ def residual(
     if projected is None:
         projected = problem.cone.project(x)
     norm = _residual_norm(problem, x, projected)
-    return min(float(_unscaled(norm, shift)), np.finfo(float).max) if shift else norm
+    return min(float(_unscaled(norm, shift)), np.finfo(float).max)
 
 
 def _residual_norm(problem, x, projected):
@@ -128,10 +134,10 @@ def _residual_norm(problem, x, projected):
     return _norm(value)
 
 
-def _scale_exponent(b):
-    """0 when max |b_i| is zero or in the normal range, else the k with
-    max |b_i| / 2^k in [1/2, 1)."""
-    peak = float(np.max(np.abs(b), initial=0.0))
+def _scale_exponent(*arrays):
+    """0 when the largest |entry| of the arrays is zero or in the normal
+    range, else the k with that entry / 2^k in [1/2, 1)."""
+    peak = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
     if peak == 0.0 or 2.0**-_SCALE_RANGE <= peak <= 2.0**_SCALE_RANGE:
         return 0
     return int(np.frexp(peak)[1])
@@ -251,28 +257,25 @@ def _active_set_step(T_dense, element, rhs):
     With A the coordinates where D is nonzero and I the rest, the matrix is
     ``[[R, 0], [C, I]]`` after reordering, with ``R = I + T_AA D_A`` and
     ``C = T_IA D_A``, which ``_block_step`` solves with R the one block
-    factored and gated; no d x d matrix is formed.  R and C are read from
-    T in C order, through a flat view of a C-contiguous T or else a copy.
+    factored and gated; no d x d matrix is formed.  R and C are the two row
+    slices of one C-ordered block, the rows ``[A; I]`` of T's columns A,
+    gathered by row takes at a peak of that block plus one chunk of rows.
     """
     active = np.flatnonzero(element.diagonal)
     inactive = np.flatnonzero(element.diagonal == 0.0)
     weights = element.diagonal[active]
-    # flat takes gather R and C C-ordered, with no d x |A| array between
-    # them: T[a][:, a] would be Fortran-ordered, and LAPACK rounds
-    # differently on the other layout.  C comes _GATHER_ROWS rows at a time,
-    # so its flat indices take no more than a block of it; the indices are
-    # in range, and mode="clip" writes into ``out`` without a buffer.
-    flat = T_dense.reshape(-1)
-    stride = T_dense.shape[1]
-    r = flat.take(active[:, None] * stride + active)
-    c = np.empty((inactive.size, active.size))
-    for start in range(0, inactive.size, _GATHER_ROWS):
-        rows = inactive[start:start + _GATHER_ROWS]
-        flat.take(rows[:, None] * stride + active, out=c[start:start + _GATHER_ROWS],
-                  mode="clip")
+    # T[a][:, a] would be Fortran-ordered, and LAPACK rounds differently on
+    # that layout.  Each chunk's |chunk| x d row take dies in its iteration,
+    # so the peak is the block plus one chunk; the indices are in range, and
+    # mode="clip" writes into ``out`` without a buffer.
+    order = np.concatenate([active, inactive])
+    block = np.empty((order.size, active.size))
+    for start in range(0, order.size, _GATHER_ROWS):
+        chunk = slice(start, start + _GATHER_ROWS)
+        T_dense.take(order[chunk], axis=0).take(active, axis=1, out=block[chunk], mode="clip")
     if not np.all(weights == 1.0):
-        r *= weights
-        c *= weights
+        block *= weights
+    r, c = block[:active.size], block[active.size:]
     _diagonal(r)[:] += 1.0
     x = np.empty(rhs.shape[0])
     x[active], x[inactive], lstsq = _block_step(r, rhs[active], c, rhs[inactive])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conic_newton import (
     DenseOperator,
+    DimensionMismatchError,
     EquationForm,
     FreeSpace,
     LinearOperator,
@@ -70,6 +71,14 @@ class TestResidual:
             b = cone.project(x_hat) + 3.0 * x_hat
             problem = ProjectionEquationProblem(cone, ScaledIdentity(3.0, 4), b)
             assert residual(problem, x_hat) <= 1e-12 * (1 + np.linalg.norm(b))
+
+    @pytest.mark.parametrize("length", [1, 2], ids=["broadcast", "mismatch"])
+    def test_checks_the_projection_length(self, length):
+        # a length-1 projection would broadcast and read 0.0 for 3.742
+        x = np.array([1.0, 2.0, 3.0])
+        problem = ProjectionEquationProblem(Orthant(3), DenseOperator(np.eye(3)), x)
+        with pytest.raises(DimensionMismatchError, match="projection"):
+            residual(problem, x, projected=np.zeros(length))
 
 
 class TestSolve:
@@ -1059,13 +1068,18 @@ class TestScaleSafeResidual:
         assert value == report.residuals[-1]
 
     def test_caps_at_the_largest_double(self):
-        problem = ProjectionEquationProblem(
-            Orthant(2), ScaledIdentity(1.0, 2), np.array([1e308, -1e308])
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            value = residual(problem, np.array([-1e308, 1e308]))
-        assert value == np.finfo(float).max
+        # a far-scale b, then a b in range, which sets no shift alone: the
+        # far point's peak sets it
+        cases = [
+            (ScaledIdentity(1.0, 2), [1e308, -1e308], [-1e308, 1e308]),
+            (DenseOperator(np.eye(2)), [1.0, 1.0], [1e308, 1e308]),
+        ]
+        for operator, b, x in cases:
+            problem = ProjectionEquationProblem(Orthant(2), operator, np.array(b))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = residual(problem, np.array(x))
+            assert value == np.finfo(float).max
 
     @pytest.mark.parametrize("form", list(EquationForm))
     def test_bit_identical_in_normal_range(self, form):
