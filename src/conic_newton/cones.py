@@ -241,7 +241,14 @@ class Block(JacobianElement):
 
 
 class Cone:
-    """Base class for closed convex cones over flat coordinates."""
+    """Base class for closed convex cones over flat coordinates.
+
+    A cone whose projection and element share work (a region walk, an
+    eigendecomposition) defines ``linearize`` alone, and ``project`` and
+    ``jacobian_element`` each take their half of it: on ``SecondOrder``,
+    ``PsdCone`` and ``Product`` a projection-only call also forms the
+    element.  Any other cone defines ``project`` and ``jacobian_element``.
+    """
 
     @property
     def ambient_dim(self) -> int:
@@ -249,15 +256,18 @@ class Cone:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the cone in the Euclidean coordinate norm."""
-        raise NotImplementedError
+        return self.linearize(x)[0]
 
     def jacobian_element(self, x: np.ndarray) -> JacobianElement:
         """Deterministically selected generalized-derivative element at x."""
-        raise NotImplementedError
+        return self.linearize(x)[1]
 
     def linearize(self, x: np.ndarray) -> tuple[np.ndarray, JacobianElement]:
-        """``(project(x), jacobian_element(x))``; a cone whose two share
-        work (one eigendecomposition) computes it once."""
+        """``(project(x), jacobian_element(x))``, from the cone's two halves."""
+        cls = type(self)
+        if cls.project is Cone.project or cls.jacobian_element is Cone.jacobian_element:
+            raise NotImplementedError(f"{cls.__name__} defines neither linearize nor "
+                                      "both project and jacobian_element")
         return self.project(x), self.jacobian_element(x)
 
     def project_dual(self, x: np.ndarray) -> np.ndarray:
@@ -356,34 +366,28 @@ class Orthant(_SizedCone):
 class SecondOrder(_SizedCone):
     """Second-order (Lorentz) cone {(t, u) in R^n : |u| <= t}."""
 
-    def project(self, x):
+    def linearize(self, x):
         x = self._checked(x)
         head, tail = x[0], x[1:]
         tail_norm = _norm(tail)
-        if tail_norm <= head:
-            return x.copy()
-        if tail_norm <= -head:
-            return np.zeros_like(x)
-        scale = (head + tail_norm) / 2.0
-        out = np.empty_like(x)
-        out[0] = scale
-        out[1:] = (scale / tail_norm) * tail
-        return out
-
-    def jacobian_element(self, x):
-        x = self._checked(x)
-        head, tail = x[0], x[1:]
-        tail_norm = _norm(tail)
+        # the element's tests are open, the origin's after the polar's
         if tail_norm < head:
-            return Diagonal(("soc", "interior"), np.ones(self.n))
+            return x.copy(), Diagonal(("soc", "interior"), np.ones(self.n))
         if tail_norm < -head:
-            return Diagonal(("soc", "polar"), np.zeros(self.n))
+            return np.zeros_like(x), Diagonal(("soc", "polar"), np.zeros(self.n))
         if tail_norm == 0.0:
             # origin: identity is a valid limit element from the interior
-            return Diagonal(("soc", "interior"), np.ones(self.n))
-        return SocBoundary(
+            return x.copy(), Diagonal(("soc", "interior"), np.ones(self.n))
+        element = SocBoundary(
             tail / tail_norm, (head + tail_norm) / tail_norm, head / tail_norm
         )
+        # the projection's tests are closed
+        if tail_norm <= head:
+            return x.copy(), element
+        if tail_norm <= -head:
+            return np.zeros_like(x), element
+        scale = (head + tail_norm) / 2.0
+        return np.concatenate(([scale], (scale / tail_norm) * tail)), element
 
 
 class PsdCone(_SizedCone):
@@ -392,13 +396,6 @@ class PsdCone(_SizedCone):
     @property
     def ambient_dim(self) -> int:
         return self.n * (self.n + 1) // 2
-
-    def project(self, x):
-        return svec(_psd_part(*self._decompose(x)))
-
-    def jacobian_element(self, x):
-        lam, u = self._decompose(x)
-        return Spectral(u, _psd_omega(lam))
 
     def linearize(self, x):
         lam, u = self._decompose(x)
@@ -507,22 +504,10 @@ class Product(_Frozen, Cone):
         x = self._checked(x)
         return [x[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
 
-    def project(self, x):
-        return np.concatenate(
-            [p.project(piece) for p, piece in zip(self.parts, self.split(x))]
-        )
-
-    def jacobian_element(self, x):
-        return self._element(
-            [p.jacobian_element(piece) for p, piece in zip(self.parts, self.split(x))]
-        )
-
     def linearize(self, x):
-        pairs = [p.linearize(piece) for p, piece in zip(self.parts, self.split(x))]
-        return (
-            np.concatenate([projected for projected, _ in pairs]),
-            self._element([element for _, element in pairs]),
-        )
+        pairs = (p.linearize(piece) for p, piece in zip(self.parts, self.split(x)))
+        projected, elements = zip(*pairs)
+        return np.concatenate(projected), self._element(elements)
 
     def _element(self, elements):
         if all(isinstance(el, Diagonal) for el in elements):

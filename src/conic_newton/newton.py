@@ -347,7 +347,10 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     in [1/2, 1), and the solution is ``2^k`` times the result: the
     projection is positively homogeneous and the derivative selection
     scale-free, so only the norms change, and ``|b|`` no longer overflows
-    or underflows.  Residuals, stops and bounds are in the caller's units.
+    or underflows.  Residuals and stops are in the caller's units.  The
+    divergence test is taken in the run's units, as ``|x| > 1e12 (2^-k +
+    |b / 2^k|)``: the caller's bound over ``2^k``, so an iterate near a root
+    past the largest double is not read as diverging.
     """
     if config is None:
         config = NewtonConfig()
@@ -366,14 +369,14 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
 
     T_dense = problem.T.materialize()
     b = problem.b
-    # in the caller's units |b| and the bound can pass the largest double;
-    # capped, no comparison against them reads inf <= inf
-    largest = np.finfo(float).max
-    norm_b = min(float(_unscaled(np.linalg.norm(b), shift)), largest)
+    # in the caller's units |b| can pass the largest double; capped, no
+    # comparison against it reads inf <= inf
+    norm_b = min(float(_unscaled(np.linalg.norm(b), shift)), np.finfo(float).max)
     # relative to |b| alone: an absolute floor would lie above every
     # residual once |b| is far below 1, and confirm any repeated pattern
     confirm_tol = max(config.tol, 1e-9 * norm_b)
-    divergence_bound = min(_DIVERGENCE_FACTOR * (1.0 + norm_b), largest)
+    # 1e12 (1 + |b|) over 2^shift, so the bound and |x| stay in the run's units
+    divergence_bound = _DIVERGENCE_FACTOR * (float(_unscaled(1.0, -shift)) + _norm(b))
     rhs = np.column_stack([b, _probes(cone.ambient_dim)])
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
     # a state is (x, P_K(x), element, residual)
@@ -390,7 +393,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("non-finite iterate")
-        if _unscaled(_norm(x), shift) > divergence_bound:
+        if _norm(x) > divergence_bound:
             raise NumericalFailureError("iterate norm exceeded divergence bound")
         projected, element = cone.linearize(x)
         res = _residual_norm(problem, x, projected)

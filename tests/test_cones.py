@@ -625,6 +625,68 @@ class TestLinearize:
         assert_same_linearization(*case)
 
 
+SOC_BOUNDARY = np.array([[0.5, 0.3, 0.4], [0.3, 0.82, -0.24], [0.4, -0.24, 0.68]])
+SOC_POLAR_BOUNDARY = np.array([[0.5, 0.3, 0.4], [0.3, 0.18, 0.24], [0.4, 0.24, 0.32]])
+
+
+class TestSecondOrderRegionTies:
+    """The second-order region at its ties, against written-out values: the
+    projection's tests are closed, the element's open, and the origin's
+    element is tested after the polar's."""
+
+    @pytest.mark.parametrize(
+        "x, projected, step_key, boundary, matrix",
+        [
+            ([-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], ("soc", "polar"), None, np.zeros((3, 3))),
+            ([-1.0], [0.0], ("soc", "polar"), None, [[0.0]]),
+            ([0.0], [0.0], ("soc", "interior"), None, [[1.0]]),
+            ([1.0], [1.0], ("soc", "interior"), None, [[1.0]]),
+            ([5.0, 3.0, 4.0], [5.0, 3.0, 4.0], None, ([0.6, 0.8], 2.0, 1.0), SOC_BOUNDARY),
+            ([-5.0, 3.0, 4.0], [0.0, 0.0, 0.0], None, ([0.6, 0.8], 0.0, -1.0),
+             SOC_POLAR_BOUNDARY),
+        ],
+        ids=["polar-origin-tail", "n1-polar", "n1-origin", "n1-interior",
+             "cone-boundary", "polar-boundary"],
+    )
+    def test_projection_and_element(self, x, projected, step_key, boundary, matrix):
+        # boundary is (w, a, c) of a SocBoundary element, None for a Diagonal
+        x = np.array(x)
+        cone = SecondOrder(x.size)
+        assert cone.project(x).tobytes() == np.array(projected).tobytes()
+        element = cone.jacobian_element(x)
+        assert element.step_key == step_key
+        if boundary is None:
+            assert type(element) is Diagonal
+        else:
+            assert type(element) is SocBoundary
+            assert (element.w.tolist(), element.a, element.c) == boundary
+        np.testing.assert_allclose(element.materialize(), matrix, rtol=0, atol=1e-15)
+
+
+class TestConeContract:
+    """A cone defines ``linearize`` or both halves; one that defines
+    neither raises ``NotImplementedError``, not ``RecursionError``."""
+
+    class Bare(Cone):
+        ambient_dim = 2
+
+    class ProjectOnly(Bare):
+        def project(self, x):
+            return np.maximum(self._checked(x), 0.0)
+
+    @pytest.mark.parametrize("method", ["project", "jacobian_element", "linearize"])
+    def test_a_cone_with_neither_raises(self, method):
+        with pytest.raises(NotImplementedError, match="Bare defines neither"):
+            getattr(self.Bare(), method)(np.ones(2))
+
+    @pytest.mark.parametrize("method", ["jacobian_element", "linearize"])
+    def test_a_cone_with_project_alone_raises_on_the_element_side(self, method):
+        cone = self.ProjectOnly()
+        assert cone.project(np.array([1.0, -1.0])).tolist() == [1.0, 0.0]
+        with pytest.raises(NotImplementedError, match="ProjectOnly defines neither"):
+            getattr(cone, method)(np.ones(2))
+
+
 def added_in_place(element, out):
     """The element's entries added into ``out`` in place, kind by kind: the
     entrywise assembly that ``JacobianElement.plus`` must equal bit for bit."""

@@ -904,6 +904,33 @@ class TestScaleSafety:
             with pytest.raises(NumericalFailureError, match="divergence bound"):
                 solve(problem)
 
+    @pytest.mark.parametrize(
+        "cone, signs, termination",
+        [
+            (Orthant(4), [1.0, 1.0, 1.0, 1.0], Termination.PATTERN_REPEAT),
+            (Orthant(4), [1.0, -1.0, 1.0, -1.0], Termination.PATTERN_REPEAT),
+            (Product((FreeSpace(2), SecondOrder(3))), [1.0] * 5, Termination.RESIDUAL_TOL),
+        ],
+        ids=["orthant", "orthant-signs", "free-soc"],
+    )
+    def test_root_near_the_largest_double_is_not_divergence(self, cone, signs, termination):
+        # |b| = 2e308 passes the largest double.  The bound 1e12 (1 + |b|)
+        # was taken in the caller's units: computing it overflowed with a
+        # warning, and without the warning the first iterate x = b, of norm
+        # 2e308, was read as diverging
+        b = 1e308 * np.array(signs)
+        problem = ProjectionEquationProblem(cone, ScaledIdentity(1.0, b.size), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert report.termination is termination
+        assert report.iterations == 2
+        if isinstance(cone, Orthant):
+            # the root: b / 2 where b is positive, b where it is not
+            root = np.where(b > 0.0, b / 2.0, b)
+            assert report.solution.tobytes() == root.tobytes()
+        assert_claim_holds(problem, report, NewtonConfig().tol)
+
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
         # iteration trips the divergence bound; it used to exit 0
