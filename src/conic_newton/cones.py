@@ -241,14 +241,9 @@ class Block(JacobianElement):
 
 
 class Cone:
-    """Base class for closed convex cones over flat coordinates.
-
-    A cone whose projection and element share work (a region walk, an
-    eigendecomposition) defines ``linearize`` alone, and ``project`` and
-    ``jacobian_element`` each take their half of it: on ``SecondOrder``,
-    ``PsdCone`` and ``Product`` a projection-only call also forms the
-    element.  Any other cone defines ``project`` and ``jacobian_element``.
-    """
+    """Base class for closed convex cones over flat coordinates.  A cone
+    defines ``project`` and ``jacobian_element``; one whose two halves share
+    work derives from ``_Linearized`` and defines ``linearize`` alone."""
 
     @property
     def ambient_dim(self) -> int:
@@ -256,18 +251,14 @@ class Cone:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Nearest point of the cone in the Euclidean coordinate norm."""
-        return self.linearize(x)[0]
+        raise NotImplementedError
 
     def jacobian_element(self, x: np.ndarray) -> JacobianElement:
         """Deterministically selected generalized-derivative element at x."""
-        return self.linearize(x)[1]
+        raise NotImplementedError
 
     def linearize(self, x: np.ndarray) -> tuple[np.ndarray, JacobianElement]:
-        """``(project(x), jacobian_element(x))``, from the cone's two halves."""
-        cls = type(self)
-        if cls.project is Cone.project or cls.jacobian_element is Cone.jacobian_element:
-            raise NotImplementedError(f"{cls.__name__} defines neither linearize nor "
-                                      "both project and jacobian_element")
+        """``(project(x), jacobian_element(x))`` in one call."""
         return self.project(x), self.jacobian_element(x)
 
     def project_dual(self, x: np.ndarray) -> np.ndarray:
@@ -286,6 +277,17 @@ class Cone:
 
     def _checked(self, x: np.ndarray) -> np.ndarray:
         return _vector(x, self.ambient_dim, self)
+
+
+class _Linearized(Cone):
+    """A cone that defines ``linearize`` alone, as ``SecondOrder``, ``PsdCone``
+    and ``Product`` do: a projection-only call also forms the element."""
+
+    def project(self, x):
+        return self.linearize(x)[0]
+
+    def jacobian_element(self, x):
+        return self.linearize(x)[1]
 
 
 def _cone(value, what="cone") -> Cone:
@@ -363,7 +365,7 @@ class Orthant(_SizedCone):
         return Diagonal(("orthant", active.tobytes()), active.astype(float))
 
 
-class SecondOrder(_SizedCone):
+class SecondOrder(_Linearized, _SizedCone):
     """Second-order (Lorentz) cone {(t, u) in R^n : |u| <= t}."""
 
     def linearize(self, x):
@@ -390,7 +392,7 @@ class SecondOrder(_SizedCone):
         return np.concatenate(([scale], (scale / tail_norm) * tail)), element
 
 
-class PsdCone(_SizedCone):
+class PsdCone(_Linearized, _SizedCone):
     """Positive semidefinite n x n matrices in scaled-vectorized coordinates."""
 
     @property
@@ -398,12 +400,8 @@ class PsdCone(_SizedCone):
         return self.n * (self.n + 1) // 2
 
     def linearize(self, x):
-        lam, u = self._decompose(x)
+        lam, u = np.linalg.eigh(smat(self._checked(x)))  # lam ascending
         return svec(_psd_part(lam, u)), Spectral(u, _psd_omega(lam))
-
-    def _decompose(self, x):
-        """``np.linalg.eigh`` of the matrix: eigenvalues ascending."""
-        return np.linalg.eigh(smat(self._checked(x)))
 
 
 def _positive_count(vals: np.ndarray) -> int:
@@ -483,7 +481,7 @@ class FreeSpace(_SizedCone):
         return Diagonal(("free",), np.ones(self.n))
 
 
-class Product(_Frozen, Cone):
+class Product(_Frozen, _Linearized):
     """Cartesian product of cones over concatenated coordinates."""
 
     __match_args__ = ("parts",)

@@ -350,7 +350,9 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
     or underflows.  Residuals and stops are in the caller's units.  The
     divergence test is taken in the run's units, as ``|x| > 1e12 (2^-k +
     |b / 2^k|)``: the caller's bound over ``2^k``, so an iterate near a root
-    past the largest double is not read as diverging.
+    past the largest double is not read as diverging.  An iterate, or its
+    projection, with an entry past the largest double in the caller's units
+    raises NumericalFailureError, so the report scales back finite.
     """
     if config is None:
         config = NewtonConfig()
@@ -369,20 +371,30 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
 
     T_dense = problem.T.materialize()
     b = problem.b
+    largest = np.finfo(float).max
+    norm_run = _norm(b)
     # in the caller's units |b| can pass the largest double; capped, no
     # comparison against it reads inf <= inf
-    norm_b = min(float(_unscaled(np.linalg.norm(b), shift)), np.finfo(float).max)
+    norm_b = min(float(_unscaled(norm_run, shift)), largest)
     # relative to |b| alone: an absolute floor would lie above every
     # residual once |b| is far below 1, and confirm any repeated pattern
     confirm_tol = max(config.tol, 1e-9 * norm_b)
     # 1e12 (1 + |b|) over 2^shift, so the bound and |x| stay in the run's units
-    divergence_bound = _DIVERGENCE_FACTOR * (float(_unscaled(1.0, -shift)) + _norm(b))
+    divergence_bound = _DIVERGENCE_FACTOR * (float(_unscaled(1.0, -shift)) + norm_run)
+    # an entry past this passes the largest double in the caller's units
+    entry_bound = float(_unscaled(largest, -shift))
     rhs = np.column_stack([b, _probes(cone.ambient_dim)])
     workspace = functools.cache(lambda: np.empty(T_dense.shape))
     # a state is (x, P_K(x), element, residual)
 
-    def first():
+    def linearize(x):
         projected, element = cone.linearize(x)
+        if shift > 0 and np.max(np.abs([x, projected])) > entry_bound:
+            raise NumericalFailureError("iterate passes the largest double")
+        return projected, element
+
+    def first():
+        projected, element = linearize(x)
         return x, projected, element, residual(problem, x, projected=projected)
 
     def step(state):
@@ -395,7 +407,7 @@ def solve(problem: ProjectionEquationProblem, config: NewtonConfig | None = None
             raise NumericalFailureError("non-finite iterate")
         if _norm(x) > divergence_bound:
             raise NumericalFailureError("iterate norm exceeded divergence bound")
-        projected, element = cone.linearize(x)
+        projected, element = linearize(x)
         res = _residual_norm(problem, x, projected)
         return (x, projected, element, res), lstsq
 

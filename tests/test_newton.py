@@ -931,6 +931,28 @@ class TestScaleSafety:
             assert report.solution.tobytes() == root.tobytes()
         assert_claim_holds(problem, report, NewtonConfig().tol)
 
+    @pytest.mark.parametrize(
+        "cone, T, b, form",
+        [
+            # root 10 b: its entries pass the largest double
+            (Orthant(4), ScaledIdentity(0.1, 4), np.full(4, -1e308), EquationForm.POINT_LINEAR),
+            # root (0, 1e308, ..., 1e308): finite, but P_K of it has head 2e308
+            (
+                SecondOrder(17), ScaledIdentity(0.1, 17),
+                np.r_[2e307, np.full(16, 1.05e308)], EquationForm.PROJECTION_LINEAR,
+            ),
+        ],
+        ids=["orthant-root", "soc-projection"],
+    )
+    def test_report_past_the_largest_double_is_numerical_failure(self, cone, T, b, form):
+        # the divergence bound is in the run's units, so only the entry test
+        # keeps the report, scaled back to the caller's, finite
+        problem = ProjectionEquationProblem(cone, T, b, form=form)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="largest double"):
+                solve(problem)
+
     def test_cli_exit_code_on_overflowing_rhs(self, tmp_path):
         # case 8 of the fuzz: T ~ 1e-35, so the root has norm ~1e190 and the
         # iteration trips the divergence bound; it used to exit 0
